@@ -9,6 +9,8 @@ Two ``cobra-experiments sweep work DEMO_grid2x2 --trace`` workers are
 launched concurrently against one store.  Afterward:
 
 * the campaign is complete and ``sweep fsck`` exits 0 (clean store);
+* a third ``sweep work`` over the finished store reports every cell
+  cached and leaves ``claims.jsonl`` byte-identical (no claim written);
 * every stored cell's values are **identical** to an uninterrupted
   single-worker ``Campaign.run()`` reference (content-derived seeds —
   worker placement cannot matter);
@@ -103,6 +105,20 @@ def main(store_dir: str) -> int:
     # (bar a benign lease-expiry recompute, impossible at this TTL)
     ran_total = sum(int(out.split("ran ")[1].split(",")[0]) for out in outputs)
     assert ran_total == len(cells), f"workers ran {ran_total} cells, not {len(cells)}"
+
+    # a third worker over the finished store finds every cell cached
+    # and writes no claim: the ledger stays byte-identical
+    ledger = Path(store_dir) / "claims.jsonl"
+    before = ledger.read_bytes()
+    third = _wait(
+        _sweep_cli(
+            "work", SWEEP, "--store", store_dir, "--seed", str(SEED),
+            "--owner", "smoke-w2",
+        ),
+        "worker 2 (finished store)",
+    )
+    assert f"ran 0, cached {len(cells)}, deferred 0" in third, third
+    assert ledger.read_bytes() == before, "a worker over a finished store wrote claims"
 
     # fsck via the CLI: clean store is exit 0
     _wait(_sweep_cli("fsck", "--store", store_dir), "fsck")

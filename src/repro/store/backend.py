@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import urllib.error
 import urllib.parse
@@ -141,10 +142,14 @@ class LocalBackend:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self._real_root = os.path.realpath(self.root)
+        self._real_prefix = os.path.join(self._real_root, "")
 
     def _path(self, key: str) -> Path:
-        path = (self.root / key).resolve()
-        if self.root.resolve() not in path.parents and path != self.root.resolve():
+        # containment on the real path, so ``..``, absolute keys and
+        # symlinks that lead out of the store are all refused
+        real = os.path.realpath(os.path.join(self._real_root, key))
+        if real != self._real_root and not real.startswith(self._real_prefix):
             raise BackendError(f"key {key!r} escapes the store root")
         return self.root / key
 

@@ -134,16 +134,25 @@ class Lease:
 class ClaimLedger:
     """The append-only claim ledger of one store.
 
-    All mutation is line appends; all decisions replay the whole blob.
-    The ledger is small (two lines per cell per drain) and claims are
-    rare next to cell execution, so replay cost is irrelevant — what
-    matters is that acquisition is an atomic read-replay-append: the
-    whole candidate evaluation happens against one blob version, and
-    the claim lands only if that version is still current.  On a
-    shared filesystem the backend's compare-and-swap holds the same
-    exclusive ``flock`` every appender takes; on an object store it is
-    a conditional put — either way "check it is free, then claim it"
-    is atomic against every other worker.
+    All mutation is line appends; every decision is taken on the lease
+    state of one blob version.  Replay is incremental, because a drain
+    claims once per cell and the ledger grows by two lines per cell: a
+    full re-parse per claim would make a drain quadratic in its cells.
+    The ledger object keeps the bytes it has replayed so far (through
+    the last complete line) and the lease state they left.  When the
+    next read starts with those bytes, only the new complete lines are
+    parsed; when it does not (``sweep compact`` rewrote the ledger), the
+    blob is replayed from scratch.  A torn tail line is parsed for the
+    decision at hand but never cached.  Either way the state is exactly
+    what a full replay of the blob gives — a function of its bytes.
+
+    What matters for exclusivity is that acquisition is an atomic
+    read-replay-append: the whole candidate evaluation happens against
+    one blob version, and the claim lands only if that version is still
+    current.  On a shared filesystem the backend's compare-and-swap
+    holds the same exclusive ``flock`` every appender takes; on an
+    object store it is a conditional put — either way "check it is
+    free, then claim it" is atomic against every other worker.
 
     Parameters
     ----------
@@ -159,6 +168,12 @@ class ClaimLedger:
         self.backend = backend
         self.root = getattr(backend, "root", None)
         self.path = self.root / CLAIMS_FILE if self.root is not None else None
+        # the incremental replay: ledger bytes replayed so far (ending at
+        # a line boundary), the leases they leave, and every hash they
+        # show released ``done`` — a cell some worker has stored
+        self._replayed = b""
+        self._leases: dict[str, Lease] = {}
+        self._done: set[str] = set()
 
     # -- replay ---------------------------------------------------------
     @staticmethod
@@ -195,9 +210,15 @@ class ClaimLedger:
         return self._parse(blob[0].decode("utf-8"))
 
     @staticmethod
-    def _replay(records: Iterable[Mapping[str, Any]]) -> dict[str, Lease]:
-        """Final lease state per hash: claims set, releases clear."""
-        state: dict[str, Lease] = {}
+    def _apply(
+        state: dict[str, Lease],
+        records: Iterable[Mapping[str, Any]],
+        done: set[str] | None = None,
+    ) -> None:
+        """Replay *records* onto *state*: claims set, releases clear.
+
+        Hashes released ``done`` are added to *done* when it is given.
+        """
         for record in records:
             h = record["hash"]
             if record["op"] == "claim":
@@ -209,7 +230,39 @@ class ClaimLedger:
                 )
             else:  # done / abandon
                 state.pop(h, None)
+                if done is not None and record["op"] == "done":
+                    done.add(h)
+
+    @staticmethod
+    def _replay(records: Iterable[Mapping[str, Any]]) -> dict[str, Lease]:
+        """Final lease state per hash: claims set, releases clear."""
+        state: dict[str, Lease] = {}
+        ClaimLedger._apply(state, records)
         return state
+
+    def _read(self) -> tuple[bytes, str | None, dict[str, Lease]]:
+        """The ledger blob, its ETag, and the lease state it replays to.
+
+        Parses only the complete lines appended since the last read
+        (everything, if the blob no longer starts with the bytes
+        replayed so far).  The returned state is the cached one unless
+        a torn tail line parses; callers must not mutate it.
+        """
+        blob = self.backend.read_blob(CLAIMS_FILE)
+        data, etag = blob if blob is not None else (b"", None)
+        if not data.startswith(self._replayed):
+            self._replayed, self._leases, self._done = b"", {}, set()
+        cut = data.rfind(b"\n") + 1
+        if cut > len(self._replayed):
+            fresh = data[len(self._replayed):cut].decode("utf-8")
+            self._apply(self._leases, self._parse(fresh), self._done)
+            self._replayed = data[:cut]
+        tail = self._parse(data[cut:].decode("utf-8")) if cut < len(data) else []
+        if not tail:
+            return data, etag, self._leases
+        state = dict(self._leases)
+        self._apply(state, tail)
+        return data, etag, state
 
     def leases(self) -> dict[str, Lease]:
         """Unreleased leases, expired ones included.
@@ -259,8 +312,9 @@ class ClaimLedger:
         """Atomically claim up to *limit* of *hashes* for *owner*.
 
         An optimistic read-replay-swap loop: replay the current ledger
-        blob, pick the free hashes, and compare-and-swap the extended
-        blob back under the ETag that was read.  A hash is won only if
+        blob (incrementally, see the class notes), pick the free hashes,
+        and compare-and-swap the extended blob back under the ETag that
+        was read.  A hash is won only if
         no live lease covers it *in the version the swap committed
         against* — a contender that claimed concurrently moves the
         ETag, the swap fails, and this worker re-reads (now seeing the
@@ -292,9 +346,7 @@ class ClaimLedger:
         """
         t = time.time() if now is None else now
         while True:
-            blob = self.backend.read_blob(CLAIMS_FILE)
-            data, etag = blob if blob is not None else (b"", None)
-            state = self._replay(self._parse(data.decode("utf-8")))
+            data, etag, state = self._read()
             won: list[str] = []
             lines: list[str] = []
             for h in hashes:
@@ -379,6 +431,15 @@ class WorkerReport:
         return not self.deferred
 
 
+def _held_elsewhere(ledger: ClaimLedger, owner: str) -> set[str]:
+    """Hashes under another owner's live lease, as of the last ledger read."""
+    now = time.time()
+    return {
+        h for h, lease in ledger._leases.items()
+        if lease.owner != owner and not lease.expired(now)
+    }
+
+
 def drain(
     specs: SweepSpec | Sequence[SweepSpec],
     store: ResultStore,
@@ -396,13 +457,19 @@ def drain(
 ) -> WorkerReport:
     """Drain a sweep's pending cells as one dispatch worker.
 
-    The worker loop: refresh the store view → find pending cells →
-    claim **one** through the ledger → run it via
+    The worker scans the store once for the cells not yet stored, then
+    loops: claim **one** of them through the ledger → re-read the
+    store for it (decisive against a rival's commit) → run it via
     :func:`~repro.store.campaign.run_cell` (content-derived seeds, so
     results are identical no matter which worker computes a cell) →
-    locked-append the record → release the claim → repeat.  The loop
-    ends when nothing is pending, or — with ``wait=False`` — when every
-    pending cell is leased to someone else.
+    locked-append the record → release the claim → repeat.  A cell
+    leaves the pending list when this worker runs it or finds it
+    stored; only cells the ledger shows released ``done`` by another
+    worker are re-checked between claims (after one more ledger read
+    while another worker holds a live lease), so a drain costs O(cells)
+    store reads.  When no claim can be won the remaining cells are
+    rescanned.  The loop ends when nothing is pending, or — with
+    ``wait=False`` — when every pending cell is leased to someone else.
 
     Parameters
     ----------
@@ -474,49 +541,61 @@ def drain(
                 backend_of[key.hash] = spec.backend
 
     graph_cache: dict[tuple, Any] = {}
-    seen_cached: set[str] = set()
-    while True:
+    pending = dict(cells)  # not yet run or seen stored, in preference order
+
+    def settle(hashes: Iterable[str]) -> None:
+        """Re-read the store for *hashes*; report the stored ones cached."""
         store.refresh()
-        pending: list[RunKey] = []
-        for h, key in cells.items():
-            if h in report.ran or h in seen_cached:
-                continue
-            record = store.get(key)
+        for h in hashes:
+            record = store.get(pending[h])
             if record is not None:
-                seen_cached.add(h)
+                key = pending.pop(h)
                 report.cached.append(h)
                 if on_cell is not None:
                     on_cell(key, record, True)
-                continue
-            pending.append(key)
-        if not pending:
-            break
+
+    settle(list(pending))
+    while pending:
         if max_cells is not None and len(report.ran) >= max_cells:
-            report.deferred.extend(k.hash for k in pending)
+            settle(list(pending))
+            report.deferred.extend(pending)
             break
+        if _held_elsewhere(ledger, owner):
+            # another worker is live: catch up with the ledger first, so
+            # a cell it finished since our last read is not claimed again
+            ledger._read()
+        # a ``done`` release is written only after its cell is stored, so
+        # only the pending cells the ledger shows released need a re-check
+        released = [h for h in pending if h in ledger._done]
+        if released:
+            settle(released)
+            if not pending:
+                break
+        # cells under another worker's live lease go last
+        busy = _held_elsewhere(ledger, owner)
         lease_token = uuid.uuid4().hex[:8]
         won = ledger.try_claim(
-            [k.hash for k in pending], owner=owner, ttl=ttl, limit=1,
-            lease=lease_token,
+            sorted(pending, key=busy.__contains__), owner=owner, ttl=ttl,
+            limit=1, lease=lease_token,
         )
         if not won:
-            # every pending cell is leased to another live worker
-            if wait:
+            # nothing winnable: rescan what is left, then give up or poll
+            settle(list(pending))
+            if pending and wait:
                 time.sleep(poll_s)
                 continue
-            report.deferred.extend(k.hash for k in pending)
+            report.deferred.extend(pending)
             break
         (h,) = won
-        key = cells[h]
+        key = pending.pop(h)
         # close the claim/commit race: another worker may have committed
-        # this cell after our pending scan and released its lease before
-        # our claim.  A commit is durably on disk before its release, so
+        # this cell after our last look and released its lease before
+        # our claim.  A commit is durably stored before its release, so
         # re-reading the store *after* winning the claim is decisive.
         store.refresh()
         record = store.get(key)
         if record is not None:
             ledger.release(h, owner=owner, op="done")
-            seen_cached.add(h)
             report.cached.append(h)
             if on_cell is not None:
                 on_cell(key, record, True)

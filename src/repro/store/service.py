@@ -302,6 +302,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: SweepService  # set by make_server's subclass
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out in two sends, and Nagle would
+    # hold the body until the client's delayed ACK (~40 ms per response)
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         length = int(self.headers.get("Content-Length") or 0)

@@ -509,9 +509,11 @@ class ResultStore:
         self._cache: dict[str, dict[str, Any]] = {}
         self._loaded_shards: set[str] = set()
         self._all_loaded = self.backend is None
+        self._meta_checked = False
         if self.backend is not None:
             blob = self.backend.read_blob("meta.json")
             if blob is not None:
+                self._meta_checked = True
                 try:
                     meta = json.loads(blob[0].decode("utf-8"))
                 except (json.JSONDecodeError, UnicodeDecodeError):
@@ -657,14 +659,22 @@ class ResultStore:
         return record
 
     def _ensure_meta(self) -> None:
-        """Create ``meta.json`` exactly once, racing writers tolerated."""
+        """Create ``meta.json`` exactly once, racing writers tolerated.
+
+        Checked once per store object: the flag is set only once the
+        blob has been read back or created.
+        """
         assert self.backend is not None
+        if self._meta_checked:
+            return
         if self.backend.read_blob("meta.json") is not None:
+            self._meta_checked = True
             return
         payload = (canonical_json({"schema": STORE_SCHEMA_VERSION}) + "\n").encode()
         # create-only CAS: a racing worker's conflict writes the same
-        # bytes, so losing the race is success
-        self.backend.compare_and_swap("meta.json", payload, None)
+        # bytes, so losing the race is success (the next put re-reads)
+        if self.backend.compare_and_swap("meta.json", payload, None) is not None:
+            self._meta_checked = True
 
     def refresh(self) -> None:
         """Let later lookups see records appended by other processes.
@@ -672,10 +682,13 @@ class ResultStore:
         Drops the shard-was-loaded bookkeeping so the next *miss*
         re-reads its shard through the backend.  Cached records are
         kept: the store is content-addressed, so a hash→record binding
-        can only ever appear, never change — which keeps a dispatch
-        worker's per-round refresh O(pending shards), not O(all
-        records).  A no-op for memory-only stores (there is nothing to
-        re-read).
+        can only ever appear, never change — so a refresh costs one
+        read per shard a later miss touches, not a reload of every
+        record.  Refreshing and looking up every pending cell on each
+        claim round would cost a drain O(cells²) shard reads, so
+        :func:`repro.store.dispatch.drain` refreshes only before the
+        lookups it must redo.  A no-op for memory-only stores (there
+        is nothing to re-read).
         """
         if self.backend is None:
             return

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.store import (
+    BackendError,
     Campaign,
     ClaimLedger,
     InMemoryCASBackend,
@@ -119,6 +120,47 @@ class TestProtocolConformance:
         assert data == b"fresh\n"
 
 
+class TestLocalKeyContainment:
+    """``LocalBackend`` refuses every key whose real path leaves the root."""
+
+    OPERATIONS = {
+        "read_blob": lambda b, key: b.read_blob(key),
+        "append_line": lambda b, key: b.append_line(key, "x"),
+        "compare_and_swap": lambda b, key: b.compare_and_swap(key, b"x", None),
+    }
+
+    @pytest.fixture()
+    def layout(self, tmp_path):
+        root = tmp_path / "store"
+        outside = tmp_path / "outside"
+        (root / "shards").mkdir(parents=True)
+        outside.mkdir()
+        (root / "shards" / "link").symlink_to(outside, target_is_directory=True)
+        return LocalBackend(root), root, outside
+
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    @pytest.mark.parametrize("kind", ["parent", "absolute", "symlink"])
+    def test_escaping_keys_are_refused(self, layout, operation, kind):
+        backend, root, outside = layout
+        key = {
+            "parent": "../x",
+            "absolute": str(outside / "x"),
+            "symlink": "shards/link/x.jsonl",
+        }[kind]
+        with pytest.raises(BackendError, match="escapes the store root"):
+            self.OPERATIONS[operation](backend, key)
+        assert not (outside / "x").exists()
+        assert not (outside / "x.jsonl").exists()
+
+    def test_nested_key_still_works(self, layout):
+        backend, root, _ = layout
+        backend.append_line("shards/ab.jsonl", "row")
+        data, etag = backend.read_blob("shards/ab.jsonl")
+        assert data == b"row\n"
+        assert backend.compare_and_swap("shards/ab.jsonl", b"new\n", etag)
+        assert (root / "shards" / "ab.jsonl").read_bytes() == b"new\n"
+
+
 class RacingBackend:
     """Proxy that injects a rival append just before the first CAS on
     the claim ledger — a deterministic re-enactment of two workers
@@ -187,6 +229,49 @@ def _spec(**over):
     return SweepSpec(**base)
 
 
+class CountingBackend:
+    """Proxy that counts ``read_blob`` calls per key."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.reads: dict[str, int] = {}
+
+    def read_blob(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return self.inner.read_blob(key)
+
+    def append_line(self, key, line):
+        self.inner.append_line(key, line)
+
+    def list_prefix(self, prefix):
+        return self.inner.list_prefix(prefix)
+
+    def compare_and_swap(self, key, data, etag):
+        return self.inner.compare_and_swap(key, data, etag)
+
+
+class TestDrainReadCount:
+    def test_single_worker_drain_reads_linearly(self, tmp_path):
+        """One scan, one ledger read per claim, one shard read per
+        post-claim check: at most 3 reads per cell.  Re-scanning every
+        pending cell per claim round made this quadratic."""
+        spec = _spec(
+            graph="cycle_graph", graph_grid={"n": list(range(5, 25))},
+            params_grid={"k": [2, 3]}, trials=2,
+        )
+        cells = spec.expand()
+        assert len(cells) == 40
+        counting = CountingBackend(LocalBackend(tmp_path / "s"))
+        report = drain(spec, ResultStore(backend=counting), owner="w1")
+        assert len(report.ran) == len(cells) and report.complete
+        assert sum(counting.reads.values()) <= 3 * len(cells), counting.reads
+        assert counting.reads[CLAIMS_FILE] == len(cells)
+        assert counting.reads["meta.json"] <= 2
+        # one claim and one done line per cell, as before
+        ops = [r["op"] for r in ClaimLedger(tmp_path / "s").records()]
+        assert ops == ["claim", "done"] * len(cells)
+
+
 class TestDispatchOverCAS:
     """The acceptance bar every storage layer met before this one:
     concurrent drain == single-worker local run, value for value."""
@@ -222,6 +307,39 @@ class TestDispatchOverCAS:
             assert (
                 shared.get(cell)["result"] == reference.get(cell)["result"]
             ), "a CAS-drained cell diverged from Campaign.run()"
+
+    def test_two_waiting_workers_split_the_cells(self):
+        spec = _spec(graph_grid={"n": [4, 5, 6, 7], "d": [2]})
+        cells = {c.hash for c in spec.expand()}
+        reference = ResultStore()
+        Campaign(spec, reference).run()
+
+        backend = InMemoryCASBackend()
+        reports = {}
+
+        def worker(name: str) -> None:
+            handle = ResultStore(backend=backend)
+            reports[name] = drain(spec, handle, owner=name, wait=True,
+                                  poll_s=0.001)
+
+        threads = [
+            threading.Thread(target=worker, args=(f"w{i}",)) for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        a, b = reports["w0"], reports["w1"]
+        assert not set(a.ran) & set(b.ran), "a cell ran on both workers"
+        assert set(a.ran) | set(b.ran) == cells
+        for report in (a, b):
+            assert set(report.ran) | set(report.cached) == cells
+            assert not set(report.ran) & set(report.cached)
+            assert report.complete
+        store = ResultStore(backend=backend)
+        for cell in spec.expand():
+            assert store.get(cell)["result"] == reference.get(cell)["result"]
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_fsck_clean_on_both_backends(self, kind, tmp_path):

@@ -11,10 +11,12 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.store import (
     Campaign,
     ClaimLedger,
+    InMemoryCASBackend,
     ResultStore,
     SeedPolicy,
     SweepSpec,
@@ -22,6 +24,7 @@ from repro.store import (
     drain,
     fsck,
 )
+from repro.store.dispatch import CLAIMS_FILE
 
 
 def make_spec(**over):
@@ -90,6 +93,71 @@ class TestClaimLedger:
     def test_release_validates_op(self, tmp_path):
         with pytest.raises(ValueError, match="done/abandon"):
             ClaimLedger(tmp_path).release("h1", owner="A", op="lost")
+
+    def test_claims_parse_only_the_new_lines(self, tmp_path, monkeypatch):
+        ledger = ClaimLedger(tmp_path)
+        for i in range(30):
+            ledger.try_claim([f"h{i}"], owner="A")
+            ledger.release(f"h{i}", owner="A")
+        parsed = []
+        real = ClaimLedger._parse
+
+        def counting(text):
+            parsed.append(len(text.splitlines()))
+            return real(text)
+
+        monkeypatch.setattr(ClaimLedger, "_parse", staticmethod(counting))
+        assert ledger.try_claim(["h30"], owner="A") == ["h30"]
+        # only h29's claim and release are new since the previous read
+        assert parsed == [2]
+        # a fresh handle (or a rewritten ledger) replays everything
+        parsed.clear()
+        assert ClaimLedger(tmp_path).try_claim(["h30"], owner="B") == []
+        assert parsed == [61]
+
+
+#: one step of the incremental-replay property: (worker, action, cell)
+_LEDGER_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.sampled_from(
+            ["claim", "claim_expired", "done", "abandon", "compact", "torn",
+             "unterminated"]
+        ),
+        st.integers(0, 4),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=_LEDGER_STEPS)
+def test_incremental_replay_equals_full_replay(steps):
+    """After any mix of claims, releases, compaction and torn tails, the
+    lease state a claim decides on is the full replay of the ledger."""
+    backend = InMemoryCASBackend()
+    ledgers = [ClaimLedger(backend), ClaimLedger(backend)]
+    for worker, action, cell in steps:
+        ledger, h = ledgers[worker], f"h{cell}"
+        if action == "claim":
+            ledger.try_claim([h], owner=f"w{worker}", ttl=3600.0)
+        elif action == "claim_expired":
+            ledger.try_claim([h], owner=f"w{worker}", ttl=0.0)
+        elif action in ("done", "abandon"):
+            ledger.release(h, owner=f"w{worker}", op=action)
+        elif action == "compact":
+            compact(ResultStore(backend=backend), force=True)
+        else:
+            blob = backend.read_blob(CLAIMS_FILE)
+            data, etag = blob if blob is not None else (b"", None)
+            tail = (
+                b'{"op": "claim", "hash": "h' if action == "torn"
+                else json.dumps({"op": "done", "hash": h, "owner": "x"}).encode()
+            )
+            backend.compare_and_swap(CLAIMS_FILE, data + tail, etag)
+        for each in ledgers:
+            _, _, state = each._read()
+            assert state == ClaimLedger._replay(each.records())
 
 
 class TestDrain:
@@ -188,6 +256,43 @@ class TestDrain:
         report = drain(spec, store, owner="w1")
         assert len(report.ran) == 3 and report.cached == fired
         assert fsck(store).duplicates == {}
+
+    def test_cells_finished_elsewhere_are_not_claimed(
+        self, tmp_path, monkeypatch
+    ):
+        # a rival worker claims and finishes cells while this one runs:
+        # they must be found stored through the ledger's done releases,
+        # not claimed (and then found stored) one by one
+        import repro.store.dispatch as dispatch_mod
+        from repro.store.campaign import run_cell
+
+        spec = make_spec()
+        cells = spec.expand()
+        root = tmp_path / "s"
+        rival, rival_store = ClaimLedger(root), ResultStore(root)
+        assert rival.try_claim([cells[3].hash], owner="rival") == [cells[3].hash]
+
+        def finish(key):
+            run_cell(key, rival_store, sweep="rival")
+            rival.release(key.hash, owner="rival")
+
+        def racing(key, store, **kwargs):
+            if key.hash == cells[0].hash:
+                for other in cells[1:3]:
+                    assert rival.try_claim([other.hash], owner="rival")
+                    finish(other)
+                finish(cells[3])
+            return run_cell(key, store, **kwargs)
+
+        monkeypatch.setattr(dispatch_mod, "run_cell", racing)
+        report = drain(spec, ResultStore(root), owner="w1")
+        assert report.ran == [cells[0].hash]
+        assert sorted(report.cached) == sorted(c.hash for c in cells[1:])
+        claimed = [
+            r["hash"] for r in ClaimLedger(root).records()
+            if r["op"] == "claim" and r["owner"] == "w1"
+        ]
+        assert claimed == [cells[0].hash]
 
     def test_multi_spec_drain_dedups_shared_cells(self, tmp_path):
         one = make_spec(name="one")

@@ -57,6 +57,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="backend-backed"):
             SweepService(ResultStore())
 
+    def test_handler_disables_nagle(self):
+        server = make_server(ResultStore(backend=InMemoryCASBackend()))
+        server.server_close()
+        assert server.RequestHandlerClass.disable_nagle_algorithm is True
+
 
 class TestHealth:
     def test_health(self, served):

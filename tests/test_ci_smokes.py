@@ -59,6 +59,13 @@ class TestDispatchSmoke:
         assert "CELL_PHASES" in source
         assert '"report"' in source or "'report'" in source
 
+    def test_smoke_pins_the_claim_free_rerun(self):
+        """A worker over the finished store must report every cell
+        cached and leave the claim ledger byte-identical."""
+        source = (REPO / "ci" / "smoke_dispatch.py").read_text(encoding="utf-8")
+        assert 'f"ran 0, cached {len(cells)}, deferred 0"' in source
+        assert "ledger.read_bytes() == before" in source
+
 
 class TestServiceSmoke:
     def test_serve_declare_loop_drain_passes(self):
