@@ -252,6 +252,7 @@ GATED_API_MODULES = (
     "repro/sim/rng.py",
     "repro/sim/kernels_numba.py",
     "repro/store/spec.py",
+    "repro/walks/simple.py",
 )
 
 
@@ -1114,7 +1115,8 @@ register_rule(
         invariant=(
             "Public functions in the gated API modules (sim/facade.py, "
             "sim/batch.py, sim/processes.py, sim/rng.py, store/spec.py, "
-            "and repro/lint itself) carry full type annotations — every "
+            "walks/simple.py, and repro/lint itself) carry full type "
+            "annotations — every "
             "parameter and the return type. These modules define the "
             "seed/engine/store contracts; mypy can only hold the line if "
             "the line is written down."

@@ -37,6 +37,7 @@ Capabilities
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from collections.abc import Callable, Mapping
@@ -161,6 +162,9 @@ class ProcessSpec:
 
 _REGISTRY: dict[str, ProcessSpec] = {}
 _LOADED = False
+#: held while the built-ins register, so a second thread waits for the
+#: full registry instead of reading a half-filled one
+_LOAD_LOCK = threading.RLock()
 
 
 def register_process(spec: ProcessSpec) -> ProcessSpec:
@@ -231,8 +235,17 @@ def _load_builtins() -> None:
     """Import the built-in registrations exactly once (lazily, because
     they import :mod:`repro.core` / :mod:`repro.walks`, which in turn
     import :mod:`repro.sim` — the same deferred-import pattern as
-    :func:`repro.experiments.registry._load_all`)."""
+    :func:`repro.experiments.registry._load_all`).
+
+    Thread-safe: the flag is set only after the import has registered
+    every built-in, under a lock, so concurrent first lookups (threaded
+    drains each calling ``SweepSpec.expand()``) all see the full
+    registry."""
     global _LOADED
-    if not _LOADED:
-        _LOADED = True
-        from . import builtin_processes  # noqa: F401
+    if _LOADED:
+        return
+    with _LOAD_LOCK:
+        if not _LOADED:
+            from . import builtin_processes  # noqa: F401
+
+            _LOADED = True

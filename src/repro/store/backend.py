@@ -267,7 +267,8 @@ class CASBackend:
         The loser of a concurrent append gets a precondition failure,
         re-reads the blob *including the winner's line*, and retries —
         so lines are never lost and never doubled, the same whole-record
-        guarantee the flock appender gives locally.
+        guarantee the flock appender gives locally.  A blob that ends in
+        a torn tail gets a newline before the line, as locally.
         """
         payload = (line + "\n").encode("utf-8")
         for _ in range(_CAS_MAX_RETRIES):
@@ -277,7 +278,8 @@ class CASBackend:
                     return
             else:
                 data, etag = current
-                if self.compare_and_swap(key, data + payload, etag) is not None:
+                sep = b"\n" if data and not data.endswith(b"\n") else b""
+                if self.compare_and_swap(key, data + sep + payload, etag) is not None:
                     return
         raise BackendError(
             f"append_line({key!r}) lost {_CAS_MAX_RETRIES} CAS races; the "

@@ -368,7 +368,10 @@ class ClaimLedger:
                 lines.append(json.dumps(record, sort_keys=True) + "\n")
             if not won:
                 return []
-            new_data = data + "".join(lines).encode("utf-8")
+            # a torn tail (a crash mid-line) must not swallow our first
+            # line: start on a fresh line when the blob lacks its newline
+            sep = b"\n" if data and not data.endswith(b"\n") else b""
+            new_data = data + sep + "".join(lines).encode("utf-8")
             if self.backend.compare_and_swap(CLAIMS_FILE, new_data, etag) is not None:
                 return won
             # lost the CAS race: another worker's claim moved the ETag

@@ -20,9 +20,10 @@ single-writer story of PR 4 — which is still torn-write tolerant.
 from __future__ import annotations
 
 import contextlib
+import os
 from pathlib import Path
 from collections.abc import Iterator
-from typing import IO
+from typing import IO, AnyStr
 
 try:  # POSIX; absent on Windows
     import fcntl
@@ -33,7 +34,7 @@ __all__ = ["locked", "append_line"]
 
 
 @contextlib.contextmanager
-def _flocked(handle: IO[str]) -> Iterator[IO[str]]:
+def _flocked(handle: IO[AnyStr]) -> Iterator[IO[AnyStr]]:
     """Hold ``LOCK_EX`` on *handle* for the block; the release (after a
     flush, so other lockers read complete records) is in a ``finally``
     — no code path exits the block still holding the lock."""
@@ -81,7 +82,9 @@ def append_line(path: str | Path, line: str) -> None:
     One call writes one complete ``line + "\\n"`` while holding the
     lock, so concurrent appenders serialize at record granularity: a
     reader may see a *torn tail* (a crash mid-write) but never two
-    writers' bytes interleaved.
+    writers' bytes interleaved.  A file that ends in a torn tail gets a
+    newline first, so the torn bytes stay one bad line and never glue
+    onto this record.
 
     Parameters
     ----------
@@ -92,6 +95,13 @@ def append_line(path: str | Path, line: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
+    record = (line + "\n").encode("utf-8")
+    with path.open("a+b") as handle:
         with _flocked(handle):
-            handle.write(line + "\n")
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    record = b"\n" + record
+            # "a+" mode: the write lands at EOF whatever was just read
+            handle.write(record)

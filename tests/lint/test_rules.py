@@ -353,6 +353,10 @@ class TestRPL130Annotations:
         src = "def kernel_for(process, metric):\n    return None\n"
         assert findings_for(src, "src/repro/sim/kernels_numba.py", "RPL130")
 
+    def test_simple_walk_module_is_gated(self):
+        src = "def walk_blocks(oracle, pos, rng, max_steps, settle):\n    return 0\n"
+        assert findings_for(src, "src/repro/walks/simple.py", "RPL130")
+
 
 class TestRPL140KernelRNG:
     KERNELS = "src/repro/sim/kernels_numba.py"

@@ -11,8 +11,16 @@ Three pillars:
   distributionally.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import CobraWalk, simulate_biased_hit, walt_cover_time
 from repro.sim import (
@@ -94,6 +102,42 @@ class TestRegistry:
                 default_metric="hit",
                 default_budget=lambda graph, p: 10,
             )
+
+    def test_first_lookups_from_many_threads_see_the_full_registry(self):
+        # a fresh interpreter, so the built-ins are not loaded yet: every
+        # thread's expand() races to be the first registry lookup
+        script = textwrap.dedent("""
+            import sys
+            import threading
+            from repro.store.spec import SweepSpec
+
+            sys.setswitchinterval(1e-5)
+            barrier = threading.Barrier(8)
+            errors = []
+
+            def expand():
+                barrier.wait()
+                try:
+                    SweepSpec(name="race", process="cobra", graph="grid",
+                              graph_grid={"n": [4], "d": [2]}, trials=2).expand()
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=expand) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            print(errors)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestConformance:

@@ -112,6 +112,12 @@ class TestProtocolConformance:
         data, _ = backend.read_blob("shards/00.jsonl")
         assert data == b"back\n"
 
+    def test_append_after_a_torn_tail_starts_a_new_line(self, backend):
+        backend.compare_and_swap("shards/00.jsonl", b'row\n{"hash": "ab', None)
+        backend.append_line("shards/00.jsonl", "next")
+        data, _ = backend.read_blob("shards/00.jsonl")
+        assert data == b'row\n{"hash": "ab\nnext\n'
+
     def test_append_after_truncation(self, backend):
         etag = backend.compare_and_swap("claims.jsonl", b"old\n", None)
         backend.compare_and_swap("claims.jsonl", b"", etag)

@@ -90,6 +90,24 @@ class TestClaimLedger:
             fh.write('{"op": "claim", "hash": "h2", torn')
         assert set(ledger.leases()) == {"h1"}
 
+    def test_claim_after_a_torn_tail_is_seen_by_other_workers(self, tmp_path):
+        a, b = ClaimLedger(tmp_path), ClaimLedger(tmp_path)
+        a.try_claim(["h1"], owner="A")
+        with a.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"op": "claim", "hash": "h9", torn')
+        assert a.try_claim(["h2"], owner="A") == ["h2"]
+        # the claim starts its own line instead of gluing onto the tail
+        assert b.try_claim(["h2"], owner="B") == []
+        assert set(b.active()) == {"h1", "h2"}
+
+    def test_release_after_a_torn_tail_is_seen(self, tmp_path):
+        ledger = ClaimLedger(tmp_path)
+        ledger.try_claim(["h1"], owner="A")
+        with ledger.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"op": "claim", "hash": "h9", torn')
+        ledger.release("h1", owner="A")
+        assert ClaimLedger(tmp_path).active() == {}
+
     def test_release_validates_op(self, tmp_path):
         with pytest.raises(ValueError, match="done/abandon"):
             ClaimLedger(tmp_path).release("h1", owner="A", op="lost")
@@ -122,7 +140,7 @@ _LEDGER_STEPS = st.lists(
         st.integers(0, 1),
         st.sampled_from(
             ["claim", "claim_expired", "done", "abandon", "compact", "torn",
-             "unterminated"]
+             "unterminated", "torn_then_claim"]
         ),
         st.integers(0, 4),
     ),
@@ -134,7 +152,8 @@ _LEDGER_STEPS = st.lists(
 @given(steps=_LEDGER_STEPS)
 def test_incremental_replay_equals_full_replay(steps):
     """After any mix of claims, releases, compaction and torn tails, the
-    lease state a claim decides on is the full replay of the ledger."""
+    lease state a claim decides on is the full replay of the ledger, and
+    a lease won right after a torn tail is visible to the other worker."""
     backend = InMemoryCASBackend()
     ledgers = [ClaimLedger(backend), ClaimLedger(backend)]
     for worker, action, cell in steps:
@@ -151,10 +170,16 @@ def test_incremental_replay_equals_full_replay(steps):
             blob = backend.read_blob(CLAIMS_FILE)
             data, etag = blob if blob is not None else (b"", None)
             tail = (
-                b'{"op": "claim", "hash": "h' if action == "torn"
-                else json.dumps({"op": "done", "hash": h, "owner": "x"}).encode()
+                json.dumps({"op": "done", "hash": h, "owner": "x"}).encode()
+                if action == "unterminated"
+                else b'{"op": "claim", "hash": "h'
             )
             backend.compare_and_swap(CLAIMS_FILE, data + tail, etag)
+            if action == "torn_then_claim" and ledger.try_claim(
+                [h], owner=f"w{worker}", ttl=3600.0
+            ):
+                _, _, seen = ledgers[1 - worker]._read()
+                assert seen[h].owner == f"w{worker}"
         for each in ledgers:
             _, _, state = each._read()
             assert state == ClaimLedger._replay(each.records())
