@@ -10,10 +10,9 @@ of structured documents instead of log lines.  Locally::
 directory).
 
 Schema 2 stamps the execution environment into every document —
-hostname, CPU count, numpy/numba versions, and which engine backend
-produced the numbers — so a regression flagged by
-``ci/check_bench_regression.py`` can be told apart from a machine
-change at a glance.
+hostname, CPU count, machine, Python and numpy versions — so a
+regression flagged by ``ci/check_bench_regression.py`` can be told
+apart from a machine change at a glance.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-#: bumped whenever stamped fields change shape; the regression gate
-#: and the smoke tests pin this
+#: bumped whenever a field that readers rely on changes shape; the
+#: regression gate and the smoke tests pin this
 SCHEMA_VERSION = 2
 
 
@@ -34,19 +33,12 @@ def _environment_stamp() -> dict:
     """The machine/toolchain fields stamped into every document."""
     import numpy
 
-    try:
-        import numba
-
-        numba_version: str | None = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "hostname": platform.node(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy_version": numpy.__version__,
-        "numba_version": numba_version,
     }
 
 
@@ -54,8 +46,6 @@ def emit_bench_json(
     name: str,
     payload: dict,
     out_dir: str | None = None,
-    *,
-    backend: str = "numpy",
 ) -> Path:
     """Write one ``BENCH_<name>.json`` document and return its path.
 
@@ -69,10 +59,6 @@ def emit_bench_json(
     out_dir : str, optional
         Output directory; default ``$BENCH_OUT`` or the working
         directory.
-    backend : str, optional
-        The engine backend that produced the measurements (``"numpy"``
-        unless the script dispatched compiled kernels); stamped, never
-        interpreted.
 
     Returns
     -------
@@ -86,7 +72,6 @@ def emit_bench_json(
         "schema": SCHEMA_VERSION,
         # provenance stamp on a build artifact — never hashed or seeded
         "created_unix": round(time.time(), 3),  # repro-lint: disable=RPL103
-        "backend": backend,
         **_environment_stamp(),
         **payload,
     }

@@ -2,7 +2,8 @@
 
 The acceptance bar for the unified process API: batched ``run_batch``
 for cobra cover on ``grid(32, 2)`` with 32 trials must be at least
-3x faster than 32 serial ``cobra_cover_time`` calls.
+3x faster than 32 serial ``simulate(g, "cobra", metric="cover", seed=s)``
+calls.
 
 Both sides are timed with ``time.process_time`` (CPU time — immune to
 scheduler noise on shared machines) and best-of-``ROUNDS`` so the
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 import time
 
-from repro import grid, run_batch
-from repro.core import cobra_cover_time
+from repro import grid, run_batch, simulate
 from repro.sim.rng import spawn_seeds
 
 SEED = 2016
@@ -41,7 +41,7 @@ def measure_speedup() -> tuple[float, float, float]:
 
     def serial():
         for s in spawn_seeds(SEED, TRIALS):
-            cobra_cover_time(g, seed=s)
+            simulate(g, "cobra", metric="cover", seed=s)
 
     def batched():
         run_batch(g, "cobra", trials=TRIALS, seed=SEED, strategy="vectorized")
@@ -62,7 +62,7 @@ def measure_speedup() -> tuple[float, float, float]:
 def test_batched_cobra_speedup():
     serial_t, batched_t, speedup = measure_speedup()
     print(
-        f"\n32 serial cobra_cover_time calls: {serial_t * 1e3:.1f} ms | "
+        f"\n32 serial simulate calls: {serial_t * 1e3:.1f} ms | "
         f"run_batch vectorized: {batched_t * 1e3:.1f} ms | "
         f"speedup {speedup:.2f}x"
     )
@@ -74,7 +74,7 @@ def test_batched_cobra_speedup():
 
 if __name__ == "__main__":
     serial_t, batched_t, speedup = measure_speedup()
-    print(f"32 serial cobra_cover_time calls : {serial_t * 1e3:7.1f} ms")
+    print(f"32 serial simulate calls         : {serial_t * 1e3:7.1f} ms")
     print(f"run_batch (vectorized, 32 trials): {batched_t * 1e3:7.1f} ms")
     print(f"speedup                          : {speedup:7.2f}x (bar: >= 3)")
     from _emit import emit_bench_json

@@ -11,8 +11,8 @@ either way, so the uploaded CI log doubles as a perf history entry.
 
 Missing *individual* counterparts never fail the gate, only warn: a
 brand-new benchmark has no baseline yet, a retired baseline has no
-fresh run, and timings whose value is ``null`` (the numba columns on
-machines without numba) are structurally absent rather than regressed.
+fresh run, and timings whose value is ``null`` are structurally absent
+rather than regressed.
 But baselines with an entirely empty fresh directory fail hard — that
 means the benchmark step itself broke, and warning through it would
 let a dead bench job pass forever.

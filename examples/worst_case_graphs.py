@@ -18,7 +18,7 @@ Usage::
 from __future__ import annotations
 
 from repro.analysis import Table, fit_power_law
-from repro.core import cobra_cover_time, thm20_general_cover
+from repro.core import thm20_general_cover
 from repro.graphs import barbell, lollipop
 from repro.sim import coverage_curve, simulate
 from repro.walks import rw_exact_hitting_times
@@ -34,7 +34,7 @@ def main() -> None:
     cobra_list, rw_list = [], []
     for n in ns:
         g = lollipop(n)
-        res = cobra_cover_time(g, seed=n)
+        res = simulate(g, "cobra", seed=n)
         h = rw_exact_hitting_times(g, g.n - 1).max()
         rw_sim = (
             simulate(g, "simple", seed=n, max_steps=40 * n**3).cover_time
@@ -51,7 +51,7 @@ def main() -> None:
 
     print("\nWhere the time goes (lollipop n=96):")
     g = lollipop(96)
-    res = cobra_cover_time(g, seed=96)
+    res = simulate(g, "cobra", seed=96)
     c = g.meta["clique"]
     clique_done = int(res.first_activation[:c].max())
     tail_done = int(res.first_activation[c:].max())
@@ -70,7 +70,7 @@ def main() -> None:
     t2 = Table(["n", "cobra cover", "rw hmax (exact)"], title="barbell graphs")
     for n in (24, 48, 96):
         g = barbell(n)
-        res = cobra_cover_time(g, seed=n)
+        res = simulate(g, "cobra", seed=n)
         h = rw_exact_hitting_times(g, g.n - 1).max()
         t2.add_row([n, res.cover_time, float(h)])
     print(t2.render())

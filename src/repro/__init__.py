@@ -19,11 +19,9 @@ entry points returning one result schema::
     print(batch.mean, batch.ci95_half_width)   # TrialSummary
 
 ``run_batch`` picks the vectorized batched engine where one exists
-(cover/spread: cobra, simple, walt, parallel, push, pull, push_pull;
-hit: cobra, simple), so sweeps advance all trials in one
-``(trials, n)`` frontier instead of per-trial Python loops.  The
-historical per-process helpers (``cobra_cover_time`` & co.) remain as
-thin shims.
+(cover/spread: every cover-capable process; hit: cobra, simple, lazy,
+walt, push, pull, push_pull), so sweeps advance all trials in one
+``(trials, n)`` frontier instead of per-trial Python loops.
 
 Subpackages
 -----------
@@ -50,8 +48,6 @@ from .core import (
     CobraRunResult,
     CobraWalk,
     WaltProcess,
-    cobra_cover_time,
-    cobra_hitting_time,
     walt_cover_time,
 )
 from .graphs import Graph, grid, hypercube, lollipop, random_regular, torus
@@ -85,8 +81,6 @@ __all__ = [
     "CobraRunResult",
     "CobraWalk",
     "WaltProcess",
-    "cobra_cover_time",
-    "cobra_hitting_time",
     "walt_cover_time",
     "Graph",
     "grid",

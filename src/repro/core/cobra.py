@@ -14,8 +14,8 @@ Two implementations:
   suite to pin the kernel's distribution.
 
 :class:`CobraWalk` wraps the kernel with coverage tracking and
-stopping rules; module-level helpers run complete cover/hitting
-experiments.
+stopping rules; ``simulate(graph, "cobra", ...)`` and ``run_batch``
+in :mod:`repro.sim.facade` run complete cover/hitting experiments.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "cobra_step_reference",
     "CobraWalk",
     "CobraRunResult",
-    "cobra_cover_time",
-    "cobra_hitting_time",
 ]
 
 #: frontier density above which boolean-scatter coalescing beats sorting
@@ -218,65 +216,6 @@ class CobraWalk:
                 np.asarray(self._history, dtype=np.int64) if self._history is not None else None
             ),
         )
-
-
-def cobra_cover_time(
-    graph: Graph,
-    *,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> CobraRunResult:
-    """Run one cobra walk to full coverage (budget default ``500·n·log n``-ish,
-    far above every bound the paper proves).
-
-    .. deprecated::
-        Thin shim over :func:`repro.sim.facade.simulate` (process
-        ``"cobra"``, metric ``"cover"``); prefer the facade, which
-        reproduces this helper seed-for-seed.
-    """
-    from ..sim.facade import simulate
-
-    r = simulate(
-        graph, "cobra", metric="cover", start=start, seed=seed, max_steps=max_steps, k=k
-    )
-    return CobraRunResult(
-        covered=r.covered,
-        steps=r.steps,
-        cover_time=r.cover_time,
-        first_activation=r.first_activation,
-    )
-
-
-def cobra_hitting_time(
-    graph: Graph,
-    target: int,
-    *,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Hitting time of *target* for one cobra run (``None`` = budget hit).
-
-    .. deprecated::
-        Thin shim over :func:`repro.sim.facade.simulate` (process
-        ``"cobra"``, metric ``"hit"``); prefer the facade.
-    """
-    from ..sim.facade import simulate
-
-    r = simulate(
-        graph,
-        "cobra",
-        metric="hit",
-        start=start,
-        target=target,
-        seed=seed,
-        max_steps=max_steps,
-        k=k,
-    )
-    return r.extras["hit_time"]
 
 
 def _default_budget(n: int) -> int:

@@ -1,15 +1,8 @@
-"""Monte-Carlo estimators for cover, hitting, and return times.
+"""Monte-Carlo estimators for worst-case cobra hitting times.
 
-Trial arrays come back raw so analysis code can fit distributions; the
-``*_stats`` wrappers in :mod:`repro.analysis.stats` summarise them.
 Per-trial RNG streams are spawned from a single seed, so results are
-reproducible regardless of execution order (and across the
-multiprocessing path in :mod:`repro.sim.montecarlo`).
-
-The ``cobra_*_trials`` helpers are thin deprecation shims over
-:func:`repro.sim.facade.run_batch` (serial strategy — bit-exact with
-their historical output); new code should call the facade, which also
-offers the vectorized batched engine.
+reproducible regardless of execution order.  Cover- and hitting-time
+trial arrays come from :func:`repro.sim.facade.run_batch`.
 """
 
 from __future__ import annotations
@@ -22,76 +15,9 @@ from ..graphs.base import Graph
 from ..sim.rng import SeedLike, resolve_rng, spawn_seeds
 
 __all__ = [
-    "cobra_cover_trials",
-    "cobra_hitting_trials",
     "max_hitting_time_estimate",
     "pair_hitting_matrix",
 ]
-
-
-def cobra_cover_trials(
-    graph: Graph,
-    *,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    trials: int = 20,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Cover times of *trials* independent cobra runs (``float64``;
-    ``np.nan`` marks budget exhaustion, which the paper's bounds say
-    should essentially never happen at sane budgets).
-
-    .. deprecated::
-        Shim over :func:`repro.sim.facade.run_batch`; the facade's
-        serial strategy reproduces this helper seed-for-seed, and its
-        default (vectorized) strategy is several times faster.
-    """
-    from ..sim.facade import run_batch
-
-    return run_batch(
-        graph,
-        "cobra",
-        metric="cover",
-        trials=trials,
-        start=start,
-        seed=seed,
-        max_steps=max_steps,
-        strategy="serial",
-        k=k,
-    ).values
-
-
-def cobra_hitting_trials(
-    graph: Graph,
-    target: int,
-    *,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    trials: int = 20,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Hitting times of *target* over independent cobra runs.
-
-    .. deprecated::
-        Shim over :func:`repro.sim.facade.run_batch` (serial strategy,
-        seed-for-seed identical).
-    """
-    from ..sim.facade import run_batch
-
-    return run_batch(
-        graph,
-        "cobra",
-        metric="hit",
-        trials=trials,
-        start=start,
-        target=target,
-        seed=seed,
-        max_steps=max_steps,
-        strategy="serial",
-        k=k,
-    ).values
 
 
 def max_hitting_time_estimate(

@@ -49,7 +49,7 @@ into ``events.jsonl`` beside the shards (:mod:`repro.obs`); stored
 values stay seed-for-seed identical.  ``sweep report`` renders the
 straggler report over stored provenance, the claim ledger and the
 event log — per-cell phase timings, p50/p95/max wall time by
-process/graph/backend, per-worker attribution.  ``sweep top`` is the
+process/graph/engine, per-worker attribution.  ``sweep top`` is the
 live companion: drain progress, live leases, the freshest events and
 the slowest cells, refreshed until the sweep completes (``--once``
 for a single snapshot).  ``sweep run --profile`` additionally records

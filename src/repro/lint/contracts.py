@@ -61,9 +61,6 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "content-addressed",
         "The lint layer",
         "repro.lint",
-        "Backend selection",
-        "kernels_numba",
-        "vectorized[numba]",
         "bit-exact",
         "The observability layer",
         "repro.obs",

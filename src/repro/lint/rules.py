@@ -24,7 +24,6 @@ RPL111    error     every ``flock`` acquire pairs with a guaranteed release
 RPL120    error     ``cover`` capability requires a ``batch_cover`` engine
 RPL121    warning   ``hit`` capability without ``batch_hit`` (the known gap)
 RPL130    error     public functions in gated API modules are annotated
-RPL140    error     no RNG construction or draws inside compiled kernels
 RPL150    error     sim/store timing goes through the injected Tracer clock
 RPL200    error     every registered sweep expands (contract audit)
 RPL201    error     batch engines/factories match the protocol (contract audit)
@@ -250,7 +249,6 @@ GATED_API_MODULES = (
     "repro/sim/batch.py",
     "repro/sim/processes.py",
     "repro/sim/rng.py",
-    "repro/sim/kernels_numba.py",
     "repro/store/spec.py",
     "repro/walks/simple.py",
 )
@@ -680,80 +678,6 @@ def _check_rpl130(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
                     yield from check_fn(item, skip_self=True)
 
 
-#: Generator draw methods a compiled kernel must never call — draws
-#: stay at the Python layer so the kernel stays a pure function
-_RNG_DRAW_METHODS = frozenset(
-    {
-        "random", "integers", "choice", "shuffle", "permutation", "bytes",
-        "uniform", "normal", "standard_normal", "exponential", "poisson",
-        "binomial", "geometric", "spawn",
-    }
-)
-
-#: seed-normalisation entry points — constructing a stream inside a
-#: kernel is the same violation as drawing from one
-_RNG_FACTORY_NAMES = frozenset(
-    {"resolve_rng", "spawn_rngs", "spawn_seeds"} | _RNG_CONSTRUCTORS
-)
-
-
-def _njit_decorated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True for functions decorated with ``njit``/``_njit`` (bare,
-    called, or attribute form like ``numba.njit(cache=True)``)."""
-    for deco in fn.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr
-            if isinstance(target, ast.Attribute)
-            else ""
-        )
-        if name in ("njit", "_njit", "jit", "_jit"):
-            return True
-    return False
-
-
-def _check_rpl140(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-    for fn in ast.walk(ctx.tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not _njit_decorated(fn):
-            continue
-        for arg in list(fn.args.posonlyargs) + list(fn.args.args) + list(
-            fn.args.kwonlyargs
-        ):
-            if arg.arg == "rng" or "rng" in arg.arg.split("_"):
-                yield arg, (
-                    f"compiled kernel {fn.name}() takes an RNG parameter "
-                    f"({arg.arg!r}); kernels consume precomputed uniform "
-                    "arrays so the Generator call order stays identical to "
-                    "the NumPy engines (the bit-exactness contract)"
-                )
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _RNG_FACTORY_NAMES:
-                yield node, (
-                    f"{func.id}() inside compiled kernel {fn.name}(); "
-                    "streams are resolved once in the Python-level engine, "
-                    "never inside a kernel"
-                )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in _RNG_DRAW_METHODS
-                and isinstance(func.value, ast.Name)
-                and "rng" in func.value.id.lower()
-            ):
-                yield node, (
-                    f"{func.value.id}.{func.attr}() draws randomness inside "
-                    f"compiled kernel {fn.name}(); precompute the uniforms "
-                    "at the Python layer and pass them in as arrays (numba "
-                    "kernels must replay the NumPy engines' exact stream)"
-                )
-
-
 #: ``time`` module clock readers — every way sim/store code could read
 #: a clock behind the Tracer's back (``time.sleep`` is waiting, not
 #: reading, and stays legal)
@@ -1126,29 +1050,6 @@ register_rule(
             "as np.ndarray, seeds as repro.sim.rng.SeedLike)."
         ),
         checker=_check_rpl130,
-    )
-)
-
-register_rule(
-    Rule(
-        id="RPL140",
-        severity=ERROR,
-        title="RNG constructed or drawn inside a compiled kernel",
-        invariant=(
-            "Functions decorated with njit/_njit take no `rng` parameter, "
-            "construct no Generator (resolve_rng/spawn_rngs/default_rng), "
-            "and call no draw method on an rng-named object. The compiled "
-            "backend is bit-exact with the NumPy engines only because "
-            "every draw happens at the Python layer in the engines' exact "
-            "call order; randomness inside a kernel would fork the stream "
-            "(and numba's own RNG state is per-thread besides)."
-        ),
-        fix=(
-            "Draw the uniforms in the Python-level engine wrapper "
-            "(rng.random(...) in the same order/shape/dtype as the NumPy "
-            "twin) and pass the arrays into the kernel as arguments."
-        ),
-        checker=_check_rpl140,
     )
 )
 

@@ -3,12 +3,12 @@
 The paper's cover-time distributions are heavy-tailed, and so are
 sweep campaigns over them: one cell can legitimately run 40× longer
 than its twin.  This module turns the telemetry the store already
-holds — per-cell provenance (worker, backend, per-phase timings), the
+holds — per-cell provenance (worker, engine path, per-phase timings), the
 claim ledger, and the ``events.jsonl`` log — into answers:
 
 * :func:`build_report` → :class:`StragglerReport`: per-cell wall times
   attributed to workers, p50/p95/max by ``(process, graph_kind,
-  backend)``, per-worker totals, and ledger health (reclaimed leases,
+  engine)``, per-worker totals, and ledger health (reclaimed leases,
   double-computed cells) — rendered by the ``sweep report`` CLI verb;
 * :func:`render_top` / :func:`live_top`: a polling snapshot of a
   draining store — progress, live leases, the freshest events, and the
@@ -55,10 +55,10 @@ class StragglerReport:
     ----------
     cells : list of dict
         One row per stored cell, slowest first — ``cell`` (hash
-        prefix), ``process``, ``graph_kind``, ``backend``, ``worker``,
+        prefix), ``process``, ``graph_kind``, ``engine``, ``worker``,
         ``wall_s`` and per-phase ``t_*_s`` columns.
     groups : list of dict
-        p50/p95/max wall time per ``(process, graph_kind, backend)``.
+        p50/p95/max wall time per ``(process, graph_kind, engine)``.
     workers : list of dict
         Per-worker attribution: cells computed, total/mean/max wall
         time, slowest cell.
@@ -97,7 +97,7 @@ class StragglerReport:
         sections.append(
             _table(
                 shown,
-                ["cell", "process", "graph_kind", "backend", "worker", "wall_s"]
+                ["cell", "process", "graph_kind", "engine", "worker", "wall_s"]
                 + phase_cols,
                 title=f"stragglers (slowest {len(shown)} of {len(self.cells)} cells)",
             )
@@ -106,10 +106,10 @@ class StragglerReport:
             _table(
                 self.groups,
                 [
-                    "process", "graph_kind", "backend", "cells",
+                    "process", "graph_kind", "engine", "cells",
                     "p50_s", "p95_s", "max_s", "max_cell", "max_worker",
                 ],
-                title="wall time by process/graph_kind/backend",
+                title="wall time by process/graph_kind/engine",
             )
         )
         sections.append(
@@ -234,7 +234,7 @@ def build_report(
             "cell": (row.get("hash") or "")[:12],
             "process": row.get("process"),
             "graph_kind": row.get("graph_kind"),
-            "backend": row.get("backend"),
+            "engine": row.get("engine"),
             "worker": row.get("worker"),
             "wall_s": _round(row.get("wall_time_s") or 0.0),
         }
@@ -243,7 +243,7 @@ def build_report(
                 cell[name] = _round(value)
         report.cells.append(cell)
 
-    for key, sub in frame.groupby("process", "graph_kind", "backend"):
+    for key, sub in frame.groupby("process", "graph_kind", "engine"):
         walls = np.asarray(
             [w for w in sub.column("wall_time_s") if w is not None],
             dtype=np.float64,
@@ -253,12 +253,12 @@ def build_report(
         slowest = max(
             sub.rows, key=lambda r: r.get("wall_time_s") or 0.0
         )
-        process, graph_kind, backend = key
+        process, graph_kind, engine = key
         report.groups.append(
             {
                 "process": process,
                 "graph_kind": graph_kind,
-                "backend": backend,
+                "engine": engine,
                 "cells": len(sub),
                 "p50_s": _round(float(np.percentile(walls, 50))),
                 "p95_s": _round(float(np.percentile(walls, 95))),

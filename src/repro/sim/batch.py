@@ -111,7 +111,7 @@ Hot-path notes (measured on the benchmark machine, not guessed):
 Batched runs are distributionally identical to serial runs (the same
 process, one interleaved RNG stream) but not seed-for-seed identical
 to per-trial streams; use the facade's ``strategy="serial"`` when you
-need bit-exact parity with the legacy per-process helpers.  On CSR
+need one independent seed stream per trial.  On CSR
 input the oracle adapter reproduces the pre-oracle engines'
 streams bit for bit, and each arithmetic oracle is seed-for-seed
 identical to the adapter over its materialised graph
@@ -275,8 +275,8 @@ def batched_cobra_cover_trials(
     -------
     numpy.ndarray
         ``float64[trials]`` cover times with ``np.nan`` marking budget
-        exhaustion — the same contract as
-        :func:`repro.core.hitting.cobra_cover_trials`.
+        exhaustion — the same contract as the serial path of
+        :func:`repro.sim.facade.run_batch`.
     """
     oracle = as_oracle(graph)
     _check_samplable(oracle, trials)
@@ -424,8 +424,8 @@ def batched_cobra_hit_trials(
     -------
     numpy.ndarray
         ``float64[trials]`` hitting times with ``np.nan`` marking
-        budget exhaustion — the same contract as
-        :func:`repro.core.hitting.cobra_hitting_trials`.
+        budget exhaustion — the same contract as the serial path of
+        :func:`repro.sim.facade.run_batch`.
     """
     oracle = as_oracle(graph)
     _check_samplable(oracle, trials)

@@ -5,11 +5,10 @@ the registry (never at ``repro.sim`` import time) because the
 factories live in :mod:`repro.core` and :mod:`repro.walks`, which
 themselves import :mod:`repro.sim`.
 
-Every factory keeps the exact RNG-consumption order of the legacy
-per-process helper it supersedes, so ``simulate(graph, process=p,
-seed=s)`` reproduces ``cobra_cover_time`` / ``walt_cover_time`` /
-``push_spread_time`` / … seed-for-seed — the conformance suite in
-``tests/sim/test_facade.py`` pins this.
+Every factory builds the process class exactly as its own runners do,
+so ``simulate(graph, process=p, seed=s)`` reproduces
+``CobraWalk(...).run_until_cover`` / ``walt_cover_time`` / … seed for
+seed — the parity suite in ``tests/sim/test_facade.py`` pins this.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _make_coalescing(graph, *, start=None, seed=None, target=None, walkers=None)
     """Walkers spread per the classical setting; an *array* ``start``
     places them explicitly.  A scalar start would silently mean a
     single trivially-coalesced walker, so only the facade's default
-    ``0`` is tolerated (and ignored, reproducing ``coalescence_time``);
+    ``0`` is tolerated (and ignored: the default walker placement);
     any other scalar raises."""
     rng = resolve_rng(seed)
     if start is not None and np.ndim(start) > 0:
@@ -326,7 +325,7 @@ def _gossip_batch_hit(push: bool, pull: bool):
 
 
 # ----------------------------------------------------------------------
-# registrations (budgets mirror each legacy helper's default)
+# registrations
 # ----------------------------------------------------------------------
 register_process(
     ProcessSpec(

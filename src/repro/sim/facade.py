@@ -1,10 +1,5 @@
 """One front door for every registered process: ``simulate`` and
-``run_batch``.
-
-Before this facade each process family exposed a bespoke helper
-(``cobra_cover_time``, ``walt_cover_time``, ``push_spread_time``, …)
-with its own result dataclass, and every experiment hand-rolled its
-own sweep loop.  Now::
+``run_batch``::
 
     from repro import simulate, run_batch
 
@@ -15,12 +10,12 @@ own sweep loop.  Now::
     print(summary.mean, summary.ci95_half_width)
 
 ``simulate`` drives any :class:`~repro.sim.processes.ProcessSpec` to a
-single :class:`RunResult`; seed-for-seed it reproduces the legacy
-per-process helper for the same ``(process, metric, seed)``.
-``run_batch`` replaces the per-process ``*_trials`` helpers: it fans
-out over the vectorized batched engine when the process has one for
-the metric (cover/spread: every cover-capable registered process;
-hit: cobra, simple, lazy), the sharded executor when ``shards`` is
+single :class:`RunResult`; seed-for-seed it reproduces the process
+class's own runner for the same ``(process, metric, seed)``.
+``run_batch`` fans out over the vectorized batched engine when the
+process has one for the metric (cover/spread: every cover-capable
+registered process; hit: cobra, simple, lazy, walt, push, pull,
+push_pull), the sharded executor when ``shards`` is
 given (per-trial seed streams, placement-independent — see
 ``docs/architecture.md``), a multiprocessing pool when
 ``processes > 1``, or a serial seed-spawned loop otherwise, always
@@ -229,8 +224,6 @@ def select_execution_path(
     strategy: str = "auto",
     shards: int | None = None,
     processes: int | None = None,
-    backend: str = "auto",
-    graph: Any | None = None,
 ) -> str:
     """The execution path :func:`run_batch` takes for these arguments.
 
@@ -250,74 +243,12 @@ def select_execution_path(
         Sharded-executor request (wins over everything else).
     processes : int or None
         Effective pool width (the caller resolves the CLI default).
-    backend : str
-        Vectorized-engine backend: ``"auto"`` (default — the compiled
-        numba kernels wherever available, NumPy otherwise),
-        ``"numpy"``, or ``"numba"`` (raises :class:`RuntimeError` when
-        numba is not installed, :class:`ValueError` when the pair has
-        no kernel or the arguments select a non-vectorized path).
-    graph : Graph or NeighborOracle, optional
-        When given, ``backend="auto"`` falls back to NumPy for graphs
-        the kernels cannot lower to CSR (implicit oracles above the
-        ``to_csr`` ceiling) instead of failing later.
 
     Returns
     -------
     str
-        ``"sharded"``, ``"vectorized"``, ``"vectorized[numba]"``,
-        ``"pool"``, or ``"serial"``.
+        ``"sharded"``, ``"vectorized"``, ``"pool"``, or ``"serial"``.
     """
-    if backend not in ("auto", "numpy", "numba"):
-        raise ValueError(f"unknown backend {backend!r}; use auto|numpy|numba")
-    path = _select_strategy_path(
-        spec, metric, strategy=strategy, shards=shards, processes=processes
-    )
-    if path != "vectorized" or backend == "numpy":
-        if backend == "numba" and path != "vectorized":
-            raise ValueError(
-                "backend='numba' drives the vectorized engines only, but "
-                f"these arguments select the {path!r} path; drop "
-                "shards=/processes= or use strategy='vectorized'"
-            )
-        return path
-    from . import kernels_numba
-
-    kernel = kernels_numba.kernel_for(spec.name, metric)
-    lowers = graph is None or kernels_numba.lowerable(graph)
-    if backend == "numba":
-        if not kernels_numba.NUMBA_AVAILABLE:
-            raise RuntimeError(
-                "backend='numba' requested but numba is not importable in "
-                "this environment; install numba or use backend='auto' "
-                "(which falls back to the NumPy engines)"
-            )
-        if kernel is None:
-            raise ValueError(
-                f"no compiled kernel for process {spec.name!r} with metric "
-                f"{metric!r}; use backend='numpy' or backend='auto'"
-            )
-        if not lowers:
-            raise ValueError(
-                "the compiled backend lowers graphs to CSR, which this "
-                "implicit oracle refuses at its vertex count; use "
-                "backend='numpy'"
-            )
-        return "vectorized[numba]"
-    if kernels_numba.NUMBA_AVAILABLE and kernel is not None and lowers:
-        return "vectorized[numba]"
-    return "vectorized"
-
-
-def _select_strategy_path(
-    spec: ProcessSpec,
-    metric: str,
-    *,
-    strategy: str,
-    shards: int | None,
-    processes: int | None,
-) -> str:
-    """The backend-agnostic half of :func:`select_execution_path`:
-    sharded / vectorized / pool / serial."""
     if shards is not None:
         return "sharded"
     if metric in ("cover", "spread"):
@@ -387,8 +318,7 @@ def simulate(
     seed : SeedLike, optional
         RNG seed/stream.
     max_steps : int, optional
-        Step budget; defaults to the process's legacy budget so seeded
-        runs reproduce the historical helpers.
+        Step budget; defaults to the process's registered budget.
     **params : Any
         Process-specific knobs (``k``, ``delta``, ``walkers``,
         ``eps``, …) forwarded to the factory.
@@ -636,7 +566,6 @@ def run_batch(
     shards: int | None = None,
     max_workers: int | None = None,
     strategy: str = "auto",
-    backend: str = "auto",
     **params: Any,
 ) -> TrialSummary:
     """Run *trials* independent trials and summarise the outcomes.
@@ -650,8 +579,8 @@ def run_batch(
       per-trial Python loops;
     * a :mod:`multiprocessing` pool when ``processes > 1`` (or a CLI
       default was installed via :func:`set_default_processes`);
-    * otherwise a serial loop over spawned per-trial seeds, which is
-      seed-for-seed identical to the legacy ``*_trials`` helpers.
+    * otherwise a serial loop over spawned per-trial seeds: trial ``i``
+      is ``simulate(..., seed=spawn_seeds(seed, trials)[i])``.
 
     ``strategy="vectorized"`` / ``"serial"`` force a path (vectorized
     raises for processes without a batched engine for the metric).
@@ -678,7 +607,7 @@ def run_batch(
         The single root seed all per-trial (or engine) streams derive
         from.
     max_steps : int, optional
-        Step budget per trial; defaults to the process's legacy budget.
+        Step budget per trial; defaults to the process's registered budget.
     processes : int or None
         Pool width for the per-trial multiprocessing path (``None``/1
         = no pool).  Mutually exclusive with *shards*.
@@ -697,15 +626,6 @@ def run_batch(
         ``min(shards, cpu_count)``; ``1`` = inline, same values).
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
-    backend : str
-        Vectorized-engine backend — ``"auto"`` (default), ``"numpy"``,
-        or ``"numba"``.  ``"auto"`` takes the compiled numba kernels
-        whenever numba is importable, the process/metric pair has one,
-        and the graph lowers to CSR; it falls back to the NumPy
-        engines otherwise.  ``"numba"`` forces the compiled kernels
-        (clear error when unavailable); the compiled engines are
-        bit-exact twins of the NumPy ones, so values never depend on
-        the backend.
     **params : Any
         Process-specific knobs forwarded to the factory/engine.
 
@@ -766,15 +686,13 @@ def run_batch(
         strategy=strategy,
         shards=shards,
         processes=processes,
-        backend=backend,
-        graph=graph,
     )
     tracer = current_tracer()
     if tracer.enabled:
         tracer.annotate(
             engine_path=path, process=spec.name, metric=metric, trials=trials
         )
-    if not path.startswith("vectorized") and not isinstance(graph, Graph):
+    if path != "vectorized" and not isinstance(graph, Graph):
         raise ValueError(
             f"the {path!r} execution path steps CSR edge arrays, which an "
             "implicit NeighborOracle does not carry; use "
@@ -796,15 +714,8 @@ def run_batch(
             max_workers=max_workers,
         )
 
-    if path.startswith("vectorized"):
-        if path == "vectorized[numba]":
-            from . import kernels_numba
-
-            engine = kernels_numba.kernel_for(spec.name, metric)
-        else:
-            engine = (
-                spec.batch_cover if metric in ("cover", "spread") else spec.batch_hit
-            )
+    if path == "vectorized":
+        engine = spec.batch_cover if metric in ("cover", "spread") else spec.batch_hit
         kwargs = dict(params)
         if metric == "hit":
             kwargs["target"] = target

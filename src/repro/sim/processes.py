@@ -92,8 +92,8 @@ class ProcessSpec:
     default_params : Mapping
         The factory's tunable defaults, for documentation/CLI listing.
     default_budget : BudgetFn
-        Step budget matching the process's legacy helper, so facade
-        runs reproduce the historical helpers seed-for-seed.
+        The step budget ``simulate``/``run_batch`` use when the caller
+        gives none.
     batch_cover : BatchCoverFn or None
         Optional vectorized engine advancing all cover/spread trials in
         one ``(trials, n)`` frontier; ``run_batch`` uses it when

@@ -134,6 +134,10 @@ class LocalBackend:
     CAS loops need.  A zero-byte file reads as absent (``locked``
     creates empty files as a side effect of lock acquisition).
 
+    The root is resolved once, at construction: every read and write
+    goes to that directory even if the process changes its working
+    directory afterwards.
+
     Parameters
     ----------
     root : str or Path
@@ -144,6 +148,7 @@ class LocalBackend:
         self.root = Path(root)
         self._real_root = os.path.realpath(self.root)
         self._real_prefix = os.path.join(self._real_root, "")
+        self._base = Path(self._real_root)
 
     def _path(self, key: str) -> Path:
         # containment on the real path, so ``..``, absolute keys and
@@ -151,7 +156,7 @@ class LocalBackend:
         real = os.path.realpath(os.path.join(self._real_root, key))
         if real != self._real_root and not real.startswith(self._real_prefix):
             raise BackendError(f"key {key!r} escapes the store root")
-        return self.root / key
+        return self._base / key
 
     def read_blob(self, key: str) -> tuple[bytes, str] | None:
         """The file's bytes + content ETag (``None`` if absent/empty)."""
@@ -171,12 +176,12 @@ class LocalBackend:
     def list_prefix(self, prefix: str) -> list[str]:
         """Sorted relative keys of non-empty files under *prefix*."""
         keys = []
-        if not self.root.is_dir():
+        if not self._base.is_dir():
             return keys
-        for path in self.root.rglob("*"):
+        for path in self._base.rglob("*"):
             if not path.is_file():
                 continue
-            key = path.relative_to(self.root).as_posix()
+            key = path.relative_to(self._base).as_posix()
             if key.startswith(prefix) and path.stat().st_size > 0:
                 keys.append(key)
         return sorted(keys)

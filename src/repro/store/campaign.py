@@ -13,7 +13,7 @@ Execution rides the facade: each cell is one
 call, so a campaign gets the vectorized batched engine, the
 multiprocessing pool, or the placement-independent sharded executor
 exactly as any other caller would.  Per-cell provenance (sweep name,
-engine and backend used, worker id, seed entropy, wall time and
+engine path used, worker id, seed entropy, wall time and
 per-phase timings, graph name) is recorded next to the result; pass a
 :class:`~repro.obs.trace.Tracer` to additionally stream span events
 into the store's ``events.jsonl`` (see ``docs/observability.md``).
@@ -99,48 +99,23 @@ class CampaignReport:
         return not self.pending
 
 
-def _engine_label(
-    process: str,
-    metric: str,
-    shards: int | None,
-    backend: str = "auto",
-    graph: Any | None = None,
-) -> str:
+def _engine_label(process: str, metric: str, shards: int | None) -> str:
     """The execution path ``run_batch`` takes for a cell, for
     provenance — computed by the facade's own
     :func:`~repro.sim.facade.select_execution_path` (the one selection
     rule ``run_batch`` itself uses), so the label cannot drift from
-    what actually ran.  With a ``backend`` request the label records
-    the backend actually used (``"vectorized[numba]"`` only when the
-    compiled kernels really drive the cell)."""
+    what actually ran."""
     from ..sim.facade import get_default_processes, select_execution_path
 
     pool = get_default_processes()
     path = select_execution_path(
-        get_process(process),
-        metric,
-        shards=shards,
-        processes=pool,
-        backend=backend,
-        graph=graph,
+        get_process(process), metric, shards=shards, processes=pool
     )
     if path == "sharded":
         return f"sharded(shards={shards})"
     if path == "pool":
         return f"pool(processes={pool})"
     return path
-
-
-def _backend_used(engine_label: str) -> str:
-    """The provenance ``backend`` field from an engine label: which
-    backend actually produced the values (requests are not recorded —
-    outcomes are)."""
-    if engine_label == "vectorized[numba]":
-        return "numba"
-    if engine_label == "vectorized":
-        return "numpy"
-    # serial / pool / sharded paths step per-trial Python+numpy code
-    return "numpy"
 
 
 #: the cell phases, in execution order — every run_cell emits exactly
@@ -156,7 +131,6 @@ def run_cell(
     sweep: str,
     shards: int | None = None,
     max_workers: int | None = None,
-    backend: str = "auto",
     graph_cache: dict[tuple, Any] | None = None,
     extra_provenance: Mapping[str, Any] | None = None,
     tracer: Tracer | None = None,
@@ -192,10 +166,6 @@ def run_cell(
         Forwarded to ``run_batch(shards=)``.
     max_workers : int, optional
         Forwarded with *shards*.
-    backend : str, optional
-        Vectorized-engine backend forwarded to ``run_batch(backend=)``;
-        provenance records the backend that actually ran, not the one
-        requested.
     graph_cache : dict, optional
         ``(builder, params) -> Graph`` cache shared across cells of one
         runner.
@@ -245,7 +215,7 @@ def run_cell(
             graph = graph_cache[gkey]
         with phase("lower"):
             target = key.resolve_target(graph)
-            engine = _engine_label(key.process, key.metric, shards, backend, graph)
+            engine = _engine_label(key.process, key.metric, shards)
         with phase("engine"), activate(tr):
             summary = run_batch(
                 graph,
@@ -257,13 +227,11 @@ def run_cell(
                 max_steps=key.max_steps,
                 shards=shards,
                 max_workers=max_workers,
-                backend=backend,
                 **dict(key.params),
             )
         provenance = {
             "sweep": sweep,
             "engine": engine,
-            "backend": _backend_used(engine),
             "worker": worker,
             "wall_time_s": round(phase_s["engine"], 6),
             "phase_s": {name: round(dur, 6) for name, dur in phase_s.items()},
@@ -493,7 +461,6 @@ class Campaign:
             sweep=self.spec.name,
             shards=self.shards,
             max_workers=self.max_workers,
-            backend=self.spec.backend,
             graph_cache=graph_cache,
             tracer=self.tracer,
             profile=self.profile,

@@ -531,17 +531,14 @@ def drain(
     report = WorkerReport(owner=owner)
 
     # dedup cells across specs, remembering the first declaring sweep
-    # (provenance only — the hash is the identity; likewise the backend,
-    # whose engines are bit-exact twins, so the winner cannot matter)
+    # (provenance only — the hash is the identity)
     cells: dict[str, RunKey] = {}
     sweep_of: dict[str, str] = {}
-    backend_of: dict[str, str] = {}
     for spec in spec_list:
         for key in spec.expand():
             if key.hash not in cells:
                 cells[key.hash] = key
                 sweep_of[key.hash] = spec.name
-                backend_of[key.hash] = spec.backend
 
     graph_cache: dict[tuple, Any] = {}
     pending = dict(cells)  # not yet run or seen stored, in preference order
@@ -612,7 +609,6 @@ def drain(
                 sweep=sweep_of[h],
                 shards=shards,
                 max_workers=max_workers,
-                backend=backend_of[h],
                 graph_cache=graph_cache,
                 tracer=tracer,
                 worker=owner,

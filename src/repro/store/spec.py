@@ -328,13 +328,6 @@ class SweepSpec:
         Per-trial budget (``None`` = process default).
     seed : SeedPolicy
         Seed policy shared by all cells.
-    backend : str
-        Vectorized-engine backend for every cell — ``"auto"``
-        (default), ``"numpy"``, or ``"numba"``.  An execution detail
-        like shard count, **not** part of cell hashes: the compiled
-        engines are bit-exact twins of the NumPy ones, so the same
-        cell produces the same values either way (provenance records
-        which backend actually ran).
     """
 
     name: str
@@ -347,17 +340,12 @@ class SweepSpec:
     trials: int = 8
     max_steps: int | None = None
     seed: SeedPolicy = field(default_factory=SeedPolicy)
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a sweep needs a name")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.backend not in ("auto", "numpy", "numba"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; use auto|numpy|numba"
-            )
         if isinstance(self.target, str) and self.target not in _TARGET_RULES:
             raise ValueError(
                 f"unknown target rule {self.target!r}; use an int or one of "

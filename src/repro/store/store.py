@@ -124,7 +124,7 @@ def record_row(record: Mapping[str, Any]) -> dict[str, Any]:
     never collides with cobra's ``k``); per-phase timings from the
     provenance ``phase_s`` dict become ``t_<phase>_s`` columns; process
     parameters keep their names; summary statistics and the remaining
-    provenance (``engine``/``backend``/``worker``/``peak_rss_mb``) ride
+    provenance (``engine``/``worker``/``peak_rss_mb``) ride
     along unprefixed.
 
     Parameters
@@ -155,7 +155,6 @@ def record_row(record: Mapping[str, Any]) -> dict[str, Any]:
         "seed_root": key["seed"]["root"],
         "seed_kind": key["seed"]["kind"],
         "engine": prov.get("engine"),
-        "backend": prov.get("backend"),
         "worker": prov.get("worker"),
         "wall_time_s": prov.get("wall_time_s"),
     }

@@ -1,41 +1,25 @@
 """Baseline stochastic processes the paper compares against."""
 
-from .branching import BranchingRunResult, BranchingWalk, branching_cover_time
-from .coalescing import CoalescingWalks, coalescence_time, coalescing_start_positions
-from .gossip import (
-    GossipSpread,
-    pull_spread_time,
-    push_pull_spread_time,
-    push_spread_time,
-)
-from .parallel import ParallelWalks, parallel_cover_time, parallel_hitting_time
+from .branching import BranchingRunResult, BranchingWalk
+from .coalescing import CoalescingWalks, coalescing_start_positions
+from .gossip import GossipSpread
+from .parallel import ParallelWalks
 from .simple import (
     RandomWalk,
-    rw_cover_time,
     rw_cover_trials,
     rw_exact_hitting_times,
-    rw_hitting_time,
     rw_hitting_trials,
 )
 
 __all__ = [
     "BranchingRunResult",
     "BranchingWalk",
-    "branching_cover_time",
     "CoalescingWalks",
-    "coalescence_time",
     "coalescing_start_positions",
     "GossipSpread",
-    "pull_spread_time",
-    "push_pull_spread_time",
-    "push_spread_time",
     "ParallelWalks",
-    "parallel_cover_time",
-    "parallel_hitting_time",
     "RandomWalk",
-    "rw_cover_time",
     "rw_cover_trials",
     "rw_exact_hitting_times",
-    "rw_hitting_time",
     "rw_hitting_trials",
 ]

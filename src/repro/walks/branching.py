@@ -19,9 +19,8 @@ import numpy as np
 
 from ..graphs.base import Graph
 from ..sim.rng import SeedLike, resolve_rng
-from ._shims import warn_deprecated
 
-__all__ = ["BranchingWalk", "BranchingRunResult", "branching_cover_time"]
+__all__ = ["BranchingWalk", "BranchingRunResult"]
 
 
 @dataclass
@@ -115,28 +114,3 @@ class BranchingWalk:
         )
 
 
-def branching_cover_time(
-    graph: Graph,
-    *,
-    k: int = 2,
-    start: int = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-    population_cap: int = 1_000_000,
-) -> BranchingRunResult:
-    """Run one branching walk to coverage.
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed (``extras`` carries
-        ``population`` and ``hit_cap``).
-    """
-    warn_deprecated(
-        "branching_cover_time", 'simulate(graph, "branching", metric="cover", ...)'
-    )
-    if max_steps is None:
-        max_steps = max(10_000, 50 * graph.n)
-    walk = BranchingWalk(
-        graph, k=k, start=start, seed=seed, population_cap=population_cap
-    )
-    return walk.run_until_cover(max_steps)

@@ -15,9 +15,8 @@ import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
 from ..sim.rng import SeedLike, resolve_rng
-from ._shims import warn_deprecated
 
-__all__ = ["CoalescingWalks", "coalescence_time", "coalescing_start_positions"]
+__all__ = ["CoalescingWalks", "coalescing_start_positions"]
 
 
 @dataclass
@@ -98,29 +97,3 @@ def coalescing_start_positions(
     return rng.choice(graph.n, size=walkers, replace=False)
 
 
-def coalescence_time(
-    graph: Graph,
-    *,
-    walkers: int | None = None,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Steps until all walkers merge (see
-    :func:`coalescing_start_positions` for the default placement).
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated(
-        "coalescence_time",
-        'simulate(graph, "coalescing", walkers=walkers, '
-        '...).extras["coalescence_time"]',
-    )
-    rng = resolve_rng(seed)
-    positions = coalescing_start_positions(graph, walkers, rng)
-    if max_steps is None:
-        max_steps = max(100_000, 20 * graph.n**2)
-    proc = CoalescingWalks(graph, positions, seed=rng)
-    res = proc.run_until_coalesced(max_steps)
-    return res.steps if res.coalesced else None

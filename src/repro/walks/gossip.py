@@ -9,8 +9,7 @@ conjectured to carry over to cobra walks.
 
 :class:`GossipSpread` is the stepping process (registered as
 ``"push"``, ``"pull"``, and ``"push_pull"`` in
-:mod:`repro.sim.processes`); the ``*_spread_time`` helpers keep their
-historical signatures and drive it.
+:mod:`repro.sim.processes`).
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
 from ..sim.rng import SeedLike, resolve_rng
-from ._shims import warn_deprecated
 
-__all__ = [
-    "GossipSpread",
-    "push_spread_time",
-    "pull_spread_time",
-    "push_pull_spread_time",
-]
+__all__ = ["GossipSpread"]
 
 
 class GossipSpread:
@@ -91,76 +84,6 @@ class GossipSpread:
             self.first_visit[fresh_mask] = self.t
             self._num_covered = int(self.informed.sum())
         return self.informed
-
-
-def _spread_time(
-    graph: Graph,
-    start: int,
-    seed: SeedLike,
-    max_rounds: int | None,
-    *,
-    push: bool,
-    pull: bool,
-) -> int | None:
-    if max_rounds is None:
-        max_rounds = _budget(graph.n)
-    proc = GossipSpread(graph, start=start, push=push, pull=pull, seed=seed)
-    while not proc.all_covered and proc.t < max_rounds:
-        proc.step()
-    return proc.t if proc.all_covered else None
-
-
-def push_spread_time(
-    graph: Graph,
-    *,
-    start: int = 0,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> int | None:
-    """Rounds for push gossip to inform every vertex (``None`` = budget).
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated("push_spread_time", 'simulate(graph, "push", ...).cover_time')
-    return _spread_time(graph, start, seed, max_rounds, push=True, pull=False)
-
-
-def pull_spread_time(
-    graph: Graph,
-    *,
-    start: int = 0,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> int | None:
-    """Rounds for pull gossip (uninformed vertices poll a neighbor).
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated("pull_spread_time", 'simulate(graph, "pull", ...).cover_time')
-    return _spread_time(graph, start, seed, max_rounds, push=False, pull=True)
-
-
-def push_pull_spread_time(
-    graph: Graph,
-    *,
-    start: int = 0,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> int | None:
-    """Rounds for combined push–pull gossip.
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated(
-        "push_pull_spread_time", 'simulate(graph, "push_pull", ...).cover_time'
-    )
-    return _spread_time(graph, start, seed, max_rounds, push=True, pull=True)
 
 
 def _budget(n: int) -> int:

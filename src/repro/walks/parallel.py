@@ -6,8 +6,7 @@ contrasts cobra walks with this model: parallel walks keep a fixed
 walker budget while the cobra frontier breathes with the topology.
 
 :class:`ParallelWalks` is the stepping process (registered as
-``"parallel"`` in :mod:`repro.sim.processes`); the module-level
-helpers keep their historical signatures and drive it.
+``"parallel"`` in :mod:`repro.sim.processes`).
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
 from ..sim.rng import SeedLike, resolve_rng
-from ._shims import warn_deprecated
 
-__all__ = ["ParallelWalks", "parallel_cover_time", "parallel_hitting_time"]
+__all__ = ["ParallelWalks"]
 
 
 class ParallelWalks:
@@ -26,8 +24,7 @@ class ParallelWalks:
 
     ``start`` may be one vertex (all walkers there — the setting of
     Alon et al.'s worst-case results) or an array of length *walkers*.
-    One batched neighbor draw moves every walker per step, so the RNG
-    stream matches the historical loop-based helpers exactly.
+    One batched neighbor draw moves every walker per step.
     """
 
     def __init__(
@@ -83,59 +80,3 @@ def _default_budget(n: int, walkers: int) -> int:
     return max(200_000, n**3 // max(walkers, 1))
 
 
-def parallel_cover_time(
-    graph: Graph,
-    *,
-    walkers: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Cover time of *walkers* independent simple walks (``None`` =
-    budget exhausted).
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated(
-        "parallel_cover_time",
-        'simulate(graph, "parallel", walkers=walkers, ...).cover_time',
-    )
-    if max_steps is None:
-        max_steps = _default_budget(graph.n, walkers)
-    proc = ParallelWalks(graph, walkers=walkers, start=start, seed=seed)
-    while not proc.all_covered and proc.t < max_steps:
-        proc.step()
-    return int(proc.first_visit.max()) if proc.all_covered else None
-
-
-def parallel_hitting_time(
-    graph: Graph,
-    target: int,
-    *,
-    walkers: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """First step any of the *walkers* stands on *target*.
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    warn_deprecated(
-        "parallel_hitting_time",
-        'simulate(graph, "parallel", metric="hit", target=target, '
-        '...).extras["hit_time"]',
-    )
-    if not (0 <= target < graph.n):
-        raise ValueError("target out of range")
-    if max_steps is None:
-        max_steps = _default_budget(graph.n, walkers)
-    proc = ParallelWalks(graph, walkers=walkers, start=start, seed=seed)
-    while proc.first_visit[target] < 0 and proc.t < max_steps:
-        proc.step()
-    hit = proc.first_visit[target]
-    return int(hit) if hit >= 0 else None

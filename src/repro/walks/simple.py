@@ -23,12 +23,9 @@ from ..graphs.implicit import NeighborOracle, as_oracle
 from ..obs.trace import current_tracer
 from ..sim.bitmask import BitMask, DenseMask, visited_mask
 from ..sim.rng import SeedLike, resolve_rng
-from ._shims import warn_deprecated
 
 __all__ = [
     "RandomWalk",
-    "rw_cover_time",
-    "rw_hitting_time",
     "rw_cover_trials",
     "rw_hitting_trials",
     "rw_exact_hitting_times",
@@ -88,58 +85,6 @@ class RandomWalk:
             self.step()
         hit = self.first_visit[target]
         return int(hit) if hit >= 0 else None
-
-
-def rw_cover_time(
-    graph: Graph,
-    *,
-    start: int = 0,
-    lazy: bool = False,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Cover time of one simple-random-walk run (``None`` = budget).
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    process = "lazy" if lazy else "simple"
-    warn_deprecated(
-        "rw_cover_time",
-        f'simulate(graph, "{process}", metric="cover", ...).cover_time',
-    )
-    if max_steps is None:
-        max_steps = _cover_budget(graph.n)
-    return RandomWalk(graph, start=start, lazy=lazy, seed=seed).run_until_cover(max_steps)
-
-
-def rw_hitting_time(
-    graph: Graph,
-    target: int,
-    *,
-    start: int = 0,
-    lazy: bool = False,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Hitting time of one run.
-
-    .. deprecated::
-        Use the facade call named in the emitted warning; it
-        reproduces this helper seed-for-seed.
-    """
-    process = "lazy" if lazy else "simple"
-    warn_deprecated(
-        "rw_hitting_time",
-        f'simulate(graph, "{process}", metric="hit", target=target, '
-        '...).extras["hit_time"]',
-    )
-    if max_steps is None:
-        max_steps = _cover_budget(graph.n)
-    return RandomWalk(graph, start=start, lazy=lazy, seed=seed).run_until_hit(
-        target, max_steps
-    )
 
 
 def rw_cover_trials(

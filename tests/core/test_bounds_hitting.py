@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    cobra_cover_trials,
-    cobra_hitting_trials,
     cor9_expander_cover,
     harmonic_number,
     matthews_check,
@@ -24,6 +22,7 @@ from repro.core import (
     walt_dominates_cobra_report,
 )
 from repro.graphs import complete_graph, cycle_graph, grid, hypercube
+from repro.sim import run_batch
 
 
 class TestBoundFormulas:
@@ -82,25 +81,30 @@ class TestBoundFormulas:
 
 class TestTrialEstimators:
     def test_cover_trials_shape_and_determinism(self, small_hypercube):
-        a = cobra_cover_trials(small_hypercube, trials=5, seed=1)
-        b = cobra_cover_trials(small_hypercube, trials=5, seed=1)
+        a = run_batch(small_hypercube, "cobra", trials=5, seed=1, strategy="serial").values
+        b = run_batch(small_hypercube, "cobra", trials=5, seed=1, strategy="serial").values
         assert a.shape == (5,)
         assert np.array_equal(a, b)
         assert not np.isnan(a).any()
 
     def test_hitting_trials(self, small_cycle):
-        t = cobra_hitting_trials(small_cycle, 6, trials=8, seed=2)
+        t = run_batch(
+            small_cycle, "cobra", metric="hit", target=6, trials=8, seed=2,
+            strategy="serial",
+        ).values
         assert (t >= 6).all()  # distance lower bound
 
     def test_budget_marks_nan(self):
         from repro.graphs import path_graph
 
-        t = cobra_cover_trials(path_graph(50), trials=3, seed=3, max_steps=2)
+        t = run_batch(
+            path_graph(50), "cobra", trials=3, seed=3, max_steps=2, strategy="serial"
+        ).values
         assert np.isnan(t).all()
 
     def test_trials_validation(self, small_cycle):
         with pytest.raises(ValueError):
-            cobra_cover_trials(small_cycle, trials=0)
+            run_batch(small_cycle, "cobra", trials=0, strategy="serial")
 
     def test_hmax_at_least_antipodal_hit(self):
         g = cycle_graph(16)

@@ -5,8 +5,6 @@ import pytest
 
 from repro.core import (
     CobraWalk,
-    cobra_cover_time,
-    cobra_hitting_time,
     cobra_step,
     cobra_step_reference,
 )
@@ -17,6 +15,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.sim import simulate
 
 
 class TestCobraStep:
@@ -150,22 +149,22 @@ class TestCobraWalk:
             CobraWalk(small_cycle, start=np.array([], dtype=np.int64))
 
     def test_determinism(self, small_grid):
-        a = cobra_cover_time(small_grid, seed=42)
-        b = cobra_cover_time(small_grid, seed=42)
+        a = simulate(small_grid, "cobra", seed=42)
+        b = simulate(small_grid, "cobra", seed=42)
         assert a.cover_time == b.cover_time
         assert np.array_equal(a.first_activation, b.first_activation)
 
 
 class TestCoverHitHelpers:
     def test_complete_graph_covers_fast(self):
-        res = cobra_cover_time(complete_graph(64), seed=6)
+        res = simulate(complete_graph(64), "cobra", seed=6)
         assert res.covered
         # K_n cobra behaves like a 2x-coupon collector: well under n
         assert res.cover_time < 64
 
     def test_star_cover_is_coupon_collector_like(self):
         n = 200
-        res = cobra_cover_time(star_graph(n), seed=7)
+        res = simulate(star_graph(n), "cobra", seed=7)
         assert res.covered
         # hub informs <= 2 fresh leaves every other round: >= (n-1)/4ish
         assert res.cover_time > n / 8
@@ -174,11 +173,12 @@ class TestCoverHitHelpers:
     def test_hitting_time_distance_lower_bound(self):
         g = grid(10, 2)
         target = g.n - 1  # opposite corner, Manhattan distance 20
-        t = cobra_hitting_time(g, target, seed=8)
+        t = simulate(g, "cobra", metric="hit", target=target, seed=8).extras["hit_time"]
         assert t is not None and t >= 20
 
     def test_hitting_target_equals_start(self, small_cycle):
-        assert cobra_hitting_time(small_cycle, 0, start=0, seed=9) == 0
+        res = simulate(small_cycle, "cobra", metric="hit", target=0, start=0, seed=9)
+        assert res.extras["hit_time"] == 0
 
     def test_invalid_target(self, small_cycle):
         w = CobraWalk(small_cycle, seed=0)

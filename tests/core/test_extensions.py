@@ -8,10 +8,10 @@ from repro.core import (
     DegreeProportionalBranching,
     GeneralizedCobraWalk,
     RandomBranching,
-    cobra_cover_time,
     generalized_cobra_cover_time,
 )
 from repro.graphs import complete_graph, cycle_graph, grid, random_regular, star_graph
+from repro.sim import simulate
 
 
 class TestRandomBranching:
@@ -53,7 +53,7 @@ class TestGeneralizedCobraWalk:
     def test_constant_schedule_matches_cobra(self):
         # identical seeds: same RNG consumption pattern => same trajectory
         g = grid(8, 2)
-        ref = cobra_cover_time(g, k=2, seed=42)
+        ref = simulate(g, "cobra", k=2, seed=42)
         gen = generalized_cobra_cover_time(g, 2, seed=42)
         assert gen == ref.cover_time
 
@@ -99,7 +99,7 @@ class TestGeneralizedCobraWalk:
         sched = DegreeProportionalBranching(g, lambda deg: np.where(deg > 1, 4, 1))
         t = generalized_cobra_cover_time(g, sched, seed=6)
         # hub branches 4x: coupon collector finishes ~2x faster than k=2
-        ref = cobra_cover_time(g, k=2, seed=7).cover_time
+        ref = simulate(g, "cobra", k=2, seed=7).cover_time
         assert t is not None and t < ref
 
     def test_validation(self):

@@ -12,12 +12,9 @@ cobra hitting times.
 import numpy as np
 import pytest
 
-from repro.core import (
-    cobra_hitting_trials,
-    exact_hitting_times,
-    inverse_degree_biased_transition,
-)
+from repro.core import exact_hitting_times, inverse_degree_biased_transition
 from repro.graphs import bfs_distances, cycle_graph, grid, kary_tree, lollipop
+from repro.sim import run_batch
 
 
 @pytest.mark.parametrize(
@@ -34,7 +31,10 @@ def test_cobra_hitting_below_biased_walk(graph, target):
     h_star = exact_hitting_times(p, target)
     # farthest start = the lemma's hardest instance
     start = int(np.argmax(bfs_distances(graph, target)))
-    times = cobra_hitting_trials(graph, target, start=start, trials=40, seed=7)
+    times = run_batch(
+        graph, "cobra", metric="hit", target=target, start=start, trials=40,
+        seed=7, strategy="serial",
+    ).values
     mean = float(np.nanmean(times))
     # Monte-Carlo slack: the inequality is in expectation
     assert mean <= h_star[start] * 1.15 + 2.0

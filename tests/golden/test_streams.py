@@ -85,7 +85,8 @@ def _render(rows: dict[str, str]) -> str:
 
 
 def test_streams_match_golden():
-    expected = json.loads(GOLDEN.read_text())
+    text = GOLDEN.read_text()
+    expected = json.loads(text)
     actual = compute_rows()
     diff = [
         f"  {key}: golden={expected.get(key, '<missing>')} now={actual.get(key, '<missing>')}"
@@ -96,13 +97,8 @@ def test_streams_match_golden():
         "engine output streams changed (regenerate streams.json only for "
         "a deliberate stream change):\n" + "\n".join(diff)
     )
-
-
-def test_golden_file_is_canonical():
-    """The committed file is exactly what ``--write`` emits, so a
-    byte-level comparison across commits is meaningful."""
-    text = GOLDEN.read_text()
-    assert text == _render(json.loads(text))
+    # byte-level comparisons across commits need the one canonical form
+    assert text == _render(actual), "streams.json is not in --write form"
 
 
 if __name__ == "__main__":

@@ -349,87 +349,9 @@ class TestRPL130Annotations:
     def test_ungated_modules_are_exempt(self):
         assert not findings_for("def f(x):\n    return x\n", EXAMPLE, "RPL130")
 
-    def test_kernels_module_is_gated(self):
-        src = "def kernel_for(process, metric):\n    return None\n"
-        assert findings_for(src, "src/repro/sim/kernels_numba.py", "RPL130")
-
     def test_simple_walk_module_is_gated(self):
         src = "def walk_blocks(oracle, pos, rng, max_steps, settle):\n    return 0\n"
         assert findings_for(src, "src/repro/walks/simple.py", "RPL130")
-
-
-class TestRPL140KernelRNG:
-    KERNELS = "src/repro/sim/kernels_numba.py"
-
-    def test_rng_draw_inside_njit_kernel_fires(self):
-        src = """\
-        @_njit
-        def _step(indptr, indices, rng, pos):
-            u = rng.random(pos.size)
-            return u
-        """
-        found = findings_for(src, self.KERNELS, "RPL140")
-        assert found
-        assert any("rng.random" in f.message for f in found)
-        assert any("RNG parameter" in f.message for f in found)
-
-    def test_rng_construction_inside_kernel_fires(self):
-        src = """\
-        @njit(cache=True)
-        def _step(seed):
-            g = resolve_rng(seed)
-            return g
-        """
-        found = findings_for(src, self.KERNELS, "RPL140")
-        assert found and "resolve_rng" in found[0].message
-
-    def test_numba_attribute_decorator_is_recognised(self):
-        src = """\
-        import numba
-
-        @numba.njit
-        def _step(child_rng):
-            return child_rng
-        """
-        assert findings_for(src, self.KERNELS, "RPL140")
-
-    def test_draws_outside_kernels_are_fine(self):
-        # the Python-level engine wrapper is exactly where draws belong
-        src = """\
-        def engine(graph, *, trials, seed=None):
-            rng = resolve_rng(seed)
-            return rng.random(trials)
-        """
-        assert not findings_for(src, self.KERNELS, "RPL140")
-
-    def test_deterministic_kernel_is_silent(self):
-        src = """\
-        @_njit
-        def _step(indptr, indices, u, pos):
-            for i in range(pos.shape[0]):
-                pos[i] = indices[indptr[pos[i]] + int(u[i] * 3)]
-        """
-        assert not findings_for(src, self.KERNELS, "RPL140")
-
-    def test_fires_in_any_module_not_just_kernels(self):
-        # a kernel snuck into an example file is the same violation
-        src = """\
-        @njit
-        def bad(rng):
-            return rng.integers(10)
-        """
-        assert findings_for(src, EXAMPLE, "RPL140")
-
-    def test_shipped_kernels_module_is_clean(self):
-        from pathlib import Path
-
-        import repro.sim.kernels_numba as km
-
-        path = Path(km.__file__)
-        assert not findings_for(
-            path.read_text(encoding="utf-8"), "src/repro/sim/kernels_numba.py",
-            "RPL140",
-        )
 
 
 class TestRPL150RawClockReads:

@@ -76,7 +76,7 @@ class TestBuildReport:
         store, spec = traced_store
         text = build_report(store, [spec]).render()
         assert "stragglers" in text
-        assert "wall time by process/graph_kind/backend" in text
+        assert "wall time by process/graph_kind/engine" in text
         assert "worker attribution" in text
         assert "21 record(s), 0 torn line(s)" in text
 

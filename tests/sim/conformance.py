@@ -1,116 +1,17 @@
-"""The cross-backend engine conformance harness (not itself a test file).
+"""The engine conformance table (not itself a test file).
 
-One declarative matrix — engine × topology × metric × backend — drives
-every engine-parity suite, so a new backend (numba today, a JAX/CuPy
-path tomorrow) inherits the full matrix by adding one ``backends``
-entry instead of copying dozens of tests:
-
-* :data:`SERIAL_PARITY_CASES` — the engines' distributional contract:
-  each vectorized engine matches ``strategy="serial"`` at fixed seeds
-  (means within a pooled CI).  These are the rows formerly scattered
-  through ``test_batch_engines.py``.
-* :data:`BACKEND_CASES` — the compiled backend's **bit-exactness**
-  contract: for every (engine, topology, metric) with a kernel, the
-  numba backend must reproduce the NumPy backend seed-for-seed,
-  value-for-value.  Engines that cannot share the RNG stream would
-  register here as ``kind="distributional"`` and be validated with a
-  KS test instead; every kernel shipped today is bit-exact.
-
-``tests/sim/test_batch_engines.py`` (serial parity) and
-``tests/sim/test_conformance.py`` (backend parity) parametrize over
-these tables; the helpers below are the single shared implementation
-of "run this case under that backend".
+:data:`SERIAL_PARITY_CASES` is the engines' distributional contract:
+each vectorized engine matches ``strategy="serial"`` at fixed seeds
+(means within a pooled CI, :func:`assert_means_close`).
+``tests/sim/test_batch_engines.py`` parametrizes over it.  Bit-level
+pinning of every engine's stream lives in ``tests/golden``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
-
-from repro.graphs import cycle_graph, grid, hypercube_oracle, star_graph
-from repro.sim import run_batch
-
-#: named topologies the matrix draws from — CSR and implicit-oracle
-#: graphs, so backend lowering is exercised both ways
-TOPOLOGIES: dict[str, Callable[[], Any]] = {
-    "grid8x2": lambda: grid(8, 2),
-    "cycle24": lambda: cycle_graph(24),
-    "star16": lambda: star_graph(16),
-    "hypercube5": lambda: hypercube_oracle(5),
-}
-
-
-@dataclass(frozen=True)
-class ConformanceCase:
-    """One engine-conformance row.
-
-    ``kind="bit_exact"`` rows assert value-for-value equality between
-    backends; ``kind="distributional"`` rows assert a two-sample KS
-    statistic below :data:`KS_LIMIT` (for engines that cannot share
-    the reference RNG stream).
-    """
-
-    engine: str
-    topology: str
-    metric: str = "cover"
-    target: str | None = None  # "last" → n - 1, resolved per topology
-    params: dict[str, Any] = field(default_factory=dict)
-    backends: tuple[str, ...] = ("numpy", "numba")
-    kind: str = "bit_exact"
-    trials: int = 12
-    seed: int = 29
-
-    @property
-    def id(self) -> str:
-        extras = "".join(f"-{k}{v}" for k, v in sorted(self.params.items()))
-        return f"{self.engine}-{self.metric}-{self.topology}{extras}"
-
-    def build_graph(self) -> Any:
-        return TOPOLOGIES[self.topology]()
-
-    def resolve_target(self, graph: Any) -> int | None:
-        if self.target is None:
-            return None
-        if self.target == "last":
-            return graph.n - 1
-        raise ValueError(f"unknown conformance target rule {self.target!r}")
-
-    def run(self, backend: str, *, strategy: str = "vectorized") -> np.ndarray:
-        """The case's trial values under *backend* (one fresh graph)."""
-        graph = self.build_graph()
-        summary = run_batch(
-            graph,
-            self.engine,
-            trials=self.trials,
-            metric=self.metric,
-            target=self.resolve_target(graph),
-            seed=self.seed,
-            strategy=strategy,
-            backend=backend,
-            **self.params,
-        )
-        return summary.values
-
-
-#: maximal two-sample KS statistic for distributional rows
-KS_LIMIT = 0.5
-
-
-def assert_backend_match(case: ConformanceCase, ref: np.ndarray, got: np.ndarray) -> None:
-    """The backend contract: bit-exact rows must agree value-for-value,
-    distributional rows within a KS bound."""
-    if case.kind == "bit_exact":
-        assert np.array_equal(ref, got, equal_nan=True), (
-            f"{case.id}: backend values diverge from the NumPy reference\n"
-            f"  numpy: {ref}\n  other: {got}"
-        )
-        return
-    from scipy.stats import ks_2samp
-
-    stat = ks_2samp(ref[~np.isnan(ref)], got[~np.isnan(got)]).statistic
-    assert stat <= KS_LIMIT, f"{case.id}: KS statistic {stat:.3f} > {KS_LIMIT}"
 
 
 def assert_means_close(vec: Any, ser: Any) -> None:
@@ -126,7 +27,7 @@ def assert_means_close(vec: Any, ser: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# the matrices
+# the table
 # ----------------------------------------------------------------------
 #: vectorized-vs-serial distributional parity (48 trials, seed 29, the
 #: 8x2 grid): one row per engine configuration, formerly inline in
@@ -153,34 +54,4 @@ SERIAL_PARITY_CASES: list[tuple[str, dict[str, Any], str | None, int | None]] = 
     # the target and pushes serial cover past 80k steps/trial — too
     # slow for a 48-trial parity check
     ("biased", {"eps": 0.05}, "cover", 63),
-]
-
-#: the compiled-backend matrix: every (engine, metric) pair with a
-#: kernel, over CSR and implicit-oracle topologies.  All bit-exact —
-#: a future non-bit-exact backend flips ``kind`` per row.
-BACKEND_CASES: list[ConformanceCase] = [
-    # cobra: cover + hit, pair (k=2, float32) and k-draw (k=3) paths
-    ConformanceCase("cobra", "grid8x2"),
-    ConformanceCase("cobra", "cycle24"),
-    ConformanceCase("cobra", "star16"),
-    ConformanceCase("cobra", "hypercube5"),
-    ConformanceCase("cobra", "grid8x2", params={"k": 3}),
-    ConformanceCase("cobra", "grid8x2", metric="hit", target="last"),
-    ConformanceCase("cobra", "cycle24", metric="hit", target="last"),
-    ConformanceCase("cobra", "hypercube5", metric="hit", target="last"),
-    # simple walk: cover + hit
-    ConformanceCase("simple", "grid8x2"),
-    ConformanceCase("simple", "star16"),
-    ConformanceCase("simple", "grid8x2", metric="hit", target="last"),
-    ConformanceCase("simple", "cycle24", metric="hit", target="last"),
-    # parallel walkers
-    ConformanceCase("parallel", "grid8x2", params={"walkers": 4}),
-    ConformanceCase("parallel", "cycle24", params={"walkers": 2}),
-    ConformanceCase("parallel", "hypercube5", params={"walkers": 3}),
-    # walt: lazy + non-lazy cover, hit
-    ConformanceCase("walt", "grid8x2"),
-    ConformanceCase("walt", "cycle24", params={"delta": 0.25, "lazy": False}),
-    ConformanceCase("walt", "hypercube5"),
-    ConformanceCase("walt", "grid8x2", metric="hit", target="last"),
-    ConformanceCase("walt", "star16", metric="hit", target="last"),
 ]

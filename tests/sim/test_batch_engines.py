@@ -43,8 +43,8 @@ def g():
 
 
 class TestSerialParity:
-    """Parity rows live in ``conformance.SERIAL_PARITY_CASES`` — the
-    shared engine × metric matrix that cross-backend suites reuse."""
+    """Parity rows live in ``conformance.SERIAL_PARITY_CASES``, the
+    shared engine × metric table."""
 
     @pytest.mark.parametrize(
         "name,params,metric,target",

@@ -4,10 +4,10 @@ Three pillars:
 
 * every registered :class:`ProcessSpec` yields a stepping process
   satisfying :class:`repro.sim.engine.SteppingProcess`;
-* ``simulate()`` reproduces the legacy per-process helpers
+* ``simulate()`` reproduces the process classes' own runners
   seed-for-seed for every registered process;
-* ``run_batch``'s serial strategy is bit-exact with the legacy
-  ``*_trials`` helpers, and its vectorized strategy matches serial
+* ``run_batch``'s serial strategy is bit-exact with per-trial class
+  runs over spawned seeds, and its vectorized strategy matches serial
   distributionally.
 """
 
@@ -36,17 +36,20 @@ from repro.sim import (
     set_default_processes,
     simulate,
 )
-from repro.sim.rng import spawn_seeds
+from repro.sim.facade import select_execution_path
+from repro.sim.rng import resolve_rng, spawn_seeds
 from repro.graphs import cycle_graph, grid, kary_tree, star_graph
 from repro.walks import (
-    branching_cover_time,
-    coalescence_time,
-    parallel_cover_time,
-    pull_spread_time,
-    push_pull_spread_time,
-    push_spread_time,
-    rw_cover_time,
+    BranchingWalk,
+    CoalescingWalks,
+    GossipSpread,
+    ParallelWalks,
+    RandomWalk,
+    coalescing_start_positions,
 )
+
+#: generous budget for the class-level reference runs
+BUDGET = 10**6
 
 
 @pytest.fixture(scope="module")
@@ -166,20 +169,39 @@ class TestConformance:
         assert res.steps <= 50
 
 
-# (process, params, metric, legacy runner returning the scalar to match)
+def _steps_to_cover(proc) -> int | None:
+    """Step a process class to coverage; its step count when covered."""
+    while not proc.all_covered and proc.t < BUDGET:
+        proc.step()
+    return proc.t if proc.all_covered else None
+
+
+def _coalescence_steps(graph, seed) -> int | None:
+    """Default walker placement, then step until one walker is left."""
+    rng = resolve_rng(seed)
+    positions = coalescing_start_positions(graph, None, rng)
+    res = CoalescingWalks(graph, positions, seed=rng).run_until_coalesced(BUDGET)
+    return res.steps if res.coalesced else None
+
+
+# (process, params, metric, class-level runner returning the scalar to match)
 PARITY_CASES = [
-    ("simple", {}, "cover", lambda g, s: rw_cover_time(g, seed=s)),
-    ("lazy", {}, "cover", lambda g, s: rw_cover_time(g, seed=s, lazy=True)),
+    ("simple", {}, "cover", lambda g, s: RandomWalk(g, seed=s).run_until_cover(BUDGET)),
+    ("lazy", {}, "cover",
+     lambda g, s: RandomWalk(g, lazy=True, seed=s).run_until_cover(BUDGET)),
     ("walt", {}, "cover", lambda g, s: walt_cover_time(g, seed=s).cover_time),
     ("walt", {"delta": 0.25, "lazy": False}, "cover",
      lambda g, s: walt_cover_time(g, seed=s, delta=0.25, lazy=False).cover_time),
     ("parallel", {"walkers": 3}, "cover",
-     lambda g, s: parallel_cover_time(g, walkers=3, seed=s)),
+     lambda g, s: _steps_to_cover(ParallelWalks(g, walkers=3, seed=s))),
     ("branching", {}, "cover",
-     lambda g, s: branching_cover_time(g, seed=s).cover_time),
-    ("push", {}, "spread", lambda g, s: push_spread_time(g, seed=s)),
-    ("pull", {}, "spread", lambda g, s: pull_spread_time(g, seed=s)),
-    ("push_pull", {}, "spread", lambda g, s: push_pull_spread_time(g, seed=s)),
+     lambda g, s: BranchingWalk(g, seed=s).run_until_cover(BUDGET).cover_time),
+    ("push", {}, "spread",
+     lambda g, s: _steps_to_cover(GossipSpread(g, push=True, pull=False, seed=s))),
+    ("pull", {}, "spread",
+     lambda g, s: _steps_to_cover(GossipSpread(g, push=False, pull=True, seed=s))),
+    ("push_pull", {}, "spread",
+     lambda g, s: _steps_to_cover(GossipSpread(g, push=True, pull=True, seed=s))),
 ]
 
 
@@ -195,11 +217,9 @@ class TestSeedForSeedParity:
             assert res.value == legacy(g, seed)
 
     def test_cobra_matches_class_runner(self, g):
-        # cobra_cover_time is itself a facade shim now; pin against the
-        # underlying class runner instead
         for seed in (0, 7, 123):
             res = simulate(g, "cobra", seed=seed)
-            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_cover(10**6)
+            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_cover(BUDGET)
             assert res.cover_time == ref.cover_time
             assert np.array_equal(res.first_activation, ref.first_activation)
 
@@ -207,7 +227,7 @@ class TestSeedForSeedParity:
         target = g.n - 1
         for seed in (1, 9):
             res = simulate(g, "cobra", metric="hit", target=target, seed=seed)
-            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_hit(target, 10**6)
+            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_hit(target, BUDGET)
             assert res.extras["hit_time"] == ref
 
     def test_coalescing_matches_legacy(self):
@@ -215,15 +235,24 @@ class TestSeedForSeedParity:
         c = cycle_graph(13)
         for seed in (3, 11):
             res = simulate(c, "coalescing", metric="coalesce", seed=seed)
-            legacy = coalescence_time(c, seed=seed)
-            assert legacy is not None
-            assert res.extras["coalescence_time"] == legacy
+            ref = _coalescence_steps(c, seed)
+            assert ref is not None
+            assert res.extras["coalescence_time"] == ref
 
     def test_biased_hit_matches_legacy(self, g):
         target = g.n - 1
         for seed in (2, 13):
             res = simulate(g, "biased", metric="hit", target=target, seed=seed)
             assert res.extras["hit_time"] == simulate_biased_hit(g, target, seed=seed)
+
+
+class TestSelectExecutionPath:
+    def test_default_args_unchanged(self):
+        spec = get_process("cobra")
+        assert select_execution_path(spec, "cover") == "vectorized"
+        assert select_execution_path(spec, "cover", shards=3) == "sharded"
+        assert select_execution_path(spec, "cover", processes=4) == "pool"
+        assert select_execution_path(spec, "cover", strategy="serial") == "serial"
 
 
 class TestRunBatch:
@@ -400,6 +429,6 @@ class TestSimulateSemantics:
         c = cycle_graph(9)
         with pytest.raises(ValueError, match="walker positions"):
             simulate(c, "coalescing", seed=1, start=7)
-        # the facade default (0) still reproduces coalescence_time
+        # the facade default (0) keeps the default walker placement
         res = simulate(c, "coalescing", seed=1)
-        assert res.extras["coalescence_time"] == coalescence_time(c, seed=1)
+        assert res.extras["coalescence_time"] == _coalescence_steps(c, seed=1)

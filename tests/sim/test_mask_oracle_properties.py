@@ -1,15 +1,14 @@
-"""Property-based tests (hypothesis) for the kernels' two substrates.
+"""Property-based tests (hypothesis) for the batched engines' two
+substrates.
 
-The compiled backend leans on exactly two data-structure contracts:
+The batched engines lean on exactly two data-structure contracts:
 
 * :class:`repro.sim.bitmask.BitMask` — the five mask operations must
   agree with a dense ``bool`` array bit-for-bit, including duplicate
-  scatters, shared-byte ids and empty frontiers (the kernels' dense
-  ``covered`` arrays are validated against the same reference);
+  scatters, shared-byte ids and empty frontiers;
 * implicit-oracle ``neighbor_at`` — slot ``s`` of vertex ``v`` must be
-  ``indices[indptr[v] + s]`` of the materialised CSR twin, the exact
-  lookup the CSR-lowered kernels perform, so lowering cannot change a
-  single neighbour draw.
+  ``indices[indptr[v] + s]`` of the materialised CSR twin, so an
+  oracle and its CSR graph make the same neighbour draw.
 
 Random shapes, degrees and id patterns come from hypothesis; every
 case is checked against the obvious dense reference implementation.

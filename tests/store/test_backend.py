@@ -167,6 +167,29 @@ class TestLocalKeyContainment:
         assert (root / "shards" / "ab.jsonl").read_bytes() == b"new\n"
 
 
+class TestLocalRootAfterChdir:
+    """A relative root is resolved once: a later ``chdir`` must not
+    redirect the I/O to a different directory than containment checked."""
+
+    def test_io_stays_in_the_original_store(self, tmp_path, monkeypatch):
+        (tmp_path / "home").mkdir()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(tmp_path / "home")
+        backend = LocalBackend("store")
+        monkeypatch.chdir(elsewhere)
+
+        backend.append_line("shards/ab.jsonl", "row")
+        data, etag = backend.read_blob("shards/ab.jsonl")
+        assert data == b"row\n"
+        assert backend.compare_and_swap("shards/ab.jsonl", b"new\n", etag)
+        assert backend.list_prefix("shards/") == ["shards/ab.jsonl"]
+
+        store = tmp_path / "home" / "store"
+        assert (store / "shards" / "ab.jsonl").read_bytes() == b"new\n"
+        assert not (elsewhere / "store").exists()
+
+
 class RacingBackend:
     """Proxy that injects a rival append just before the first CAS on
     the claim ledger — a deterministic re-enactment of two workers

@@ -168,13 +168,14 @@ class TestStatusAndProvenance:
         assert prov["graph_n"] == 49
         assert prov["graph_kind"] == "csr"
         assert prov["seed_entropy"][0] == 5
-        # observability additions: backend/worker/per-phase timings ride
-        # along even for untraced runs, and surface as Frame columns
-        assert prov["backend"] == "numpy"
+        # observability additions: worker/per-phase timings ride along
+        # even for untraced runs, and surface as Frame columns; the
+        # engine label alone records which path ran
+        assert "backend" not in prov
         assert prov["worker"]
         assert set(prov["phase_s"]) == {"build_graph", "lower", "engine"}
         row = store.frame().rows[0]
-        assert row["backend"] == "numpy" and row["t_engine_s"] >= 0
+        assert row["engine"] == "vectorized" and row["t_engine_s"] >= 0
 
     def test_oracle_cells_record_their_topology_kind(self):
         spec = SweepSpec(
@@ -241,3 +242,65 @@ class TestStatusAndProvenance:
         # sharded label lands in provenance
         assert sharded.get(cell)["provenance"]["engine"] == "sharded(shards=2)"
         assert len(sharded.get(cell)["result"]["values"]) == 3
+
+
+class TestStoresWithBackendProvenance:
+    """Stores written while provenance still carried a ``backend`` key
+    (and engine labels this code no longer produces) keep working:
+    they load, report, pass ``fsck`` and stay cached, and no cell key
+    moves."""
+
+    #: cell hashes of ``make_spec()``, computed before ``backend`` left
+    #: provenance and ``SweepSpec``
+    HASHES = [
+        "04dab35233672e1e8ccae2db47977290066751f61cf0482bb722a7af62c13b30",
+        "47313a942cf8803a0b5f27696150abfb72d4dfe621e6e9b8db5faaa938d059f3",
+        "bfe917b1c0fc56abc425429a4b13a60498566f72cfc27d47c9081557454c6249",
+        "0c82f94a1e280130dd34aa470637b03e2cbbec602f82685b62fd47ad8fe4ec35",
+    ]
+    LEGACY_ENGINE = "vectorized[compiled]"
+
+    @pytest.fixture()
+    def old_store(self, tmp_path):
+        import json
+
+        root = tmp_path / "store"
+        Campaign(make_spec(), ResultStore(root)).run()
+        for shard in sorted((root / "shards").glob("*.jsonl")):
+            records = [json.loads(line) for line in shard.read_text().splitlines()]
+            for record in records:
+                record["provenance"]["backend"] = "numpy"
+                if record["hash"] == self.HASHES[0]:
+                    record["provenance"]["engine"] = self.LEGACY_ENGINE
+            shard.write_text(
+                "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+            )
+        return root
+
+    def test_cell_keys_are_unchanged(self):
+        assert [key.hash for key in make_spec().expand()] == self.HASHES
+
+    def test_loads_in_frame(self, old_store):
+        frame = ResultStore(old_store).frame()
+        assert sorted(frame.column("hash")) == sorted(self.HASHES)
+        assert set(frame.column("engine")) == {"vectorized", self.LEGACY_ENGINE}
+
+    def test_renders_in_sweep_report(self, old_store):
+        from repro.obs.report import build_report
+
+        report = build_report(ResultStore(old_store), [make_spec()])
+        assert {g["engine"] for g in report.groups} == {
+            "vectorized", self.LEGACY_ENGINE
+        }
+        assert self.LEGACY_ENGINE in report.render()
+
+    def test_fsck_is_clean(self, old_store):
+        from repro.store import fsck
+
+        report = fsck(ResultStore(old_store))
+        assert report.clean and report.cells == 4
+
+    def test_campaign_reports_every_cell_cached(self, old_store, run_counter):
+        report = Campaign(make_spec(), ResultStore(old_store)).run()
+        assert sorted(report.cached) == sorted(self.HASHES)
+        assert report.ran == [] and run_counter == []

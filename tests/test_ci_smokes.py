@@ -112,18 +112,7 @@ class TestBenchEmit:
         assert doc["hostname"] and isinstance(doc["hostname"], str)
         assert doc["cpu_count"] >= 1
         assert doc["numpy_version"] == numpy.__version__
-        # None when numba is absent, its version string when present —
-        # always stamped either way
-        assert "numba_version" in doc
-        assert doc["backend"] == "numpy"
-
-    def test_stamps_the_backend_that_ran(self, tmp_path):
-        emit = load_script("benchmarks/_emit.py")
-        path = emit.emit_bench_json(
-            "kern", {}, out_dir=str(tmp_path), backend="numba"
-        )
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["backend"] == "numba"
+        assert "backend" not in doc
 
     def test_respects_bench_out_env(self, tmp_path, monkeypatch):
         emit = load_script("benchmarks/_emit.py")
@@ -152,7 +141,7 @@ class TestImplicitBudgetSmoke:
         "ci/smoke_implicit_budget.py",
         "ci/smoke_service.py",
         "benchmarks/bench_implicit.py",
-        "benchmarks/bench_kernels_numba.py",
+        "benchmarks/bench_hypercube_engines.py",
         "ci/check_bench_regression.py",
     ],
 )
@@ -223,19 +212,19 @@ class TestBenchRegressionGate:
     def test_tracks_case_timings_and_skips_nulls(self, tmp_path, capsys):
         gate = load_script("ci/check_bench_regression.py")
         base = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 10.0, "numba_ms": None}]
+            "k", cases=[{"engine": "cobra", "numpy_ms": 10.0, "other_ms": None}]
         )
         fresh = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 20.0, "numba_ms": None}]
+            "k", cases=[{"engine": "cobra", "numpy_ms": 20.0, "other_ms": None}]
         )
         self._write(tmp_path / "base", base)
         self._write(tmp_path / "fresh", fresh)
         rc = gate.main(
             ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
         )
-        assert rc == 1  # numpy_ms doubled; the null numba column is ignored
+        assert rc == 1  # numpy_ms doubled; the null column is ignored
         out = capsys.readouterr().out
-        assert "cases[cobra].numpy_ms" in out and "numba_ms" not in out
+        assert "cases[cobra].numpy_ms" in out and "other_ms" not in out
 
     def test_empty_fresh_directory_fails_hard(self, tmp_path, capsys):
         """Baselines committed but the fresh run emitted nothing at all:
@@ -268,11 +257,11 @@ class TestBenchRegressionGate:
         out = capsys.readouterr().out
         assert "warning" in out and "old" in out and "brand_new" in out
 
-    def test_committed_baselines_cover_the_compiled_backend(self):
-        """BENCH_kernels_numba.json is a committed, schema-2 baseline
-        with one case per benchmarked engine."""
+    def test_committed_baselines_cover_the_hypercube_engines(self):
+        """BENCH_hypercube_engines.json is a committed, schema-2
+        baseline with one case per benchmarked engine."""
         doc = json.loads(
-            (REPO / "BENCH_kernels_numba.json").read_text(encoding="utf-8")
+            (REPO / "BENCH_hypercube_engines.json").read_text(encoding="utf-8")
         )
         assert doc["schema"] == 2 and doc["trials"] == 64
         assert doc["n"] >= 100_000

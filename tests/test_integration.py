@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import fit_power_law, summarize
 from repro.core import (
     CobraWalk,
-    cobra_cover_trials,
     thm8_conductance_cover,
     walt_cover_time,
 )
@@ -24,7 +23,7 @@ from repro.graphs import (
     random_tree,
     watts_strogatz,
 )
-from repro.sim import coverage_curve, run_trials
+from repro.sim import coverage_curve, run_batch, run_trials
 from repro.spectral import conductance_estimate, theorem8_epoch_length
 
 
@@ -43,7 +42,7 @@ class TestTheorem8Pipeline:
         est = conductance_estimate(g)
         d = int(g.degrees[0])
         budget = thm8_conductance_cover(g.n, d, est.lower)
-        times = cobra_cover_trials(g, trials=5, seed=9)
+        times = run_batch(g, "cobra", trials=5, seed=9, strategy="serial").values
         assert np.nanmax(times) <= budget  # the d^4 constant gives huge room
 
     def test_epoch_length_consistent_with_estimate(self):
@@ -89,7 +88,7 @@ class TestWaltAgainstCobraAcrossFamilies:
             (lambda: grid(5, 2), 22),
         ]:
             g = make()
-            cobra = float(np.nanmean(cobra_cover_trials(g, trials=10, seed=seed)))
+            cobra = run_batch(g, "cobra", trials=10, seed=seed, strategy="serial").mean
             walt = float(
                 np.nanmean(
                     [walt_cover_time(g, seed=s).cover_time for s in range(seed, seed + 10)]
@@ -100,11 +99,10 @@ class TestWaltAgainstCobraAcrossFamilies:
 
 def _cover_trial(seed, n):
     """Module-level for multiprocessing pickling."""
-    from repro.core import cobra_cover_time
     from repro.graphs import grid as make_grid
+    from repro.sim import simulate
 
-    res = cobra_cover_time(make_grid(n, 2), seed=seed)
-    return float(res.cover_time)
+    return simulate(make_grid(n, 2), "cobra", seed=seed).value
 
 
 class TestMonteCarloHarnessWithRealProcess:
@@ -120,7 +118,7 @@ class TestScalingPipeline:
         ns = [8, 16, 32, 64]
         means = []
         for n in ns:
-            t = cobra_cover_trials(grid(n, 1), trials=6, seed=n)
+            t = run_batch(grid(n, 1), "cobra", trials=6, seed=n, strategy="serial").values
             means.append(summarize(t).mean)
         fit = fit_power_law(ns, means)
         assert abs(fit.exponent - 1.0) < 0.2

@@ -11,78 +11,79 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
-from repro.walks import (
-    BranchingWalk,
-    CoalescingWalks,
-    branching_cover_time,
-    coalescence_time,
-    parallel_cover_time,
-    parallel_hitting_time,
-    pull_spread_time,
-    push_pull_spread_time,
-    push_spread_time,
-)
+from repro.sim import simulate
+from repro.walks import BranchingWalk, CoalescingWalks
+
+
+def _cover(graph, process, **kwargs):
+    return simulate(graph, process, **kwargs).cover_time
+
+
+def _hit(graph, process, target, **kwargs):
+    return simulate(graph, process, metric="hit", target=target, **kwargs).extras[
+        "hit_time"
+    ]
 
 
 class TestParallelWalks:
     def test_more_walkers_no_slower(self):
         g = cycle_graph(40)
-        t1 = np.mean([parallel_cover_time(g, walkers=1, seed=s) for s in range(15)])
-        t8 = np.mean([parallel_cover_time(g, walkers=8, seed=s) for s in range(15)])
+        t1 = np.mean([_cover(g, "parallel", walkers=1, seed=s) for s in range(15)])
+        t8 = np.mean([_cover(g, "parallel", walkers=8, seed=s) for s in range(15)])
         assert t8 < t1
 
     def test_start_array(self):
         g = cycle_graph(20)
-        t = parallel_cover_time(g, walkers=4, start=np.array([0, 5, 10, 15]), seed=1)
+        t = _cover(g, "parallel", walkers=4, start=np.array([0, 5, 10, 15]), seed=1)
         assert t is not None and t < 500
 
     def test_hitting_zero_when_started_there(self, small_cycle):
-        assert parallel_hitting_time(small_cycle, 3, walkers=2, start=3, seed=2) == 0
+        assert _hit(small_cycle, "parallel", 3, walkers=2, start=3, seed=2) == 0
 
     def test_hitting_distance_bound(self):
         g = cycle_graph(30)
-        t = parallel_hitting_time(g, 15, walkers=3, seed=3)
+        t = _hit(g, "parallel", 15, walkers=3, seed=3)
         assert t is not None and t >= 15
 
     def test_validation(self, small_cycle):
         with pytest.raises(ValueError):
-            parallel_cover_time(small_cycle, walkers=0)
+            _cover(small_cycle, "parallel", walkers=0)
         with pytest.raises(ValueError):
-            parallel_cover_time(small_cycle, walkers=3, start=np.array([0, 1]))
+            _cover(small_cycle, "parallel", walkers=3, start=np.array([0, 1]))
         with pytest.raises(ValueError):
-            parallel_hitting_time(small_cycle, 99)
+            _hit(small_cycle, "parallel", 99)
 
 
 class TestGossip:
     def test_push_informs_all_fast_on_complete(self):
-        t = push_spread_time(complete_graph(128), seed=4)
+        t = _cover(complete_graph(128), "push", seed=4)
         # ~ log2(n) + ln(n) ~ 12; generous band
         assert t is not None and 7 <= t <= 40
 
     def test_push_on_star_is_coupon_collector(self):
         n = 100
-        t = push_spread_time(star_graph(n), seed=5)
+        t = _cover(star_graph(n), "push", seed=5)
         # hub pushes 1 leaf per round but half the rounds the leaves
         # push back: ~ 2 n ln n rounds
         assert t is not None and t > n
 
     def test_pull_completes(self):
-        t = pull_spread_time(hypercube(6), seed=6)
+        t = _cover(hypercube(6), "pull", seed=6)
         assert t is not None
 
     def test_push_pull_no_slower_than_push(self):
         g = grid(8, 2)
-        push = np.mean([push_spread_time(g, seed=s) for s in range(10)])
-        both = np.mean([push_pull_spread_time(g, seed=s) for s in range(10)])
+        push = np.mean([_cover(g, "push", seed=s) for s in range(10)])
+        both = np.mean([_cover(g, "push_pull", seed=s) for s in range(10)])
         assert both <= push * 1.1
 
     def test_budget_returns_none(self):
-        assert push_spread_time(path_graph(100), seed=7, max_rounds=3) is None
+        assert _cover(path_graph(100), "push", seed=7, max_steps=3) is None
 
     def test_single_vertex_graph(self):
         from repro.graphs import complete_graph
 
-        assert push_spread_time(complete_graph(2), seed=8) == 1
+        assert _cover(complete_graph(2), "push", seed=8) == 1
 
 
 class TestCoalescing:
@@ -97,7 +98,8 @@ class TestCoalescing:
                 break
 
     def test_coalesces_on_complete(self):
-        t = coalescence_time(complete_graph(12), seed=10)
+        res = simulate(complete_graph(12), "coalescing", seed=10)
+        t = res.extras["coalescence_time"]
         assert t is not None and t > 0
 
     def test_two_walkers_on_odd_cycle_meet(self):
@@ -126,15 +128,9 @@ class TestBranching:
 
     def test_covers_faster_than_cobra_on_cycle(self):
         # branching has strictly more particles than cobra (no merge)
-        from repro.core import cobra_cover_time
-
         g = cycle_graph(60)
-        b = np.mean(
-            [branching_cover_time(g, seed=s).cover_time for s in range(8)]
-        )
-        c = np.mean(
-            [cobra_cover_time(g, seed=s).cover_time for s in range(8)]
-        )
+        b = np.mean([_cover(g, "branching", seed=s) for s in range(8)])
+        c = np.mean([_cover(g, "cobra", seed=s) for s in range(8)])
         assert b <= c * 1.05
 
     def test_cap_flag(self):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.graphs import complete_graph, cycle_graph, lollipop, path_graph
+from repro.sim import simulate
 from repro.walks import (
     RandomWalk,
-    rw_cover_time,
     rw_cover_trials,
     rw_exact_hitting_times,
-    rw_hitting_time,
     rw_hitting_trials,
 )
 
@@ -35,17 +34,17 @@ class TestRandomWalk:
         assert 140 < held < 260  # ~half
 
     def test_cover_complete(self):
-        t = rw_cover_time(complete_graph(20), seed=3)
+        t = simulate(complete_graph(20), "simple", seed=3).cover_time
         assert t is not None
         # coupon collector ~ n ln n ~ 60
         assert 19 <= t < 400
 
     def test_hitting_distance_bound(self, small_cycle):
-        t = rw_hitting_time(small_cycle, 6, seed=4)
+        t = simulate(small_cycle, "simple", metric="hit", target=6, seed=4).extras["hit_time"]
         assert t is not None and t >= 6
 
     def test_budget_returns_none(self):
-        assert rw_cover_time(path_graph(100), seed=5, max_steps=5) is None
+        assert simulate(path_graph(100), "simple", seed=5, max_steps=5).cover_time is None
 
     def test_validation(self, small_cycle):
         with pytest.raises(ValueError):
@@ -60,7 +59,8 @@ class TestBatchedTrials:
         g = cycle_graph(10)
         batched = rw_cover_trials(g, trials=200, seed=6)
         scalar = np.array(
-            [rw_cover_time(g, seed=1000 + i) for i in range(200)], dtype=np.float64
+            [simulate(g, "simple", seed=1000 + i).value for i in range(200)],
+            dtype=np.float64,
         )
         # same process, independent draws: means within 15%
         assert abs(np.nanmean(batched) - np.nanmean(scalar)) < 0.15 * np.nanmean(scalar)
