@@ -147,6 +147,12 @@ __all__ = [
 
 GraphLike = Graph | NeighborOracle
 
+#: cobra's dedup mask is cleared by a fresh ``np.zeros`` up to this many
+#: ``trials · n`` cells and by a scatter-reset of the frontier above it:
+#: the calloc beats an O(|front|) scatter while the mask is small
+#: (measured 0.4µs vs 8µs at 35KB) but is an O(trials·n) memset per step
+_SCATTER_RESET_CELLS = 1 << 21
+
 
 def _degree_table(oracle: NeighborOracle, ftype=np.float64) -> np.ndarray:
     """Size-``n`` per-vertex degree table in the engine's float width.
@@ -310,11 +316,7 @@ def batched_cobra_cover_trials(
     count = np.full(a, start_arr.size, dtype=np.int64)
     scratch = np.zeros(a * n, dtype=bool)
 
-    # clearing the dedup mask: a fresh calloc beats an O(|front|)
-    # scatter-reset while the mask is small (measured 0.4µs vs 8µs at
-    # 35KB), but is an O(a*n) memset per step — switch to the scatter
-    # reset once the mask outgrows cache
-    reset_by_scatter = a * n > (1 << 21)
+    reset_by_scatter = a * n > _SCATTER_RESET_CELLS
     pool = _BufferPool()
 
     # telemetry taps are plain local accumulators, flushed once after
@@ -378,7 +380,7 @@ def batched_cobra_cover_trials(
                 front = remap[rows[keep_front]] * n + front[keep_front] % nn
                 covered.keep_rows(keep)
                 scratch = np.zeros(a * n, dtype=bool)
-                reset_by_scatter = a * n > (1 << 21)
+                reset_by_scatter = a * n > _SCATTER_RESET_CELLS
     if trace_on:
         tracer.count("engine_steps", obs_steps)
         tracer.count("rng_draws", obs_draws)
