@@ -628,7 +628,7 @@ def _check_rpl121(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
             yield node, (
                 "ProcessSpec declares the 'hit' capability without a "
                 "batch_hit engine; hit sweeps fall back to the serial path "
-                "(the known batch_hit gap — see ROADMAP item 4)"
+                "(the known batch_hit gap)"
             )
 
 
@@ -936,14 +936,14 @@ register_rule(
         title="hit capability without batch_hit engine (known gap)",
         invariant=(
             "ProcessSpecs declaring 'hit' should ship a batch_hit engine. "
-            "parallel/branching/gossip still run metric='hit' "
-            "serially (ROADMAP item 4); this warning keeps the gap visible "
-            "in every lint run without failing the build."
+            "biased, branching and parallel still run metric='hit' "
+            "serially; this warning keeps the gap visible in every lint "
+            "run without failing the build."
         ),
         fix=(
-            "Port the cobra batch_hit engine pattern "
-            "(batched_cobra_hit_trials) to the process, or accept the "
-            "warning until ROADMAP item 4 lands."
+            "Give the process a mover for the batched lock-step driver "
+            "and pair it with the shared hit rule (see "
+            "batched_cobra_hit_trials), or accept the warning."
         ),
         checker=_check_rpl121,
     )

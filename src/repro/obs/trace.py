@@ -20,9 +20,9 @@ The span model (see ``docs/observability.md``)::
 
 Counters attach to the innermost open span (``tracer.count`` adds,
 ``tracer.gauge`` keeps the max) — the batched engines report
-``engine_steps`` / ``rng_draws`` / ``frontier_peak`` this way, guarded
-by ``tracer.enabled`` so the hot loops stay allocation-free when
-nobody is watching.
+``engine_steps`` / ``trial_steps`` / ``rng_draws`` / ``frontier_peak``
+this way, guarded by ``tracer.enabled`` so the hot loops stay
+allocation-free when nobody is watching.
 
 :data:`NULL_TRACER` (a :class:`NullTracer`) is the default everywhere:
 spans are a reusable no-op context manager, counters are ``pass``, and

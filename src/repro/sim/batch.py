@@ -19,53 +19,64 @@ circulant, Kronecker) answer the same three questions — vertex count,
 degrees, neighbor draws — without ever materialising edges, which is
 what lets a million-vertex cover cell run in megabytes.
 
-One engine per process family, all on the same flat-frontier idiom:
+One lock-step driver, :func:`_lockstep`, runs every engine but the
+simple-walk family.  It owns the alive rows and the output, records
+each trial's finish step (``t = 0`` included), compacts finished rows
+out of the state so the tail of slow trials doesn't pay for the fast
+ones, enforces the step budget and flushes the counters.  An engine is
+one *mover* — the process's step over the alive rows, returning the
+flat ids it reached — combined with one of three stop rules:
 
-* :func:`batched_cobra_cover_trials` / :func:`batched_cobra_hit_trials`
-  — the cobra frontier, stopped at full coverage or first activation
-  of a target vertex;
-* :func:`batched_gossip_spread_trials` — push / pull / push-pull rumor
-  spreading with incremental boundary tracking (only vertices that can
-  still change the state ever draw);
-* :func:`batched_parallel_walks_cover_trials` — ``trials × walkers``
-  independent walkers advanced by one batched neighbor draw per step,
-  on the simple walk's block driver;
-* :func:`batched_walt_cover_trials` / :func:`batched_walt_hit_trials`
-  — Walt's per-vertex pebble groups found sort-free by
-  duplicate-scatter on the flat ``trial*n + vertex`` key (groups never
-  span trials), replacing the serial kernel's per-trial lexsort;
-  stopped at full coverage or first pebble arrival at a target;
-* :func:`batched_lazy_cover_trials` — the hold-probability variant of
-  the simple-walk engine, run as a time-change: the move chain rides
-  the simple-walk engine and the holds are reconstructed as one
-  negative-binomial draw per trial;
-* :func:`batched_branching_cover_trials` — per-``(trial, vertex)``
-  particle counts with the multinomial child split done by binomial
-  peeling over neighbor slots; the occupied set is a ragged per-trial
-  frontier held as one sorted flat array, and a per-trial population
-  cap mirrors the serial renormalisation;
-* :func:`batched_coalescing_cover_trials` — shrinking walker sets: one
-  neighbor draw moves every surviving walker of every trial, and
-  in-step duplicate-scatter (``np.unique`` on the flat
-  ``trial*n + vertex`` key) merges co-located walkers without ever
-  crossing trial boundaries;
-* :func:`batched_biased_cover_trials` — the ε-/inverse-degree-biased
-  walk: one position row per trial, a precomputed controller table,
-  two uniform draws per trial-step (bias coin + neighbor index);
-* :func:`batched_lazy_hit_trials` — the hitting-time companion of the
-  lazy cover engine, the same jump-chain time-change over
-  :func:`repro.walks.simple.rw_hitting_trials`.
+* **cover** (:class:`_Cover`) — a visited mask plus a per-row count; a
+  row stops when its count reaches ``n``;
+* **hit** (:class:`_Hit`) — a row stops when the target is among its
+  reached ids;
+* **horizon** (:class:`_Horizon`) — no row stops; the budget is the
+  horizon.
 
-Two fixed-horizon companions feed experiments that consume state
-rather than stopping times: :func:`batched_cobra_active_sizes`
-(per-step ``|S_t|`` trajectories) and
-:func:`batched_walt_positions_at` (pebble positions after exactly
-``steps`` moves).
+The movers, each with the engines built on it:
 
-Engines whose per-step cost scales with ``alive · n`` (cobra, gossip,
-Walt) compact finished trials out so the tail of slow trials doesn't
-pay for the fast ones; the parallel-walk engine keeps its (tiny)
-state dense, mirroring ``rw_cover_trials``.
+* :class:`_CobraMover` — the k-cobra frontier: the sorted flat ids
+  reached by the step's ``k`` pebbles per active vertex, deduplicated
+  through one boolean scatter.  Cover :func:`batched_cobra_cover_trials`,
+  hit :func:`batched_cobra_hit_trials`, horizon
+  :func:`batched_cobra_active_sizes` (per-step ``|S_t|``);
+* :class:`_GossipMover` — push / pull / push-pull rumor spreading that
+  draws only for boundary vertices (informed ones with an uninformed
+  neighbor push, uninformed ones with an informed neighbor pull; no
+  other draw can change the state), tracked incrementally from each
+  round's freshly informed set.  Cover
+  :func:`batched_gossip_spread_trials`, hit
+  :func:`batched_gossip_hit_trials`;
+* :class:`_WaltMover` — Walt's per-vertex pebble groups, found
+  sort-free by duplicate-scatter on the flat ``trial*n + vertex`` key
+  (groups never span trials) in place of the serial kernel's per-trial
+  lexsort, with the lazy coin drawn per trial per step.  Cover
+  :func:`batched_walt_cover_trials`, hit
+  :func:`batched_walt_hit_trials`, horizon
+  :func:`batched_walt_positions_at` (pebble positions);
+* :class:`_CoalescingMover` — shrinking walker sets: one neighbor draw
+  moves every surviving walker and one ``np.unique`` on the flat key
+  merges co-located walkers of a trial (ids of different trials live
+  ``n`` apart and never collide).  Cover
+  :func:`batched_coalescing_cover_trials`;
+* :class:`_BranchingMover` — per-``(trial, vertex)`` particle counts
+  whose children split multinomially by binomial peeling over neighbor
+  slots, under a per-trial population cap that mirrors the serial
+  renormalisation.  Cover :func:`batched_branching_cover_trials`;
+* :class:`_BiasedMover` — the ε-/inverse-degree-biased walk: one
+  position per trial, a precomputed controller table, two uniform
+  draws per trial-step.  It keeps stepping finished trials, because
+  its stream draws for every trial, and reports only the running ones
+  to the driver.  Cover :func:`batched_biased_cover_trials`.
+
+The simple-walk family runs on its own block driver,
+:func:`repro.walks.simple.walk_blocks`: :func:`batched_parallel_walks_
+cover_trials` advances ``trials × walkers`` walkers there, and
+:func:`batched_lazy_cover_trials` / :func:`batched_lazy_hit_trials`
+run the lazy walk as a time-change — the move chain rides the
+simple-walk engines and the holds are reconstructed by one
+negative-binomial draw per trial (:func:`_add_holds`).
 
 Hot-path notes (measured on the benchmark machine, not guessed):
 
@@ -153,6 +164,8 @@ GraphLike = Graph | NeighborOracle
 #: (measured 0.4µs vs 8µs at 35KB) but is an O(trials·n) memset per step
 _SCATTER_RESET_CELLS = 1 << 21
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 
 def _degree_table(oracle: NeighborOracle, ftype=np.float64) -> np.ndarray:
     """Size-``n`` per-vertex degree table in the engine's float width.
@@ -179,20 +192,18 @@ class _BufferPool:
         self._bufs: dict[str, np.ndarray] = {}
 
     def get(self, name: str, size: int, dtype) -> np.ndarray:
-        """A contiguous ``dtype[size]`` slice under *name*."""
+        """A contiguous ``dtype[size]`` slice under *name* (one dtype per
+        name)."""
         buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            cap = size if buf is None or buf.dtype != np.dtype(dtype) else max(
-                size, 2 * buf.size
-            )
-            buf = np.empty(cap, dtype)
-            self._bufs[name] = buf
+        if buf is None or buf.size < size:
+            cap = size if buf is None else max(size, 2 * buf.size)
+            buf = self._bufs[name] = np.empty(cap, dtype)
         return buf[:size]
 
 
-def _validated_start(oracle: NeighborOracle, start) -> np.ndarray:
-    """Facade-style ``start`` normalised to a unique sorted vertex array."""
-    start_arr = np.unique(np.atleast_1d(np.asarray(start, dtype=np.int64)))
+def _start_vertices(oracle: NeighborOracle, start) -> np.ndarray:
+    """Facade-style ``start`` (a vertex or an array of them), validated."""
+    start_arr = np.atleast_1d(np.asarray(start, dtype=np.int64))
     if start_arr.size == 0:
         raise ValueError("need at least one start vertex")
     if start_arr.min() < 0 or start_arr.max() >= oracle.n:
@@ -200,45 +211,562 @@ def _validated_start(oracle: NeighborOracle, start) -> np.ndarray:
     return start_arr
 
 
-def _check_samplable(oracle: NeighborOracle, trials: int) -> None:
+def _samplable(graph: GraphLike, trials: int) -> NeighborOracle:
+    """*graph* as an oracle, checked to have a trial and no isolated vertex."""
+    oracle = as_oracle(graph)
     if trials < 1:
         raise ValueError("need at least one trial")
     if oracle.n and oracle.min_degree <= 0:
         raise ValueError("cannot sample a neighbor of an isolated vertex")
+    return oracle
 
 
-def _cobra_ftype(oracle: NeighborOracle, k: int) -> tuple[bool, type]:
-    """``(pair, ftype)`` for the cobra engines' uniform draws: float32
-    while the ``k == 2`` double-draw (degree ≤ 64) or the single-draw
-    index (degree < 2^20) stays exact — see the module's hot-path
-    notes.  One definition so the cover/hit/trajectory engines can
-    never drift apart on the thresholds."""
-    pair = k == 2
-    if pair:
-        return pair, (np.float32 if oracle.max_degree <= 64 else np.float64)
-    return pair, (np.float32 if oracle.max_degree < (1 << 20) else np.float64)
+def _check_vertex(oracle: NeighborOracle, v: int, what: str) -> None:
+    if not (0 <= v < oracle.n):
+        raise ValueError(f"{what} out of range")
 
 
-def _scatter_cobra_draws(oracle, verts, degs, vbase, k, pair, ftype, rng, scratch):
-    """Draw ``k`` uniform neighbors for every frontier vertex and
-    scatter their flat destinations into the boolean ``scratch`` mask —
-    the unbuffered step shared by the hit and trajectory engines (the
-    cover engine keeps its pooled-buffer variant of the same math).
-    *verts* are local vertex ids, *vbase* the per-id trial offsets.
-    For ``k == 2`` both draws come from one uniform variate (module
-    notes)."""
-    if pair:
-        u = rng.random(verts.size, dtype=ftype)
-        u *= degs
-        first = np.floor(u)
-        u -= first
-        u *= degs
-        scratch[oracle.neighbor_at(verts, first.astype(np.int64)) + vbase] = True
-        scratch[oracle.neighbor_at(verts, u.astype(np.int64)) + vbase] = True
-    else:
-        u = rng.random((k, verts.size), dtype=ftype)
-        nbrs = oracle.neighbor_at(verts[None, :], (u * degs).astype(np.int64))
-        scratch[(vbase + nbrs).ravel()] = True
+def _keep_flat(ids: np.ndarray, keep: np.ndarray, nn: np.int64) -> np.ndarray:
+    """The flat ids ``row·n + v`` of the kept rows, renumbered onto the
+    compacted rows (order preserved, so sorted ids stay sorted)."""
+    rows = ids // nn
+    kept = keep[rows]
+    return (np.cumsum(keep) - 1)[rows[kept]] * nn + ids[kept] % nn
+
+
+def _row_ids(rows: int, n: int, verts: np.ndarray) -> np.ndarray:
+    """Sorted flat ids of the sorted vertex set *verts* in every row."""
+    return np.repeat(np.arange(rows, dtype=np.int64) * n, verts.size) + np.tile(verts, rows)
+
+
+# --------------------------------------------------------------------------
+# The driver and its stop rules
+# --------------------------------------------------------------------------
+
+
+class _Mover:
+    """One process family's step of every alive row.
+
+    ``step()`` advances the rows by one lock-step and returns the flat
+    ids ``row·n + v`` the step reached (empty when nothing moved);
+    ``keep(mask)`` drops the rows where *mask* is False.  ``draws``
+    counts the random variates consumed and ``peak``, for the frontier
+    movers, the largest frontier stepped."""
+
+    draws = 0
+    peak: int | None = None
+
+
+class _Rule:
+    """A stop rule: ``rule(t, reached, rows)`` returns the ``bool[rows]``
+    mask of rows that stop at step *t*, or None when none does.  Rules
+    without per-row state ignore compaction."""
+
+    def keep(self, keep: np.ndarray) -> None:
+        pass
+
+
+class _Cover(_Rule):
+    """Cover rule: a visited mask plus a per-row count; a row stops the
+    step its count reaches ``n``.  Reached ids must be sorted and unique
+    (the fused test-and-set) unless ``sorted_ids=False``."""
+
+    def __init__(self, rows: int, n: int, sorted_ids: bool = True) -> None:
+        self.n = np.int64(n)
+        self.visited = visited_mask(rows, n)
+        self.count = np.zeros(rows, dtype=np.int64)
+        self.sorted_ids = sorted_ids
+
+    def __call__(self, t: int, reached: np.ndarray, rows: int) -> np.ndarray | None:
+        if self.sorted_ids:
+            # re-setting already-set bits is a no-op
+            fresh = reached[self.visited.test_and_set_sorted(reached)]
+        else:
+            fresh = np.unique(reached[~self.visited.test_flat(reached)])
+            self.visited.set_sorted_flat(fresh)
+        if not fresh.size:
+            return None
+        self.count += np.bincount(fresh // self.n, minlength=rows)
+        return self.count == self.n
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.count = self.count[keep]
+        self.visited.keep_rows(keep)
+
+
+class _Hit(_Rule):
+    """Hit rule: a row stops the step *target* is among its reached ids.
+    Sorted reached ids are searched per row; ``sorted_ids=False`` scans
+    them all."""
+
+    def __init__(self, n: int, target: int, sorted_ids: bool = True) -> None:
+        self.n = np.int64(n)
+        self.target = target
+        self.sorted_ids = sorted_ids
+
+    def __call__(self, t: int, reached: np.ndarray, rows: int) -> np.ndarray:
+        if self.sorted_ids:
+            want = np.arange(rows, dtype=np.int64) * self.n + self.target
+            found = np.minimum(np.searchsorted(reached, want), reached.size - 1)
+            return reached[found] == want
+        done = np.zeros(rows, dtype=bool)
+        done[reached[reached % self.n == self.target] // self.n] = True
+        return done
+
+
+class _Horizon(_Rule):
+    """Fixed-horizon rule: no row ever stops.  With *sizes* it records
+    each step's per-row reached count in column ``t`` (cobra's
+    ``|S_t|``)."""
+
+    def __init__(self, n: int, sizes: np.ndarray | None = None) -> None:
+        self.n = np.int64(n)
+        self.sizes = sizes
+
+    def __call__(self, t: int, reached: np.ndarray, rows: int) -> None:
+        if self.sizes is not None:
+            self.sizes[:, t] = np.bincount(reached // self.n, minlength=rows)
+
+
+def _lockstep(
+    mover: _Mover, rule: _Rule, trials: int, max_steps: int, reached: np.ndarray
+) -> np.ndarray:
+    """Step *mover* until *rule* has stopped every trial or *max_steps*
+    steps have run; ``float64[trials]`` stop times, ``nan`` where the
+    budget ran out.
+
+    *reached* is the start state's ids, so a trial can stop at
+    ``t = 0``.  Stopped rows are compacted out of the mover and the
+    rule.  Under an active tracer the call reports ``engine_steps``
+    (lock-steps), ``trial_steps`` (steps taken by still-running trials,
+    summed over trials), ``rng_draws`` (variates drawn) and, for the
+    frontier movers, the ``frontier_peak`` gauge."""
+    out = np.full(trials, np.nan)
+    alive = np.arange(trials)
+    t = 0
+    while True:
+        done = rule(t, reached, alive.size) if reached.size else None
+        if done is not None and done.any():
+            out[alive[done]] = t
+            keep = ~done
+            alive = alive[keep]
+            if not alive.size:
+                break
+            mover.keep(keep)
+            rule.keep(keep)
+        if t >= max_steps:
+            break
+        t += 1
+        reached = mover.step()
+    tracer = current_tracer()
+    if tracer.enabled:
+        tracer.count("engine_steps", t)
+        tracer.count("trial_steps", int(np.where(np.isnan(out), t, out).sum()))
+        tracer.count("rng_draws", mover.draws)
+        if mover.peak is not None:
+            tracer.gauge("frontier_peak", mover.peak)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Movers
+# --------------------------------------------------------------------------
+
+
+class _CobraMover(_Mover):
+    """The k-cobra frontier: every active vertex of every row sends
+    ``k`` pebbles to uniform neighbors, and the sorted set of flat ids
+    they reach is the next frontier.  Per-step temporaries come from a
+    buffer pool; the uniforms are float32 while the ``k == 2``
+    double-draw (degree ≤ 64) or the single-draw index (degree < 2^20)
+    stays exact (module notes)."""
+
+    peak = 0
+
+    def __init__(
+        self, oracle: NeighborOracle, k: int, rows: int, start: np.ndarray, rng
+    ) -> None:
+        self.oracle, self.k, self.rng = oracle, k, rng
+        self.front = _row_ids(rows, oracle.n, start)
+        self.pair = k == 2
+        exact = oracle.max_degree <= 64 if self.pair else oracle.max_degree < (1 << 20)
+        self.ftype = np.float32 if exact else np.float64
+        self.nn = np.int64(oracle.n)
+        self.deg_f = _degree_table(oracle, self.ftype)
+        self.pool = _BufferPool()
+        self._clear_scratch(rows)
+
+    def _clear_scratch(self, rows: int) -> None:
+        self.scratch = np.zeros(rows * int(self.nn), dtype=bool)
+        self.reset_by_scatter = self.scratch.size > _SCATTER_RESET_CELLS
+
+    def step(self) -> np.ndarray:
+        front, pool, ftype, scratch = self.front, self.pool, self.ftype, self.scratch
+        F = front.size
+        self.draws += F if self.pair else self.k * F
+        self.peak = max(self.peak, F)
+        v = np.remainder(front, self.nn, out=pool.get("v", F, np.int64))
+        base = np.subtract(front, v, out=pool.get("base", F, np.int64))
+        degs = self.deg_f.take(v, out=pool.get("deg", F, ftype))
+        if self.pair:
+            u = self.rng.random(out=pool.get("u", F, ftype), dtype=ftype)
+            u *= degs
+            first = np.floor(u, out=pool.get("first", F, ftype))
+            u -= first  # leftover fraction: uniform again
+            u *= degs
+            i1 = pool.get("i1", F, np.int64)
+            np.copyto(i1, first, casting="unsafe")  # trunc == floor (>= 0)
+            i2 = pool.get("i2", F, np.int64)
+            np.copyto(i2, u, casting="unsafe")
+            p1 = self.oracle.neighbor_at(v, i1)
+            p1 += base
+            p2 = self.oracle.neighbor_at(v, i2)
+            p2 += base
+            scratch[p1] = True
+            scratch[p2] = True
+        else:
+            u = self.rng.random((self.k, F), dtype=ftype)
+            nbrs = self.oracle.neighbor_at(v[None, :], (u * degs).astype(np.int64))
+            scratch[(base + nbrs).ravel()] = True
+        front = self.front = scratch.nonzero()[0]
+        if self.reset_by_scatter:
+            scratch[front] = False
+        else:
+            self.scratch = np.zeros(scratch.size, dtype=bool)
+        return front
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.front = _keep_flat(self.front, keep, self.nn)
+        self._clear_scratch(int(keep.sum()))
+
+
+class _GossipMover(_Mover):
+    """Push and/or pull rumor spreading over the boundary only: a push
+    from an informed vertex whose whole neighborhood is informed, or a
+    pull by one with no informed neighbor, can never change the state,
+    so only boundary vertices draw.  The boundary is maintained from
+    each round's freshly informed ids (one oracle neighborhood
+    expansion plus one sparse unique — never an ``O(rows · n)`` pass);
+    ``step`` returns those ids, sorted."""
+
+    peak = 0
+
+    def __init__(
+        self, oracle: NeighborOracle, rows: int, start: int, rng, push: bool, pull: bool
+    ) -> None:
+        n = oracle.n
+        self.oracle, self.rng, self.push, self.pull = oracle, rng, push, pull
+        self.nn = np.int64(n)
+        deg_i = oracle.degree(np.arange(n, dtype=np.int64))
+        self.deg_f = deg_i.astype(np.float64)
+        self.informed = visited_mask(rows, n)
+        self.start = np.arange(rows, dtype=np.int64) * n + start
+        self.informed.set_unique_rows(self.start)
+        uids0, ucnt0 = self._expand(self.start)
+        if push:
+            # uninformed-neighbor count per flat id (push prune: == 0 means
+            # saturated, and saturation is monotone)
+            self.uncount = np.tile(deg_i, rows)
+            self.uncount[uids0] -= ucnt0
+        self.askers = _NO_IDS
+        if pull:
+            # flat ids that have ever had an informed neighbor (pull grow:
+            # a vertex joins the asker pool on its first such event)
+            self.everseen = visited_mask(rows, n)
+            self.everseen.set_sorted_flat(uids0)
+            # uninformed flat ids with >= 1 informed neighbor
+            self.askers = uids0[~self.informed.test_flat(uids0)]
+        # informed flat ids still bordering uninformed vertices
+        self.senders = self.start
+
+    def _expand(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unique flat neighbor ids of *fresh* and how often each is hit."""
+        w = fresh % self.nn
+        nbrs_local, deg = self.oracle.all_neighbors(w)
+        return np.unique(np.repeat(fresh - w, deg) + nbrs_local, return_counts=True)
+
+    def _draw(self, ids: np.ndarray) -> np.ndarray:
+        """One uniform neighbor's flat id per flat id in *ids*."""
+        w = ids % self.nn
+        u = self.rng.random(ids.size)
+        slots = (u * self.deg_f[w]).astype(np.int64)
+        return (ids - w) + self.oracle.neighbor_at(w, slots)
+
+    def step(self) -> np.ndarray:
+        informed = self.informed
+        new_parts = []
+        if self.push:
+            self.senders = self.senders[self.uncount[self.senders] > 0]
+            cand = self._draw(self.senders)
+            new_parts.append(cand[~informed.test_flat(cand)])
+        if self.pull:
+            self.askers = self.askers[~informed.test_flat(self.askers)]
+            if self.askers.size:
+                new_parts.append(self.askers[informed.test_flat(self._draw(self.askers))])
+        drawn = self.senders.size * self.push + self.askers.size
+        self.draws += drawn
+        self.peak = max(self.peak, drawn)
+        new = np.concatenate(new_parts) if new_parts else _NO_IDS
+        if new.size == 0:
+            return _NO_IDS
+        fresh = np.unique(new)
+        informed.set_sorted_flat(fresh)
+        uids, ucnt = self._expand(fresh)
+        if self.push:
+            self.uncount[uids] -= ucnt
+            self.senders = np.concatenate([self.senders, fresh])
+        if self.pull:
+            newly = uids[~self.everseen.test_flat(uids)]
+            self.everseen.set_sorted_flat(uids)
+            self.askers = np.concatenate([self.askers, newly[~informed.test_flat(newly)]])
+        return fresh
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.informed.keep_rows(keep)
+        if self.push:
+            self.uncount = self.uncount.reshape(keep.size, -1)[keep].ravel()
+            self.senders = _keep_flat(self.senders, keep, self.nn)
+        if self.pull:
+            self.everseen.keep_rows(keep)
+            self.askers = _keep_flat(self.askers, keep, self.nn)
+
+
+class _WaltMover(_Mover):
+    """One non-lazy Walt move of the moving rows of the ``(rows, p)``
+    pebble-position array, after a per-row lazy coin when *lazy*;
+    ``step`` returns the moved pebbles' flat ids.
+
+    Grouping is sort-free: per-group representatives come from two
+    duplicate-scatter passes into the dense per-``(trial, vertex)``
+    tables ``tmp``/``tmp2`` (numpy scatter semantics: for repeated
+    indices the last write wins, so ``tmp[key] == own_index`` singles
+    out exactly one pebble per occupied vertex).  The serial kernel
+    (:func:`repro.core.walt.walt_step_positions`) instead lexsorts by
+    ``(vertex, rank)`` per trial, at ``O(p log p)`` per trial per step;
+    here the whole batch pays only ``O(m·p)`` gathers and scatters.
+
+    Which two pebbles of a group act as the independent movers differs
+    from the serial rule ("the two lowest-order"), but pebble identities
+    are exchangeable for the position-*multiset* law — the update
+    removes the group, places one pebble at each of two independent
+    uniform neighbors, and coin-flips the rest between them, regardless
+    of which identities carried the draws — so cover times are
+    distributionally identical.
+
+    The dense tables are sized on the first step and carry stale values
+    between steps by design: every read is at a key written earlier in
+    the same step, so no O(rows·n) reset is ever needed, and compaction
+    only shrinks the keys in use."""
+
+    def __init__(
+        self, oracle: NeighborOracle, positions: np.ndarray, lazy: bool, rng
+    ) -> None:
+        self.oracle, self.positions, self.lazy, self.rng = oracle, positions, lazy, rng
+        self.nn = np.int64(oracle.n)
+        self.tables: np.ndarray | None = None
+
+    def flat_ids(self, rows: np.ndarray) -> np.ndarray:
+        """Flat ids of every pebble of *rows*."""
+        return ((rows * self.nn)[:, None] + self.positions[rows]).ravel()
+
+    def step(self) -> np.ndarray:
+        a = self.positions.shape[0]
+        if self.lazy:
+            self.draws += a
+            move_rows = (self.rng.random(a) >= 0.5).nonzero()[0]
+            if move_rows.size == 0:
+                return _NO_IDS
+        else:
+            move_rows = np.arange(a)
+        if self.tables is None:
+            self.tables = np.empty((4, a * int(self.nn)), dtype=np.int64)
+        tmp, tmp2, d1, d2 = self.tables
+        oracle, rng = self.oracle, self.rng
+        sub = self.positions[move_rows]
+        m, p = sub.shape
+        flat_pos = sub.ravel()
+        key = np.repeat(move_rows.astype(np.int64) * self.nn, p) + flat_pos
+        idx = np.arange(m * p, dtype=np.int64)
+        tmp[key] = idx
+        leader = tmp[key] == idx
+        newpos = np.empty(m * p, dtype=np.int64)
+        lkey = key[leader]
+        newpos[leader] = oracle.sample_one(flat_pos[leader], rng)
+        d1[lkey] = newpos[leader]
+        nl = np.flatnonzero(~leader)
+        if nl.size:
+            tmp2[key[nl]] = nl
+            vice = nl[tmp2[key[nl]] == nl]
+            vkey = key[vice]
+            newpos[vice] = oracle.sample_one(flat_pos[vice], rng)
+            d2[vkey] = newpos[vice]
+            is_rep = leader.copy()
+            is_rep[vice] = True
+            followers = np.flatnonzero(~is_rep)
+            if followers.size:
+                coin = rng.random(followers.size) < 0.5
+                fkey = key[followers]
+                newpos[followers] = np.where(coin, d1[fkey], d2[fkey])
+        self.draws += m * p
+        self.positions[move_rows] = newpos.reshape(m, p)
+        return self.flat_ids(move_rows)
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.positions = self.positions[keep]
+
+
+class _CoalescingMover(_Mover):
+    """Coalescing walkers held as one sorted array of flat walker ids:
+    one neighbor draw moves every surviving walker, and one
+    ``np.unique`` merges co-located walkers of the same trial."""
+
+    peak = 0
+
+    def __init__(self, oracle: NeighborOracle, walkers: np.ndarray, rng) -> None:
+        self.oracle, self.walkers, self.rng = oracle, walkers, rng
+        self.nn = np.int64(oracle.n)
+
+    def step(self) -> np.ndarray:
+        v = self.walkers % self.nn
+        self.draws += v.size
+        self.peak = max(self.peak, v.size)
+        moved = self.oracle.sample_one(v, self.rng) + (self.walkers - v)
+        self.walkers = np.unique(moved)  # in-step merge, trial-local by key design
+        return self.walkers
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.walkers = _keep_flat(self.walkers, keep, self.nn)
+
+
+class _BranchingMover(_Mover):
+    """k-branching particle counts in one flat ``int64[rows · n]`` array;
+    ``step`` returns the occupied flat ids, sorted.  The ``k·c``
+    children of the ``c`` particles at a vertex split multinomially by
+    binomial peeling: slot ``j`` of every occupied vertex with
+    ``deg > j`` takes ``Binomial(remaining, 1/(deg-j))`` children in one
+    draw, so a step costs ``O(max_degree)`` batched calls.  A row whose
+    population exceeds *cap* is renormalised down proportionally with
+    occupied vertices clamped to ≥ 1 particle."""
+
+    peak = 0
+
+    def __init__(
+        self, oracle: NeighborOracle, k: int, counts: np.ndarray, cap: int, rng
+    ) -> None:
+        self.oracle, self.k, self.counts, self.cap, self.rng = oracle, k, counts, cap, rng
+        self.n = oracle.n
+        self.nn = np.int64(oracle.n)
+
+    def step(self) -> np.ndarray:
+        oracle, nn, counts = self.oracle, self.nn, self.counts
+        a = counts.size // self.n
+        occ = np.flatnonzero(counts)  # ragged per-trial frontier, flat+sorted
+        self.peak = max(self.peak, occ.size)
+        v = occ % nn
+        deg = oracle.degree(v)
+        vbase = occ - v
+        remaining = counts[occ] * self.k
+        tgt_parts: list[np.ndarray] = []
+        cnt_parts: list[np.ndarray] = []
+        for j in range(int(deg.max())):
+            sel = np.flatnonzero(deg > j)
+            if sel.size == 0:
+                break
+            rem = remaining[sel]
+            deg_sel = deg[sel]
+            last = deg_sel == j + 1
+            x = np.empty(sel.size, dtype=np.int64)
+            split = ~last
+            if split.any():
+                x[split] = self.rng.binomial(rem[split], 1.0 / (deg_sel[split] - j))
+                self.draws += int(split.sum())
+            x[last] = rem[last]
+            remaining[sel] -= x
+            nz = np.flatnonzero(x)
+            if nz.size:
+                pick = sel[nz]
+                tgt_parts.append(vbase[pick] + oracle.neighbor_at(v[pick], j))
+                cnt_parts.append(x[nz])
+        # int sums through float64 weights are exact far beyond any cap
+        counts = self.counts = np.bincount(
+            np.concatenate(tgt_parts),
+            weights=np.concatenate(cnt_parts),
+            minlength=a * self.n,
+        ).astype(np.int64)
+        occ2 = np.flatnonzero(counts)
+        row = occ2 // nn
+        pop = np.bincount(row, weights=counts[occ2].astype(np.float64), minlength=a)
+        over = pop > self.cap
+        if over.any():
+            sel = np.flatnonzero(over[row])
+            ids = occ2[sel]
+            scale = self.cap / pop[row[sel]]
+            counts[ids] = np.maximum((counts[ids] * scale).astype(np.int64), 1)
+        return occ2
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.counts = self.counts.reshape(keep.size, -1)[keep].ravel()
+
+
+class _BiasedMover(_Mover):
+    """The biased walk, one position per trial: at ``v`` it follows the
+    controller's neighbor with probability ``eps`` (or ``1/d(v)``) and a
+    uniform neighbor otherwise, drawing a bias coin and a neighbor index
+    for **every** trial each step — finished ones too, which keeps the
+    stream of the engine that never compacted — and reports the
+    running rows' flat ids."""
+
+    def __init__(
+        self, oracle: NeighborOracle, trials: int, start: int, controller, eps, rng
+    ) -> None:
+        self.oracle, self.controller, self.eps, self.rng = oracle, controller, eps, rng
+        self.deg = _degree_table(oracle, np.float64)
+        self.pos = np.full(trials, start, dtype=np.int64)
+        self.rows = np.arange(trials)
+        self.base = np.arange(trials, dtype=np.int64) * oracle.n
+
+    def step(self) -> np.ndarray:
+        pos = self.pos
+        bias = (1.0 / self.deg[pos]) if self.eps is None else self.eps
+        coin = self.rng.random(pos.size)
+        nbr = self.oracle.sample_one(pos, self.rng)
+        self.pos = np.where(coin < bias, self.controller[pos], nbr)
+        self.draws += 2 * pos.size
+        return self.base[: self.rows.size] + self.pos[self.rows]
+
+    def keep(self, keep: np.ndarray) -> None:
+        self.rows = self.rows[keep]
+
+
+# --------------------------------------------------------------------------
+# Engines
+# --------------------------------------------------------------------------
+
+
+def _cobra_mover(
+    graph: GraphLike, trials: int, k: int, start, seed, target=None
+) -> _CobraMover:
+    oracle = _samplable(graph, trials)
+    if k < 1:
+        raise ValueError(f"branching factor k must be >= 1, got {k}")
+    if target is not None:
+        _check_vertex(oracle, target, "target")
+    start_arr = np.unique(_start_vertices(oracle, start))
+    return _CobraMover(oracle, k, trials, start_arr, resolve_rng(seed))
+
+
+def _cobra_stop_times(
+    graph: GraphLike, target, trials: int, k: int, start, seed, max_steps
+) -> np.ndarray:
+    """The cobra cover (``target=None``) or hit engine."""
+    mover = _cobra_mover(graph, trials, k, start, seed, target)
+    n = mover.oracle.n
+    if max_steps is None:
+        from ..core.cobra import _default_budget
+
+        max_steps = _default_budget(n)
+    rule = _Cover(trials, n) if target is None else _Hit(n, target)
+    return _lockstep(mover, rule, trials, max_steps, mover.front)
 
 
 def batched_cobra_cover_trials(
@@ -254,10 +782,9 @@ def batched_cobra_cover_trials(
     lock-step; finished trials are compacted out so the tail of slow
     trials doesn't pay for the fast ones.
 
-    Under an active :mod:`repro.obs` tracer the engine reports
-    ``engine_steps`` (global lock-steps), ``rng_draws`` (uniform
-    variates consumed) and ``frontier_peak`` (largest flat frontier)
-    counters on the enclosing span; with the default
+    Under an active :mod:`repro.obs` tracer the engine reports the
+    driver's ``engine_steps``, ``trial_steps``, ``rng_draws`` and
+    ``frontier_peak`` counters on the enclosing span; with the default
     :data:`~repro.obs.trace.NULL_TRACER` the taps are dead branches.
 
     Parameters
@@ -284,108 +811,7 @@ def batched_cobra_cover_trials(
         exhaustion — the same contract as the serial path of
         :func:`repro.sim.facade.run_batch`.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if k < 1:
-        raise ValueError(f"branching factor k must be >= 1, got {k}")
-    n = oracle.n
-    start_arr = _validated_start(oracle, start)
-    if max_steps is None:
-        from ..core.cobra import _default_budget
-
-        max_steps = _default_budget(n)
-    rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    if start_arr.size == n:
-        out[:] = 0.0
-        return out
-
-    pair, ftype = _cobra_ftype(oracle, k)
-    nn = np.int64(n)
-    deg_f = _degree_table(oracle, ftype)
-
-    a = trials  # still-running trial count; `alive` maps rows -> trial ids
-    alive = np.arange(trials)
-    covered = visited_mask(a, n)
-    front = (
-        np.repeat(np.arange(a, dtype=np.int64) * n, start_arr.size)
-        + np.tile(start_arr, a)
-    )
-    covered.set_sorted_flat(front)
-    count = np.full(a, start_arr.size, dtype=np.int64)
-    scratch = np.zeros(a * n, dtype=bool)
-
-    reset_by_scatter = a * n > _SCATTER_RESET_CELLS
-    pool = _BufferPool()
-
-    # telemetry taps are plain local accumulators, flushed once after
-    # the loop — with the NullTracer default `trace_on` is False and
-    # the hot loop carries one dead branch per step, nothing more
-    tracer = current_tracer()
-    trace_on = tracer.enabled
-    obs_steps = obs_draws = obs_fpeak = 0
-
-    for t in range(1, max_steps + 1):
-        F = front.size
-        if trace_on:
-            obs_steps = t
-            obs_draws += F if pair else k * F
-            obs_fpeak = max(obs_fpeak, F)
-        v = np.remainder(front, nn, out=pool.get("v", F, np.int64))
-        base = np.subtract(front, v, out=pool.get("base", F, np.int64))
-        degs = deg_f.take(v, out=pool.get("deg", F, ftype))
-        if pair:
-            u = rng.random(out=pool.get("u", F, ftype), dtype=ftype)
-            u *= degs
-            first = np.floor(u, out=pool.get("first", F, ftype))
-            u -= first  # leftover fraction: uniform again
-            u *= degs
-            i1 = pool.get("i1", F, np.int64)
-            np.copyto(i1, first, casting="unsafe")  # trunc == floor (>= 0)
-            i2 = pool.get("i2", F, np.int64)
-            np.copyto(i2, u, casting="unsafe")
-            p1 = oracle.neighbor_at(v, i1)
-            p1 += base
-            p2 = oracle.neighbor_at(v, i2)
-            p2 += base
-            scratch[p1] = True
-            scratch[p2] = True
-        else:
-            u = rng.random((k, F), dtype=ftype)
-            nbrs = oracle.neighbor_at(v[None, :], (u * degs).astype(np.int64))
-            scratch[(base + nbrs).ravel()] = True
-        front = scratch.nonzero()[0]
-        if reset_by_scatter:
-            scratch[front] = False
-        else:
-            scratch = np.zeros(a * n, dtype=bool)
-        # fused test+set: front is sorted unique (it's a nonzero()),
-        # and re-setting already-set bits is a no-op
-        fresh = front[covered.test_and_set_sorted(front)]
-        if fresh.size:
-            count += np.bincount(fresh // nn, minlength=a)
-            done = count == n
-            if done.any():
-                out[alive[done]] = t
-                keep = ~done
-                alive = alive[keep]
-                a = alive.size
-                if a == 0:
-                    break
-                count = count[keep]
-                rows = front // nn
-                keep_front = keep[rows]
-                remap = np.cumsum(keep) - 1
-                front = remap[rows[keep_front]] * n + front[keep_front] % nn
-                covered.keep_rows(keep)
-                scratch = np.zeros(a * n, dtype=bool)
-                reset_by_scatter = a * n > _SCATTER_RESET_CELLS
-    if trace_on:
-        tracer.count("engine_steps", obs_steps)
-        tracer.count("rng_draws", obs_draws)
-        tracer.gauge("frontier_peak", obs_fpeak)
-    return out
+    return _cobra_stop_times(graph, None, trials, k, start, seed, max_steps)
 
 
 def batched_cobra_hit_trials(
@@ -402,8 +828,9 @@ def batched_cobra_hit_trials(
     k-cobra runs advanced in lock-step (the ``metric="hit"`` engine).
 
     Unlike the cover engine no per-vertex visit ledger is kept: a
-    trial is done the step its frontier mask lights up ``target``, so
-    the hot loop is just the neighbor draw plus the coalescing scatter.
+    trial is done the step its frontier contains ``target``, so the
+    hot loop is the cover engine's frontier step plus one scan of the
+    new frontier.
 
     Parameters
     ----------
@@ -429,62 +856,86 @@ def batched_cobra_hit_trials(
         budget exhaustion — the same contract as the serial path of
         :func:`repro.sim.facade.run_batch`.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if k < 1:
-        raise ValueError(f"branching factor k must be >= 1, got {k}")
+    return _cobra_stop_times(graph, target, trials, k, start, seed, max_steps)
+
+
+def batched_cobra_active_sizes(
+    graph: GraphLike,
+    *,
+    trials: int,
+    steps: int,
+    k: int = 2,
+    start: int | np.ndarray = 0,
+    seed: SeedLike = None,
+) -> np.ndarray:
+    """Active-set-size trajectories ``|S_t|`` of *trials* independent
+    k-cobra runs over a fixed horizon (no stopping rule).
+
+    The fixed-horizon companion of :func:`batched_cobra_cover_trials`
+    for experiments that consume the frontier dynamics themselves
+    (``ACTIVE_growth``'s §1.1 growth/saturation measurements) rather
+    than a stopping time: all trials advance in one flat frontier and
+    each step records every trial's frontier size with one
+    ``bincount``.
+
+    Parameters
+    ----------
+    graph : Graph or NeighborOracle
+        Connected graph without isolated vertices (CSR or implicit).
+    trials : int
+        Number of independent runs.
+    steps : int
+        Horizon: every trial advances exactly this many steps.
+    k : int
+        Cobra branching factor.
+    start : int or numpy.ndarray
+        Start vertex (or array of start vertices) shared by all trials.
+    seed : SeedLike, optional
+        Seed/stream for the single interleaved RNG.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``int64[trials, steps + 1]``; column ``t`` is ``|S_t|``, with
+        column 0 the start-set size — the batched analogue of
+        :attr:`repro.core.cobra.CobraWalk.history`.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    mover = _cobra_mover(graph, trials, k, start, seed)
+    sizes = np.zeros((trials, steps + 1), dtype=np.int64)
+    _lockstep(mover, _Horizon(mover.oracle.n, sizes), trials, steps, mover.front)
+    return sizes
+
+
+def _gossip_trials(
+    graph: GraphLike,
+    target,
+    trials: int,
+    start: int,
+    seed,
+    max_steps,
+    push: bool,
+    pull: bool,
+) -> np.ndarray:
+    """The gossip spread (``target=None``) or hit engine."""
+    oracle = _samplable(graph, trials)
+    if not (push or pull):
+        raise ValueError("enable at least one of push/pull")
     n = oracle.n
-    if not (0 <= target < n):
-        raise ValueError("target out of range")
-    start_arr = _validated_start(oracle, start)
+    start = int(start)
+    _check_vertex(oracle, start, "start")
+    if target is not None:
+        _check_vertex(oracle, target, "target")
     if max_steps is None:
-        from ..core.cobra import _default_budget
+        from ..walks.gossip import _budget
 
-        max_steps = _default_budget(n)
-    rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    if target in start_arr:
-        out[:] = 0.0
-        return out
-
-    pair, ftype = _cobra_ftype(oracle, k)
-    nn = np.int64(n)
-    deg_f = _degree_table(oracle, ftype)
-
-    a = trials
-    alive = np.arange(trials)
-    target_flat = np.arange(a, dtype=np.int64) * n + target
-    front = (
-        np.repeat(np.arange(a, dtype=np.int64) * n, start_arr.size)
-        + np.tile(start_arr, a)
-    )
-    scratch = np.zeros(a * n, dtype=bool)
-
-    for t in range(1, max_steps + 1):
-        v = front % nn
-        _scatter_cobra_draws(
-            oracle, v, deg_f.take(v), front - v, k, pair, ftype, rng, scratch
-        )
-        # hit check reads the mask BEFORE it is reset: the frontier at
-        # step t is exactly the activation set of step t
-        done = scratch[target_flat]
-        front = scratch.nonzero()[0]
-        scratch[front] = False
-        if done.any():
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            rows = front // nn
-            keep_front = keep[rows]
-            remap = np.cumsum(keep) - 1
-            front = remap[rows[keep_front]] * n + front[keep_front] % nn
-            target_flat = np.arange(a, dtype=np.int64) * n + target
-            scratch = np.zeros(a * n, dtype=bool)
-    return out
+        max_steps = _budget(n)
+    mover = _GossipMover(oracle, trials, start, resolve_rng(seed), push, pull)
+    # the cover rule's visited mask repeats the mover's informed set; the
+    # copy costs one mask pass over each round's fresh ids
+    rule = _Cover(trials, n) if target is None else _Hit(n, target)
+    return _lockstep(mover, rule, trials, max_steps, mover.start)
 
 
 def batched_gossip_spread_trials(
@@ -542,126 +993,7 @@ def batched_gossip_spread_trials(
         ``float64[trials]`` round counts with ``np.nan`` marking
         budget exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if not (push or pull):
-        raise ValueError("enable at least one of push/pull")
-    n = oracle.n
-    start = int(start)
-    if not (0 <= start < n):
-        raise ValueError("start out of range")
-    if max_steps is None:
-        from ..walks.gossip import _budget
-
-        max_steps = _budget(n)
-    rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    if n == 1:
-        out[:] = 0.0
-        return out
-
-    a = trials
-    alive = np.arange(trials)
-    nn = np.int64(n)
-    deg_i = oracle.degree(np.arange(n, dtype=np.int64))
-    deg_f = deg_i.astype(np.float64)
-    informed = visited_mask(a, n)
-    start_flat = np.arange(a, dtype=np.int64) * n + start
-    informed.set_unique_rows(start_flat)
-    count = np.ones(a, dtype=np.int64)
-
-    def _neighbor_expand(fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unique flat neighbor ids of *fresh* (newly informed flat
-        ids) and how often each is hit: one oracle expansion + one
-        sparse unique — every op is sized by the touched edges, never
-        a·n."""
-        w = fresh % nn
-        nbrs_local, deg = oracle.all_neighbors(w)
-        return np.unique(np.repeat(fresh - w, deg) + nbrs_local, return_counts=True)
-
-    # boundary tracking: a push from a vertex whose whole neighborhood
-    # is informed, or a pull by one with no informed neighbor, can
-    # never change the state, so only boundary vertices ever draw
-    uids0, ucnt0 = _neighbor_expand(start_flat)
-    uncount = None
-    if push:
-        # uninformed-neighbor count per flat id (push prune: == 0 means
-        # saturated, and saturation is monotone)
-        uncount = np.tile(deg_i, a)
-        uncount[uids0] -= ucnt0
-    everseen = None
-    if pull:
-        # flat ids that have ever had an informed neighbor (pull grow:
-        # a vertex joins the asker pool on its first such event)
-        everseen = visited_mask(a, n)
-        everseen.set_sorted_flat(uids0)
-    # push side: informed flat ids still bordering uninformed vertices
-    senders = start_flat
-    # pull side: uninformed flat ids with >= 1 informed neighbor
-    askers = uids0[~informed.test_flat(uids0)] if pull else None
-
-    for t in range(1, max_steps + 1):
-        new_parts = []
-        if push:
-            senders = senders[uncount[senders] > 0]
-            w = senders % nn
-            u = rng.random(senders.size)
-            cand = (senders - w) + oracle.neighbor_at(
-                w, (u * deg_f[w]).astype(np.int64)
-            )
-            new_parts.append(cand[~informed.test_flat(cand)])
-        if pull:
-            askers = askers[~informed.test_flat(askers)]
-            if askers.size:
-                w = askers % nn
-                u = rng.random(askers.size)
-                src = (askers - w) + oracle.neighbor_at(
-                    w, (u * deg_f[w]).astype(np.int64)
-                )
-                new_parts.append(askers[informed.test_flat(src)])
-        new = (
-            new_parts[0]
-            if len(new_parts) == 1
-            else np.concatenate(new_parts)
-            if new_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        if new.size == 0:
-            continue
-        fresh = np.unique(new)
-        informed.set_sorted_flat(fresh)
-        count += np.bincount(fresh // nn, minlength=a)
-        uids, ucnt = _neighbor_expand(fresh)
-        if push:
-            uncount[uids] -= ucnt
-            senders = np.concatenate([senders, fresh])
-        if pull:
-            newly = uids[~everseen.test_flat(uids)]
-            everseen.set_sorted_flat(uids)
-            askers = np.concatenate([askers, newly[~informed.test_flat(newly)]])
-        done = count == n
-        if done.any():
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            count = count[keep]
-            remap = np.cumsum(keep) - 1
-            informed.keep_rows(keep)
-            if push:
-                uncount = np.ascontiguousarray(uncount.reshape(-1, n)[keep]).reshape(-1)
-                rows = senders // nn
-                m = keep[rows]
-                senders = remap[rows[m]] * nn + senders[m] % nn
-            if pull:
-                everseen.keep_rows(keep)
-                rows = askers // nn
-                m = keep[rows]
-                askers = remap[rows[m]] * nn + askers[m] % nn
-    return out
+    return _gossip_trials(graph, None, trials, start, seed, max_steps, push, pull)
 
 
 def batched_gossip_hit_trials(
@@ -714,117 +1046,7 @@ def batched_gossip_hit_trials(
         ``float64[trials]`` hitting rounds with ``np.nan`` marking
         budget exhaustion (``0.0`` when *target* is the start vertex).
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if not (push or pull):
-        raise ValueError("enable at least one of push/pull")
-    n = oracle.n
-    start = int(start)
-    if not (0 <= start < n):
-        raise ValueError("start out of range")
-    if not (0 <= target < n):
-        raise ValueError("target out of range")
-    if max_steps is None:
-        from ..walks.gossip import _budget
-
-        max_steps = _budget(n)
-    rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    if target == start:
-        out[:] = 0.0
-        return out
-
-    a = trials
-    alive = np.arange(trials)
-    nn = np.int64(n)
-    deg_i = oracle.degree(np.arange(n, dtype=np.int64))
-    deg_f = deg_i.astype(np.float64)
-    informed = visited_mask(a, n)
-    start_flat = np.arange(a, dtype=np.int64) * n + start
-    informed.set_unique_rows(start_flat)
-
-    def _neighbor_expand(fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = fresh % nn
-        nbrs_local, deg = oracle.all_neighbors(w)
-        return np.unique(np.repeat(fresh - w, deg) + nbrs_local, return_counts=True)
-
-    # the same boundary structures as the spread engine (see there)
-    uids0, ucnt0 = _neighbor_expand(start_flat)
-    uncount = None
-    if push:
-        uncount = np.tile(deg_i, a)
-        uncount[uids0] -= ucnt0
-    everseen = None
-    if pull:
-        everseen = visited_mask(a, n)
-        everseen.set_sorted_flat(uids0)
-    senders = start_flat
-    askers = uids0[~informed.test_flat(uids0)] if pull else None
-
-    for t in range(1, max_steps + 1):
-        new_parts = []
-        if push:
-            senders = senders[uncount[senders] > 0]
-            w = senders % nn
-            u = rng.random(senders.size)
-            cand = (senders - w) + oracle.neighbor_at(
-                w, (u * deg_f[w]).astype(np.int64)
-            )
-            new_parts.append(cand[~informed.test_flat(cand)])
-        if pull:
-            askers = askers[~informed.test_flat(askers)]
-            if askers.size:
-                w = askers % nn
-                u = rng.random(askers.size)
-                src = (askers - w) + oracle.neighbor_at(
-                    w, (u * deg_f[w]).astype(np.int64)
-                )
-                new_parts.append(askers[informed.test_flat(src)])
-        new = (
-            new_parts[0]
-            if len(new_parts) == 1
-            else np.concatenate(new_parts)
-            if new_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        if new.size == 0:
-            continue
-        fresh = np.unique(new)
-        informed.set_sorted_flat(fresh)
-        uids, ucnt = _neighbor_expand(fresh)
-        if push:
-            uncount[uids] -= ucnt
-            senders = np.concatenate([senders, fresh])
-        if pull:
-            newly = uids[~everseen.test_flat(uids)]
-            everseen.set_sorted_flat(uids)
-            askers = np.concatenate([askers, newly[~informed.test_flat(newly)]])
-        # completion: which rows informed the target this round (the
-        # fresh set is unique, so each hit row appears exactly once)
-        hit_rows = fresh[fresh % nn == target] // nn
-        if hit_rows.size:
-            done = np.zeros(a, dtype=bool)
-            done[hit_rows] = True
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            remap = np.cumsum(keep) - 1
-            informed.keep_rows(keep)
-            if push:
-                uncount = np.ascontiguousarray(uncount.reshape(-1, n)[keep]).reshape(-1)
-                rows = senders // nn
-                m = keep[rows]
-                senders = remap[rows[m]] * nn + senders[m] % nn
-            if pull:
-                everseen.keep_rows(keep)
-                rows = askers // nn
-                m = keep[rows]
-                askers = remap[rows[m]] * nn + askers[m] % nn
-    return out
+    return _gossip_trials(graph, target, trials, start, seed, max_steps, push, pull)
 
 
 def batched_parallel_walks_cover_trials(
@@ -868,8 +1090,7 @@ def batched_parallel_walks_cover_trials(
         ``float64[trials]`` cover times with ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
+    oracle = _samplable(graph, trials)
     if walkers < 1:
         raise ValueError("need at least one walker")
     n = oracle.n
@@ -901,68 +1122,48 @@ def batched_parallel_walks_cover_trials(
     return out
 
 
-def _walt_move_batch(
+def _walt_run(
     oracle: NeighborOracle,
-    positions: np.ndarray,
-    move_rows: np.ndarray,
-    rng: np.random.Generator,
-    tmp: np.ndarray,
-    tmp2: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
+    trials: int,
+    p: int,
+    lazy: bool,
+    start,
+    seed,
+    rule: _Rule,
+    steps: int,
+) -> tuple[np.ndarray, _WaltMover]:
+    """Stop times and final mover of *trials* Walt runs of *p* pebbles,
+    placed as :func:`repro.core.walt.walt_start_positions` places them:
+    ``start=None`` draws uniform positions independently per trial,
+    anything else tiles the given vertex/array across the pebbles."""
+    rng = resolve_rng(seed)
+    if start is None:
+        mover = _WaltMover(oracle, rng.integers(0, oracle.n, size=(trials, p)), lazy, rng)
+        mover.draws = trials * p
+    else:
+        positions = np.tile(np.resize(_start_vertices(oracle, start), p), (trials, 1))
+        mover = _WaltMover(oracle, positions, lazy, rng)
+    return _lockstep(mover, rule, trials, steps, mover.flat_ids(np.arange(trials))), mover
+
+
+def _walt_stop_times(
+    graph: GraphLike, target, trials: int, delta: float, lazy: bool, start, seed, max_steps
 ) -> np.ndarray:
-    """One non-lazy Walt move applied to the ``move_rows`` trials of the
-    ``(a, p)`` pebble-position array; returns the moved ``(m, p)`` block.
-
-    Grouping is sort-free: per-group representatives come from two
-    duplicate-scatter passes into the dense per-``(trial, vertex)``
-    tables ``tmp``/``tmp2`` (numpy scatter semantics: for repeated
-    indices the last write wins, so ``tmp[key] == own_index`` singles
-    out exactly one pebble per occupied vertex).  The serial kernel
-    (:func:`repro.core.walt.walt_step_positions`) instead lexsorts by
-    ``(vertex, rank)`` per trial, at ``O(p log p)`` per trial per step;
-    here the whole batch pays only ``O(m·p)`` gathers and scatters.
-
-    Which two pebbles of a group act as the independent movers differs
-    from the serial rule ("the two lowest-order"), but pebble identities
-    are exchangeable for the position-*multiset* law — the update
-    removes the group, places one pebble at each of two independent
-    uniform neighbors, and coin-flips the rest between them, regardless
-    of which identities carried the draws — so cover times are
-    distributionally identical.
-
-    The dense tables carry stale values between calls by design: every
-    read is at a key written earlier in the same call, so no O(a·n)
-    reset is ever needed.
-    """
+    """The Walt cover (``target=None``) or hit engine."""
+    oracle = _samplable(graph, trials)
+    if not 0 < delta <= 1:
+        raise ValueError("delta must be in (0, 1]")
     n = oracle.n
-    sub = positions[move_rows]
-    m, p = sub.shape
-    mp = m * p
-    flat_pos = sub.ravel()
-    key = np.repeat(move_rows.astype(np.int64) * n, p) + flat_pos
-    idx = np.arange(mp, dtype=np.int64)
-    tmp[key] = idx
-    leader = tmp[key] == idx
-    newpos = np.empty(mp, dtype=np.int64)
-    lkey = key[leader]
-    newpos[leader] = oracle.sample_one(flat_pos[leader], rng)
-    d1[lkey] = newpos[leader]
-    nl = np.flatnonzero(~leader)
-    if nl.size:
-        tmp2[key[nl]] = nl
-        vice = nl[tmp2[key[nl]] == nl]
-        vkey = key[vice]
-        newpos[vice] = oracle.sample_one(flat_pos[vice], rng)
-        d2[vkey] = newpos[vice]
-        is_rep = leader.copy()
-        is_rep[vice] = True
-        followers = np.flatnonzero(~is_rep)
-        if followers.size:
-            coin = rng.random(followers.size) < 0.5
-            fkey = key[followers]
-            newpos[followers] = np.where(coin, d1[fkey], d2[fkey])
-    return newpos.reshape(m, p)
+    if target is None:
+        rule: _Rule = _Cover(trials, n, sorted_ids=False)
+    else:
+        _check_vertex(oracle, target, "target")
+        rule = _Hit(n, target, sorted_ids=False)
+    if max_steps is None:
+        # the serial helper's default budget (walt_cover_time)
+        max_steps = max(20_000, 1000 * n)
+    p = max(1, int(delta * n))
+    return _walt_run(oracle, trials, p, lazy, start, seed, rule, max_steps)[0]
 
 
 def batched_walt_cover_trials(
@@ -1010,80 +1211,7 @@ def batched_walt_cover_trials(
         ``float64[trials]`` cover times with ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    n = oracle.n
-    p = max(1, int(delta * n))
-    if max_steps is None:
-        # the serial helper's default budget (walt_cover_time)
-        max_steps = max(20_000, 1000 * n)
-    rng = resolve_rng(seed)
-
-    positions = _walt_initial_positions(oracle, trials, p, start, rng)
-
-    a = trials
-    alive = np.arange(trials)
-    nn = np.int64(n)
-    covered = visited_mask(a, n)
-    init_flat = np.unique(
-        (np.arange(a, dtype=np.int64) * n)[:, None] + positions
-    ).ravel()
-    covered.set_sorted_flat(init_flat)
-    count = np.bincount(init_flat // nn, minlength=a).astype(np.int64)
-    out = np.full(trials, np.nan)
-    done0 = count == n
-    if done0.any():
-        out[done0] = 0.0
-        keep = ~done0
-        alive = alive[keep]
-        a = alive.size
-        if a == 0:
-            return out
-        positions = positions[keep]
-        count = count[keep]
-        covered.keep_rows(keep)
-
-    # dense per-(trial, vertex) work tables for the sort-free move; no
-    # per-step reset needed (see _walt_move_batch)
-    tmp = np.empty(a * n, dtype=np.int64)
-    tmp2 = np.empty(a * n, dtype=np.int64)
-    d1 = np.empty(a * n, dtype=np.int64)
-    d2 = np.empty(a * n, dtype=np.int64)
-
-    for t in range(1, max_steps + 1):
-        if lazy:
-            move_rows = (rng.random(a) >= 0.5).nonzero()[0]
-            if move_rows.size == 0:
-                continue
-        else:
-            move_rows = np.arange(a)
-        moved = _walt_move_batch(oracle, positions, move_rows, rng, tmp, tmp2, d1, d2)
-        positions[move_rows] = moved
-        flat = ((move_rows * nn)[:, None] + moved).ravel()
-        unseen = ~covered.test_flat(flat)
-        if not unseen.any():
-            continue
-        fresh = np.unique(flat[unseen])
-        covered.set_sorted_flat(fresh)
-        count += np.bincount(fresh // nn, minlength=a)
-        done = count == n
-        if done.any():
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            positions = positions[keep]
-            count = count[keep]
-            covered.keep_rows(keep)
-            tmp = np.empty(a * n, dtype=np.int64)
-            tmp2 = np.empty(a * n, dtype=np.int64)
-            d1 = np.empty(a * n, dtype=np.int64)
-            d2 = np.empty(a * n, dtype=np.int64)
-    return out
+    return _walt_stop_times(graph, None, trials, delta, lazy, start, seed, max_steps)
 
 
 def batched_walt_hit_trials(
@@ -1103,8 +1231,8 @@ def batched_walt_hit_trials(
     The cobra hit-engine template ported to Walt: no per-vertex visit
     ledger is kept — a trial is done the round one of its pebbles
     lands on ``target``, so the hot loop is exactly the cover engine's
-    grouped move (:func:`_walt_move_batch`) plus one equality scan of
-    the moved block.  Placement and the per-trial lazy coin match
+    grouped move plus one equality scan of the moved pebbles.
+    Placement and the per-trial lazy coin match
     :func:`batched_walt_cover_trials`.
 
     Parameters
@@ -1133,81 +1261,125 @@ def batched_walt_hit_trials(
         ``float64[trials]`` hitting times with ``np.nan`` marking
         budget exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    n = oracle.n
-    if not (0 <= target < n):
-        raise ValueError("target out of range")
-    p = max(1, int(delta * n))
-    if max_steps is None:
-        max_steps = max(20_000, 1000 * n)
-    rng = resolve_rng(seed)
+    return _walt_stop_times(graph, target, trials, delta, lazy, start, seed, max_steps)
 
-    positions = _walt_initial_positions(oracle, trials, p, start, rng)
 
-    out = np.full(trials, np.nan)
-    a = trials
-    alive = np.arange(trials)
-    hit0 = (positions == target).any(axis=1)
-    if hit0.any():
-        out[hit0] = 0.0
-        keep = ~hit0
-        alive = alive[keep]
-        a = alive.size
-        if a == 0:
-            return out
-        positions = positions[keep]
+def batched_walt_positions_at(
+    graph: GraphLike,
+    *,
+    trials: int,
+    steps: int,
+    delta: float = 0.5,
+    lazy: bool = True,
+    start: int | np.ndarray | None = 0,
+    seed: SeedLike = None,
+    pebbles: int | None = None,
+) -> np.ndarray:
+    """Pebble positions of *trials* independent Walt runs after exactly
+    *steps* (possibly lazy) rounds.
 
-    tmp = np.empty(a * n, dtype=np.int64)
-    tmp2 = np.empty(a * n, dtype=np.int64)
-    d1 = np.empty(a * n, dtype=np.int64)
-    d2 = np.empty(a * n, dtype=np.int64)
+    The fixed-horizon companion of :func:`batched_walt_cover_trials`
+    for the Theorem 8 epoch machinery (``T8_epochs``): the experiment
+    needs the pebble *configuration* at the end of an epoch, not a
+    cover time.  All trials advance through the same sort-free grouped
+    move; the lazy coin is drawn per trial per round, so each trial
+    holds independently.
 
-    for t in range(1, max_steps + 1):
-        if lazy:
-            move_rows = (rng.random(a) >= 0.5).nonzero()[0]
-            if move_rows.size == 0:
-                continue
-        else:
-            move_rows = np.arange(a)
-        moved = _walt_move_batch(oracle, positions, move_rows, rng, tmp, tmp2, d1, d2)
-        positions[move_rows] = moved
-        hit_rows = move_rows[(moved == target).any(axis=1)]
-        if hit_rows.size:
-            done = np.zeros(a, dtype=bool)
-            done[hit_rows] = True
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            positions = positions[keep]
-            tmp = np.empty(a * n, dtype=np.int64)
-            tmp2 = np.empty(a * n, dtype=np.int64)
-            d1 = np.empty(a * n, dtype=np.int64)
-            d2 = np.empty(a * n, dtype=np.int64)
+    Parameters
+    ----------
+    graph : Graph or NeighborOracle
+        Connected graph without isolated vertices (CSR or implicit).
+    trials : int
+        Number of independent runs.
+    steps : int
+        Horizon: every trial advances exactly this many rounds.
+    delta : float
+        Pebble density — ``max(1, int(delta·n))`` pebbles per trial
+        (ignored when *pebbles* is given).
+    lazy : bool
+        Apply the per-round 1/2 holding coin (paper default).
+    start : int or numpy.ndarray or None
+        Placement, as in :func:`batched_walt_cover_trials`: a
+        vertex/array puts the pebbles there in every trial; ``None``
+        spreads them uniformly at random, independently per trial.
+    seed : SeedLike, optional
+        Seed/stream for the single interleaved RNG.
+    pebbles : int or None
+        Exact per-trial pebble count overriding *delta* (the epoch
+        experiments pin ``max(2, int(δ·n))``).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``int64[trials, p]`` pebble positions after *steps* rounds.
+    """
+    oracle = _samplable(graph, trials)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if pebbles is None:
+        if not 0 < delta <= 1:
+            raise ValueError("delta must be in (0, 1]")
+        p = max(1, int(delta * oracle.n))
+    else:
+        p = int(pebbles)
+        if p < 1:
+            raise ValueError("need at least one pebble")
+    _, mover = _walt_run(oracle, trials, p, lazy, start, seed, _Horizon(oracle.n), steps)
+    return mover.positions
+
+
+def _add_holds(moves: np.ndarray, max_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Lazy-walk step totals from the move chain's move counts: the
+    ``N`` moves of a trial are each preceded by ``Geometric(1/2)``
+    holds, one ``NegativeBinomial(N, 1/2)`` draw per finished trial;
+    totals above *max_steps* are ``nan``.
+
+    Under an active tracer the move chain's ``engine_steps`` and
+    ``trial_steps`` are topped up to the lazy walk's (the step at which
+    its last trial stops, and the steps its trials ran), and each hold
+    draw counts as one ``rng_draws`` variate."""
+    out = np.full(moves.size, np.nan)
+    fin = np.flatnonzero(~np.isnan(moves))
+    if fin.size:
+        n_moves = moves[fin].astype(np.int64)
+        total = n_moves + rng.negative_binomial(np.maximum(n_moves, 1), 0.5)
+        total = np.where(n_moves > 0, total, 0)
+        ok = total <= max_steps
+        out[fin[ok]] = total[ok]
+    tracer = current_tracer()
+    if tracer.enabled:
+        def steps(times: np.ndarray) -> tuple[int, int]:
+            last = max_steps if np.isnan(times).any() else int(times.max(initial=0))
+            return last, int(np.where(np.isnan(times), last, times).sum())
+
+        (chain, chain_rows), (lazy, lazy_rows) = steps(moves), steps(out)
+        tracer.count("engine_steps", lazy - chain)
+        tracer.count("trial_steps", lazy_rows - chain_rows)
+        tracer.count("rng_draws", fin.size)
     return out
 
 
-def _walt_initial_positions(
-    oracle: NeighborOracle, trials: int, p: int, start, rng: np.random.Generator
-) -> np.ndarray:
-    """``(trials, p)`` initial pebble placement matching
-    :func:`repro.core.walt.walt_start_positions`: ``start=None`` draws
-    uniform positions independently per trial, anything else tiles the
-    given vertex/array across all pebbles of every trial."""
-    n = oracle.n
-    if start is None:
-        return rng.integers(0, n, size=(trials, p))
-    start_arr = np.atleast_1d(np.asarray(start, dtype=np.int64))
-    if start_arr.size == 0:
-        raise ValueError("need at least one start vertex")
-    if start_arr.min() < 0 or start_arr.max() >= n:
-        raise ValueError("start vertex out of range")
-    return np.tile(np.resize(start_arr, p), (trials, 1))
+def _lazy_trials(graph: GraphLike, target, trials: int, start, seed, max_steps) -> np.ndarray:
+    """The lazy cover (``target=None``) or hit engine: the move chain on
+    the simple-walk engine, then the holds."""
+    oracle = _samplable(graph, trials)
+    from ..walks.simple import _cover_budget, rw_cover_trials, rw_hitting_trials
+
+    if target is not None:
+        _check_vertex(oracle, target, "target")
+    start = int(start)
+    _check_vertex(oracle, start, "start")
+    if max_steps is None:
+        max_steps = _cover_budget(oracle.n)
+    rng = resolve_rng(seed)
+    # total steps >= moves, so `max_steps` moves bounds every trial
+    # that could still stop within the step budget
+    kw = dict(start=start, trials=trials, seed=rng, max_steps=max_steps)
+    if target is None:
+        moves = rw_cover_trials(graph, **kw)
+    else:
+        moves = rw_hitting_trials(graph, target, **kw)
+    return _add_holds(moves, max_steps, rng)
 
 
 def batched_lazy_cover_trials(
@@ -1256,36 +1428,54 @@ def batched_lazy_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    from ..walks.simple import _cover_budget, rw_cover_trials
+    return _lazy_trials(graph, None, trials, start, seed, max_steps)
 
-    n = oracle.n
-    start = int(start)
-    if not (0 <= start < n):
-        raise ValueError("start out of range")
-    if max_steps is None:
-        max_steps = _cover_budget(n)
-    rng = resolve_rng(seed)
 
-    out = np.full(trials, np.nan)
-    if n == 1:
-        out[:] = 0.0
-        return out
+def batched_lazy_hit_trials(
+    graph: GraphLike,
+    target: int,
+    *,
+    trials: int,
+    start: int = 0,
+    seed: SeedLike = None,
+    max_steps: int | None = None,
+) -> np.ndarray:
+    """Hitting times of *target* over *trials* independent
+    lazy-random-walk runs (the lazy ``metric="hit"`` engine).
 
-    # total steps >= moves, so `max_steps` moves bounds every trial
-    # that could still finish within the step budget
-    moves = rw_cover_trials(
-        graph, start=start, trials=trials, seed=rng, max_steps=max_steps
-    )
-    fin = np.flatnonzero(~np.isnan(moves))
-    if fin.size:
-        n_moves = moves[fin].astype(np.int64)
-        total = n_moves + rng.negative_binomial(np.maximum(n_moves, 1), 0.5)
-        total = np.where(n_moves > 0, total, 0)
-        ok = total <= max_steps
-        out[fin[ok]] = total[ok]
-    return out
+    The same jump-chain time-change as
+    :func:`batched_lazy_cover_trials`: first activation of the target
+    can only happen at a move, so the *move* chain races to the target
+    on the batched simple-walk hit engine
+    (:func:`repro.walks.simple.rw_hitting_trials`) and the holds are
+    reconstructed afterwards as one ``NegativeBinomial(moves, 1/2)``
+    draw per finished trial.  Exactly the law of the serial lazy walk,
+    including budget censoring: a trial is ``nan`` iff its
+    reconstructed step total exceeds *max_steps*.
+
+    Parameters
+    ----------
+    graph : Graph or NeighborOracle
+        Connected graph without isolated vertices (CSR or implicit).
+    target : int
+        Vertex whose first visit stops a trial.
+    trials : int
+        Number of independent runs.
+    start : int
+        Common start vertex of every trial.
+    seed : SeedLike, optional
+        Seed/stream for the single interleaved RNG.
+    max_steps : int, optional
+        Step budget per trial (holds included, as in the serial walk);
+        defaults to the lazy walk's serial budget.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``float64[trials]`` hitting times, ``np.nan`` marking budget
+        exhaustion.
+    """
+    return _lazy_trials(graph, target, trials, start, seed, max_steps)
 
 
 def batched_branching_cover_trials(
@@ -1347,94 +1537,21 @@ def batched_branching_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
+    oracle = _samplable(graph, trials)
     if k < 1:
         raise ValueError(f"branching factor k must be >= 1, got {k}")
     if population_cap < 1:
         raise ValueError("population_cap must be >= 1")
     n = oracle.n
     start = int(start)
-    if not (0 <= start < n):
-        raise ValueError("start out of range")
+    _check_vertex(oracle, start, "start")
     if max_steps is None:
         max_steps = max(10_000, 50 * n)
-    rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    if n == 1:
-        out[:] = 0.0
-        return out
-
-    nn = np.int64(n)
-    a = trials
-    alive = np.arange(trials)
-    base = np.arange(a, dtype=np.int64) * n
-    counts = np.zeros(a * n, dtype=np.int64)
-    counts[base + start] = 1
-    covered = visited_mask(a, n)
-    covered.set_unique_rows(base + start)
-    cov_count = np.ones(a, dtype=np.int64)
-
-    for t in range(1, max_steps + 1):
-        occ = np.flatnonzero(counts)  # ragged per-trial frontier, flat+sorted
-        v = occ % nn
-        deg = oracle.degree(v)
-        vbase = occ - v
-        remaining = counts[occ] * k
-        tgt_parts: list[np.ndarray] = []
-        cnt_parts: list[np.ndarray] = []
-        for j in range(int(deg.max())):
-            sel = np.flatnonzero(deg > j)
-            if sel.size == 0:
-                break
-            rem = remaining[sel]
-            deg_sel = deg[sel]
-            last = deg_sel == j + 1
-            x = np.empty(sel.size, dtype=np.int64)
-            split = ~last
-            if split.any():
-                x[split] = rng.binomial(rem[split], 1.0 / (deg_sel[split] - j))
-            x[last] = rem[last]
-            remaining[sel] -= x
-            nz = np.flatnonzero(x)
-            if nz.size:
-                pick = sel[nz]
-                tgt_parts.append(vbase[pick] + oracle.neighbor_at(v[pick], j))
-                cnt_parts.append(x[nz])
-        # int sums through float64 weights are exact far beyond any cap
-        counts = np.bincount(
-            np.concatenate(tgt_parts),
-            weights=np.concatenate(cnt_parts),
-            minlength=a * n,
-        ).astype(np.int64)
-        occ2 = np.flatnonzero(counts)
-        row = occ2 // nn
-        pop = np.bincount(row, weights=counts[occ2].astype(np.float64), minlength=a)
-        over = pop > population_cap
-        if over.any():
-            sel = np.flatnonzero(over[row])
-            ids = occ2[sel]
-            scale = population_cap / pop[row[sel]]
-            counts[ids] = np.maximum((counts[ids] * scale).astype(np.int64), 1)
-        unseen = ~covered.test_flat(occ2)
-        if not unseen.any():
-            continue
-        fresh = occ2[unseen]
-        covered.set_sorted_flat(fresh)
-        cov_count += np.bincount(fresh // nn, minlength=a)
-        done = cov_count == n
-        if done.any():
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            cov_count = cov_count[keep]
-            counts = np.ascontiguousarray(counts.reshape(-1, n)[keep]).reshape(-1)
-            covered.keep_rows(keep)
-    return out
+    occupied = np.arange(trials, dtype=np.int64) * n + start
+    counts = np.zeros(trials * n, dtype=np.int64)
+    counts[occupied] = 1
+    mover = _BranchingMover(oracle, k, counts, population_cap, resolve_rng(seed))
+    return _lockstep(mover, _Cover(trials, n), trials, max_steps, occupied)
 
 
 def batched_coalescing_cover_trials(
@@ -1486,25 +1603,19 @@ def batched_coalescing_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
+    oracle = _samplable(graph, trials)
     n = oracle.n
     if max_steps is None:
         max_steps = max(100_000, 20 * n * n)
     rng = resolve_rng(seed)
-
-    out = np.full(trials, np.nan)
-    a = trials
-    alive = np.arange(trials)
-    base = np.arange(a, dtype=np.int64) * n
-
+    draws = 0
     if start is not None and np.ndim(start) > 0:
         pos0 = np.unique(np.asarray(start, dtype=np.int64))
         if pos0.size == 0:
             raise ValueError("need at least one walker")
         if pos0.min() < 0 or pos0.max() >= n:
             raise ValueError("walker position out of range")
-        wpos = np.repeat(base, pos0.size) + np.tile(pos0, a)
+        wpos = _row_ids(trials, n, pos0)
     else:
         if start not in (None, 0):
             raise ValueError(
@@ -1514,221 +1625,17 @@ def batched_coalescing_cover_trials(
             )
         if walkers is None or walkers >= n:
             # one walker per vertex: everything is covered at t = 0
-            out[:] = 0.0
-            return out
+            return np.zeros(trials)
         if walkers < 1:
             raise ValueError("need at least one walker")
         # per-trial distinct uniform placement: the `walkers` smallest
         # of n iid uniforms index a uniform random subset
-        r = rng.random((a, n))
-        sel = np.argpartition(r, walkers - 1, axis=1)[:, :walkers]
-        wpos = np.sort((base[:, None] + sel).ravel())
-
-    nn = np.int64(n)
-    covered = visited_mask(a, n)
-    covered.set_sorted_flat(wpos)
-    cov_count = np.bincount(wpos // nn, minlength=a).astype(np.int64)
-
-    def _compact(wpos, covered, keep):
-        """Drop finished trial rows: remap surviving walker ids onto
-        the dense row numbering and compact the covered mask."""
-        rows = wpos // nn
-        keepw = keep[rows]
-        remap = np.cumsum(keep) - 1
-        wpos = remap[rows[keepw]] * nn + wpos[keepw] % nn
-        covered.keep_rows(keep)
-        return wpos
-
-    done0 = cov_count == n
-    if done0.any():
-        out[alive[done0]] = 0.0
-        keep = ~done0
-        alive = alive[keep]
-        a = alive.size
-        if a == 0:
-            return out
-        cov_count = cov_count[keep]
-        wpos = _compact(wpos, covered, keep)
-
-    for t in range(1, max_steps + 1):
-        v = wpos % nn
-        tb = wpos - v
-        moved = oracle.sample_one(v, rng) + tb
-        wpos = np.unique(moved)  # in-step merge, trial-local by key design
-        unseen = ~covered.test_flat(wpos)
-        if not unseen.any():
-            continue
-        fresh = wpos[unseen]
-        covered.set_sorted_flat(fresh)
-        cov_count += np.bincount(fresh // nn, minlength=a)
-        done = cov_count == n
-        if done.any():
-            out[alive[done]] = t
-            keep = ~done
-            alive = alive[keep]
-            a = alive.size
-            if a == 0:
-                break
-            cov_count = cov_count[keep]
-            wpos = _compact(wpos, covered, keep)
-    return out
-
-
-def batched_cobra_active_sizes(
-    graph: GraphLike,
-    *,
-    trials: int,
-    steps: int,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Active-set-size trajectories ``|S_t|`` of *trials* independent
-    k-cobra runs over a fixed horizon (no stopping rule).
-
-    The fixed-horizon companion of :func:`batched_cobra_cover_trials`
-    for experiments that consume the frontier dynamics themselves
-    (``ACTIVE_growth``'s §1.1 growth/saturation measurements) rather
-    than a stopping time: all trials advance in one flat frontier and
-    each step records every trial's frontier size with one
-    ``bincount``.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    trials : int
-        Number of independent runs.
-    steps : int
-        Horizon: every trial advances exactly this many steps.
-    k : int
-        Cobra branching factor.
-    start : int or numpy.ndarray
-        Start vertex (or array of start vertices) shared by all trials.
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``int64[trials, steps + 1]``; column ``t`` is ``|S_t|``, with
-        column 0 the start-set size — the batched analogue of
-        :attr:`repro.core.cobra.CobraWalk.history`.
-    """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if k < 1:
-        raise ValueError(f"branching factor k must be >= 1, got {k}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    n = oracle.n
-    start_arr = _validated_start(oracle, start)
-    rng = resolve_rng(seed)
-
-    a = trials
-    pair, ftype = _cobra_ftype(oracle, k)
-    nn = np.int64(n)
-    deg_f = _degree_table(oracle, ftype)
-    front = (
-        np.repeat(np.arange(a, dtype=np.int64) * n, start_arr.size)
-        + np.tile(start_arr, a)
-    )
-    sizes = np.zeros((trials, steps + 1), dtype=np.int64)
-    sizes[:, 0] = start_arr.size
-    scratch = np.zeros(a * n, dtype=bool)
-
-    for t in range(1, steps + 1):
-        v = front % nn
-        _scatter_cobra_draws(
-            oracle, v, deg_f.take(v), front - v, k, pair, ftype, rng, scratch
-        )
-        front = scratch.nonzero()[0]
-        scratch[front] = False
-        sizes[:, t] = np.bincount(front // nn, minlength=a)
-    return sizes
-
-
-def batched_walt_positions_at(
-    graph: GraphLike,
-    *,
-    trials: int,
-    steps: int,
-    delta: float = 0.5,
-    lazy: bool = True,
-    start: int | np.ndarray | None = 0,
-    seed: SeedLike = None,
-    pebbles: int | None = None,
-) -> np.ndarray:
-    """Pebble positions of *trials* independent Walt runs after exactly
-    *steps* (possibly lazy) rounds.
-
-    The fixed-horizon companion of :func:`batched_walt_cover_trials`
-    for the Theorem 8 epoch machinery (``T8_epochs``): the experiment
-    needs the pebble *configuration* at the end of an epoch, not a
-    cover time.  All trials advance through the same sort-free grouped
-    move (:func:`_walt_move_batch`); the lazy coin is drawn per trial
-    per round, so each trial holds independently.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    trials : int
-        Number of independent runs.
-    steps : int
-        Horizon: every trial advances exactly this many rounds.
-    delta : float
-        Pebble density — ``max(1, int(delta·n))`` pebbles per trial
-        (ignored when *pebbles* is given).
-    lazy : bool
-        Apply the per-round 1/2 holding coin (paper default).
-    start : int or numpy.ndarray or None
-        Placement, as in :func:`batched_walt_cover_trials`: a
-        vertex/array puts the pebbles there in every trial; ``None``
-        spreads them uniformly at random, independently per trial.
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    pebbles : int or None
-        Exact per-trial pebble count overriding *delta* (the epoch
-        experiments pin ``max(2, int(δ·n))``).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``int64[trials, p]`` pebble positions after *steps* rounds.
-    """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    n = oracle.n
-    if pebbles is None:
-        if not 0 < delta <= 1:
-            raise ValueError("delta must be in (0, 1]")
-        p = max(1, int(delta * n))
-    else:
-        p = int(pebbles)
-        if p < 1:
-            raise ValueError("need at least one pebble")
-    rng = resolve_rng(seed)
-    positions = _walt_initial_positions(oracle, trials, p, start, rng)
-
-    a = trials
-    tmp = np.empty(a * n, dtype=np.int64)
-    tmp2 = np.empty(a * n, dtype=np.int64)
-    d1 = np.empty(a * n, dtype=np.int64)
-    d2 = np.empty(a * n, dtype=np.int64)
-    for _ in range(steps):
-        if lazy:
-            move_rows = (rng.random(a) >= 0.5).nonzero()[0]
-            if move_rows.size == 0:
-                continue
-        else:
-            move_rows = np.arange(a)
-        positions[move_rows] = _walt_move_batch(
-            oracle, positions, move_rows, rng, tmp, tmp2, d1, d2
-        )
-    return positions
+        draws = trials * n
+        sel = np.argpartition(rng.random((trials, n)), walkers - 1, axis=1)[:, :walkers]
+        wpos = np.sort((np.arange(trials, dtype=np.int64)[:, None] * n + sel).ravel())
+    mover = _CoalescingMover(oracle, wpos, rng)
+    mover.draws = draws
+    return _lockstep(mover, _Cover(trials, n), trials, max_steps, wpos)
 
 
 def batched_biased_cover_trials(
@@ -1788,13 +1695,10 @@ def batched_biased_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
+    oracle = _samplable(graph, trials)
     n = oracle.n
-    if not (0 <= target < n):
-        raise ValueError("target out of range")
-    if not (0 <= int(start) < n):
-        raise ValueError("start out of range")
+    _check_vertex(oracle, target, "target")
+    _check_vertex(oracle, int(start), "start")
     if eps is not None and not 0.0 <= eps <= 1.0:
         raise ValueError("eps must be in [0, 1]")
     if max_steps is None:
@@ -1811,105 +1715,5 @@ def batched_biased_cover_trials(
     controller = np.asarray(controller, dtype=np.int64)
     if controller.shape != (n,):
         raise ValueError("controller table must have one entry per vertex")
-    rng = resolve_rng(seed)
-
-    deg = _degree_table(oracle, np.float64)
-    nn = np.int64(n)
-    row_base = np.arange(trials, dtype=np.int64) * nn
-    pos = np.full(trials, int(start), dtype=np.int64)
-    covered = visited_mask(trials, n)
-    covered.set_unique_rows(row_base + int(start))
-    count = np.ones(trials, dtype=np.int64)
-    out = np.full(trials, np.nan)
-    done = np.zeros(trials, dtype=bool)
-    if n == 1:
-        return np.zeros(trials)
-    for t in range(1, max_steps + 1):
-        bias = (1.0 / deg[pos]) if eps is None else eps
-        coin = rng.random(trials)
-        nbr = oracle.sample_one(pos, rng)
-        pos = np.where(coin < bias, controller[pos], nbr)
-        flat = row_base + pos
-        fresh = ~covered.test_flat(flat)
-        covered.set_unique_rows(flat)
-        count += fresh
-        newly_done = ~done & (count == n)
-        if newly_done.any():
-            out[newly_done] = t
-            done |= newly_done
-            if done.all():
-                break
-    return out
-
-
-def batched_lazy_hit_trials(
-    graph: GraphLike,
-    target: int,
-    *,
-    trials: int,
-    start: int = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Hitting times of *target* over *trials* independent
-    lazy-random-walk runs (the lazy ``metric="hit"`` engine).
-
-    The same jump-chain time-change as
-    :func:`batched_lazy_cover_trials`: first activation of the target
-    can only happen at a move, so the *move* chain races to the target
-    on the batched simple-walk hit engine
-    (:func:`repro.walks.simple.rw_hitting_trials`) and the holds are
-    reconstructed afterwards as one ``NegativeBinomial(moves, 1/2)``
-    draw per finished trial.  Exactly the law of the serial lazy walk,
-    including budget censoring: a trial is ``nan`` iff its
-    reconstructed step total exceeds *max_steps*.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first visit stops a trial.
-    trials : int
-        Number of independent runs.
-    start : int
-        Common start vertex of every trial.
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Step budget per trial (holds included, as in the serial walk);
-        defaults to the lazy walk's serial budget.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting times, ``np.nan`` marking budget
-        exhaustion.
-    """
-    oracle = as_oracle(graph)
-    _check_samplable(oracle, trials)
-    from ..walks.simple import _cover_budget, rw_hitting_trials
-
-    n = oracle.n
-    if not (0 <= target < n):
-        raise ValueError("target out of range")
-    if not (0 <= int(start) < n):
-        raise ValueError("start out of range")
-    if max_steps is None:
-        max_steps = _cover_budget(n)
-    rng = resolve_rng(seed)
-
-    # total steps >= moves, so `max_steps` moves bounds every trial
-    # that could still hit within the step budget
-    moves = rw_hitting_trials(
-        graph, target, start=int(start), trials=trials, seed=rng, max_steps=max_steps
-    )
-    out = np.full(trials, np.nan)
-    fin = np.flatnonzero(~np.isnan(moves))
-    if fin.size:
-        n_moves = moves[fin].astype(np.int64)
-        total = n_moves + rng.negative_binomial(np.maximum(n_moves, 1), 0.5)
-        total = np.where(n_moves > 0, total, 0)
-        ok = total <= max_steps
-        out[fin[ok]] = total[ok]
-    return out
+    mover = _BiasedMover(oracle, trials, int(start), controller, eps, resolve_rng(seed))
+    return _lockstep(mover, _Cover(trials, n), trials, max_steps, mover.base + mover.pos)

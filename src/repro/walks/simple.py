@@ -14,7 +14,7 @@ parallel-walk engines in :mod:`repro.sim.batch`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from typing import Protocol
 
 import numpy as np
 
@@ -159,11 +159,17 @@ BLOCK_POSITIONS = 1 << 15
 #: as it needed, plus one first block
 FIRST_BLOCK_STEPS = 32
 
-#: ``settle(walk, t0)`` folds a ``(b, P)`` block of positions (rows are
-#: steps ``t0 + 1 .. t0 + b``) into an engine's state and returns the
-#: 1-based row at which its last running trial stopped, or 0 while any
-#: trial is still running
-Settle = Callable[[np.ndarray, int], int]
+
+class Settle(Protocol):
+    """A block stopping rule.  ``settle(walk, t0)`` folds a ``(b, P)``
+    block of positions (rows are steps ``t0 + 1 .. t0 + b``) into an
+    engine's state and returns the 1-based row at which its last running
+    trial stopped, or 0 while any trial is still running; ``out`` holds
+    the per-trial stop times, ``nan`` while a trial runs."""
+
+    out: np.ndarray
+
+    def __call__(self, walk: np.ndarray, t0: int) -> int: ...
 
 
 def walk_blocks(
@@ -196,7 +202,9 @@ def walk_blocks(
 
     Under an active :mod:`repro.obs` tracer the lock-steps taken (the
     ``rng.random(P)`` rows consumed) are flushed as the ``engine_steps``
-    and ``rng_draws`` (``steps * P``) counters.
+    and ``rng_draws`` (``steps * P``) counters, and the steps the trials
+    ran before stopping (``settle.out``, the step count where ``nan``),
+    summed, as ``trial_steps``.
 
     Parameters
     ----------
@@ -209,7 +217,7 @@ def walk_blocks(
     max_steps : int
         Step budget; nothing is drawn when it is below 1.
     settle : Settle
-        The engine's per-block stopping rule (see :data:`Settle`).
+        The engine's per-block stopping rule (see :class:`Settle`).
 
     Raises
     ------
@@ -248,6 +256,8 @@ def walk_blocks(
     tracer = current_tracer()
     if tracer.enabled:
         tracer.count("engine_steps", steps)
+        ran = np.where(np.isnan(settle.out), steps, settle.out)
+        tracer.count("trial_steps", int(ran.sum()))
         tracer.count("rng_draws", steps * width)
 
 

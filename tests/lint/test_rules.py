@@ -7,10 +7,13 @@ the rules scope themselves by path substring, so a fixture opts into a
 scope by naming itself e.g. ``src/repro/store/foo.py``.
 """
 
+import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro.sim.builtin_processes as builtin_processes
 from repro.lint import ERROR, WARNING, all_rules, get_rule, lint_source
 
 # paths inside / outside the scopes the rules key on
@@ -313,6 +316,24 @@ class TestRPL121HitEngineGap:
             ' capabilities=frozenset({"hit"}), batch_hit=object)\n'
         )
         assert not findings_for(src, ENGINE, "RPL121")
+
+    def test_registry_gap_is_biased_branching_parallel(self):
+        """The built-in specs RPL121 flags are exactly the processes
+        whose hit sweeps still run serially."""
+        source = Path(builtin_processes.__file__).read_text()
+        names = {
+            node.lineno: kw.value.value
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+            if kw.arg == "name" and isinstance(kw.value, ast.Constant)
+        }
+        flagged = {
+            names[f.line]
+            for f in lint_source(source, "src/repro/sim/builtin_processes.py")
+            if f.rule == "RPL121"
+        }
+        assert flagged == {"biased", "branching", "parallel"}
 
 
 class TestRPL130Annotations:

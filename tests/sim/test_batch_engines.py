@@ -18,8 +18,11 @@ import pytest
 
 from conformance import SERIAL_PARITY_CASES, assert_means_close
 
-from repro.graphs import cycle_graph, grid, star_graph
+import repro.sim.batch as batch_mod
+from repro.graphs import complete_graph, cycle_graph, grid, star_graph
+from repro.obs.trace import Tracer, activate
 from repro.sim import (
+    all_processes,
     batched_biased_cover_trials,
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
@@ -532,3 +535,89 @@ class TestFixedHorizonEngines:
             batched_walt_positions_at(g, trials=2, steps=-1)
         with pytest.raises(ValueError, match="pebble"):
             batched_walt_positions_at(g, trials=2, steps=1, pebbles=0)
+
+
+#: the extra arguments each public engine needs beyond (graph, trials=)
+ENGINE_ARGS = {
+    "batched_biased_cover_trials": ((0,), {}),
+    "batched_cobra_active_sizes": ((), {"steps": 1}),
+    "batched_cobra_hit_trials": ((0,), {}),
+    "batched_gossip_hit_trials": ((0,), {}),
+    "batched_lazy_hit_trials": ((0,), {}),
+    "batched_walt_hit_trials": ((0,), {}),
+    "batched_walt_positions_at": ((), {"steps": 1}),
+}
+
+
+@pytest.mark.parametrize("name", batch_mod.__all__)
+def test_one_vertex_graph_is_rejected(name):
+    """A one-vertex graph has no edge (``Graph`` rejects self-loops), so
+    its only vertex is isolated and every engine refuses it up front."""
+    args, kwargs = ENGINE_ARGS.get(name, ((), {}))
+    with pytest.raises(ValueError):
+        getattr(batch_mod, name)(complete_graph(1), *args, trials=2, **kwargs)
+
+
+COUNTER_TRIALS = 6
+COUNTER_HORIZON = 10
+#: the coalescing default (a walker on every vertex) covers at t = 0
+COUNTER_PARAMS = {"coalescing": {"walkers": 3}}
+
+
+def _registry_run(name: str, metric: str):
+    def run(g):
+        return run_batch(
+            g,
+            name,
+            trials=COUNTER_TRIALS,
+            metric=metric,
+            target=g.n - 1,
+            seed=11,
+            max_steps=2000,
+            strategy="vectorized",
+            **COUNTER_PARAMS.get(name, {}),
+        ).values
+
+    return run
+
+
+def _counter_cases():
+    cases = [
+        pytest.param(_registry_run(spec.name, metric), None, id=f"{spec.name}-{metric}")
+        for spec in all_processes()
+        for metric in sorted(spec.capabilities)
+        if (spec.batch_hit if metric == "hit" else spec.batch_cover)
+        and metric in ("cover", "spread", "hit")
+    ]
+    for engine in (batched_cobra_active_sizes, batched_walt_positions_at):
+        cases.append(
+            pytest.param(
+                lambda g, e=engine: e(
+                    g, trials=COUNTER_TRIALS, steps=COUNTER_HORIZON, seed=11
+                ),
+                COUNTER_HORIZON,
+                id=engine.__name__,
+            )
+        )
+    return cases
+
+
+@pytest.mark.parametrize("run,horizon", _counter_cases())
+def test_every_engine_reports_the_driver_counters(run, horizon):
+    """Under a tracer every batched engine flushes the same counters:
+    ``engine_steps`` lock-steps (at least the latest finish, or exactly
+    the horizon), ``trial_steps`` at most trials × lock-steps, and
+    ``rng_draws``."""
+    records = []
+    tracer = Tracer(clock=lambda: 0.0, sink=records.append, worker="w")
+    with tracer.span("engine"), activate(tracer):
+        values = np.asarray(run(cycle_graph(9)), dtype=np.float64)
+    (record,) = records
+    for counter in ("c_engine_steps", "c_trial_steps", "c_rng_draws"):
+        assert counter in record, counter
+    steps = record["c_engine_steps"]
+    assert record["c_trial_steps"] <= COUNTER_TRIALS * steps
+    if horizon is None:
+        assert steps >= values[np.isfinite(values)].max(initial=0)
+    else:
+        assert steps == horizon
