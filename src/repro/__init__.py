@@ -1,8 +1,9 @@
 """cobra-walks: coalescing-branching random walks and their bounds.
 
 Reproduction of Mitzenmacher, Rajaraman & Roche, *Better Bounds for
-Coalescing-Branching Random Walks* (SPAA 2016).  See DESIGN.md for the
-system inventory and EXPERIMENTS.md for the paper-vs-measured record.
+Coalescing-Branching Random Walks* (SPAA 2016).  See README.md for the
+quickstart and the experiments CLI, and docs/architecture.md for the
+layer map.
 
 The unified process API is the front door: every process family
 (cobra, Walt, simple/lazy/parallel walks, branching, coalescing,
@@ -43,49 +44,29 @@ Subpackages
     One registered experiment per paper claim, with a CLI.
 """
 
-from ._version import __version__
-from .core import (
-    CobraRunResult,
-    CobraWalk,
-    WaltProcess,
-    walt_cover_time,
-)
-from .graphs import Graph, grid, hypercube, lollipop, random_regular, torus
-from .sim import (
-    ProcessSpec,
-    RunResult,
-    TrialSummary,
-    all_processes,
-    get_process,
-    process_names,
-    register_process,
-    run_batch,
-    simulate,
-)
-from .store import Campaign, ResultStore, SweepSpec
+from ._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "ProcessSpec",
-    "RunResult",
-    "TrialSummary",
-    "simulate",
-    "run_batch",
-    "register_process",
-    "get_process",
-    "all_processes",
-    "process_names",
-    "SweepSpec",
-    "ResultStore",
-    "Campaign",
-    "CobraRunResult",
-    "CobraWalk",
-    "WaltProcess",
-    "walt_cover_time",
-    "Graph",
-    "grid",
-    "hypercube",
-    "lollipop",
-    "random_regular",
-    "torus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    ("._version", ("__version__",)),
+    (".sim", (
+        "ProcessSpec",
+        "RunResult",
+        "TrialSummary",
+        "simulate",
+        "run_batch",
+        "register_process",
+        "get_process",
+        "all_processes",
+        "process_names",
+    )),
+    (".store", ("SweepSpec", "ResultStore", "Campaign")),
+    (".core", ("CobraRunResult", "CobraWalk", "WaltProcess", "walt_cover_time")),
+    (".graphs", (
+        "Graph",
+        "grid",
+        "hypercube",
+        "lollipop",
+        "random_regular",
+        "torus",
+    )),
+))

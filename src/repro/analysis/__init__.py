@@ -1,28 +1,17 @@
 """Analysis helpers: exponent fits, summary stats, result tables."""
 
-from .scaling import (
-    PowerLawFit,
-    ShapeFit,
-    doubling_ratios,
-    fit_constant_to_shape,
-    fit_power_law,
-    fit_power_law_rows,
-)
-from .plot import ascii_loglog, ascii_plot
-from .stats import SummaryStats, bootstrap_ci, summarize
-from .tables import Table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PowerLawFit",
-    "ShapeFit",
-    "doubling_ratios",
-    "fit_constant_to_shape",
-    "fit_power_law",
-    "fit_power_law_rows",
-    "SummaryStats",
-    "bootstrap_ci",
-    "summarize",
-    "Table",
-    "ascii_loglog",
-    "ascii_plot",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    (".scaling", (
+        "PowerLawFit",
+        "ShapeFit",
+        "doubling_ratios",
+        "fit_constant_to_shape",
+        "fit_power_law",
+        "fit_power_law_rows",
+    )),
+    (".stats", ("SummaryStats", "bootstrap_ci", "summarize")),
+    (".tables", ("Table",)),
+    (".plot", ("ascii_loglog", "ascii_plot")),
+))

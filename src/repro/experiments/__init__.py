@@ -1,4 +1,5 @@
-"""Per-claim reproduction experiments (see DESIGN.md §4 for the index)."""
+"""Per-claim reproduction experiments (``cobra-experiments list`` prints
+the index; see README.md and docs/architecture.md)."""
 
 from .registry import Experiment, ExperimentResult, all_experiments, get, register
 

@@ -1,156 +1,81 @@
 """Graph substrate: CSR graphs, generators, products, and checks."""
 
-from .base import Graph, sample_uniform_neighbors
-from .builders import (
-    from_adjacency,
-    from_dense,
-    from_edge_list,
-    from_networkx,
-)
-from .checks import (
-    bfs_distances,
-    connected_components,
-    diameter,
-    eccentricity,
-    is_bipartite,
-    is_connected,
-    shortest_path,
-    weighted_inverse_degree_distance,
-)
-from .classic import (
-    barbell,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    double_star,
-    lollipop,
-    path_graph,
-    star_graph,
-    wheel_graph,
-)
-from .expanders import (
-    chordal_cycle,
-    circulant,
-    hypercube,
-    is_prime,
-    margulis,
-    random_regular,
-)
-from .grid import grid, grid_coords, grid_manhattan, grid_vertex, torus
-from .implicit import (
-    IMPLICIT_TOPOLOGIES,
-    CirculantOracle,
-    CSRNeighborOracle,
-    HypercubeOracle,
-    KroneckerOracle,
-    NeighborOracle,
-    TorusOracle,
-    as_oracle,
-    circulant_oracle,
-    hypercube_oracle,
-    kronecker,
-    kronecker_oracle,
-    to_csr,
-    torus_oracle,
-)
-from .named import (
-    de_bruijn_undirected,
-    kneser_graph,
-    petersen,
-    ring_of_cliques,
-)
-from .product import (
-    WaltPairChain,
-    cartesian_product,
-    tensor_product,
-    walt_pair_chain,
-)
-from .random_graphs import (
-    barabasi_albert,
-    chung_lu_powerlaw,
-    erdos_renyi,
-    gnm_random,
-    largest_component,
-    random_geometric,
-    watts_strogatz,
-)
-from .trees import (
-    balanced_binary_tree,
-    caterpillar,
-    kary_tree,
-    kary_tree_depth,
-    random_tree,
-    spider,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "sample_uniform_neighbors",
-    "from_adjacency",
-    "from_dense",
-    "from_edge_list",
-    "from_networkx",
-    "bfs_distances",
-    "connected_components",
-    "diameter",
-    "eccentricity",
-    "is_bipartite",
-    "is_connected",
-    "shortest_path",
-    "weighted_inverse_degree_distance",
-    "barbell",
-    "complete_bipartite",
-    "complete_graph",
-    "cycle_graph",
-    "double_star",
-    "lollipop",
-    "path_graph",
-    "star_graph",
-    "wheel_graph",
-    "chordal_cycle",
-    "circulant",
-    "hypercube",
-    "is_prime",
-    "margulis",
-    "random_regular",
-    "grid",
-    "grid_coords",
-    "grid_manhattan",
-    "grid_vertex",
-    "torus",
-    "IMPLICIT_TOPOLOGIES",
-    "CirculantOracle",
-    "CSRNeighborOracle",
-    "HypercubeOracle",
-    "KroneckerOracle",
-    "NeighborOracle",
-    "TorusOracle",
-    "as_oracle",
-    "circulant_oracle",
-    "hypercube_oracle",
-    "kronecker",
-    "kronecker_oracle",
-    "to_csr",
-    "torus_oracle",
-    "de_bruijn_undirected",
-    "kneser_graph",
-    "petersen",
-    "ring_of_cliques",
-    "WaltPairChain",
-    "cartesian_product",
-    "tensor_product",
-    "walt_pair_chain",
-    "barabasi_albert",
-    "chung_lu_powerlaw",
-    "erdos_renyi",
-    "gnm_random",
-    "largest_component",
-    "random_geometric",
-    "watts_strogatz",
-    "balanced_binary_tree",
-    "caterpillar",
-    "kary_tree",
-    "kary_tree_depth",
-    "random_tree",
-    "spider",
-]
+# shares its submodule's name, so it cannot be lazy (see repro._lazy)
+from .grid import grid as grid
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    (".base", ("Graph", "sample_uniform_neighbors")),
+    (".builders", ("from_adjacency", "from_dense", "from_edge_list", "from_networkx")),
+    (".checks", (
+        "bfs_distances",
+        "connected_components",
+        "diameter",
+        "eccentricity",
+        "is_bipartite",
+        "is_connected",
+        "shortest_path",
+        "weighted_inverse_degree_distance",
+    )),
+    (".classic", (
+        "barbell",
+        "complete_bipartite",
+        "complete_graph",
+        "cycle_graph",
+        "double_star",
+        "lollipop",
+        "path_graph",
+        "star_graph",
+        "wheel_graph",
+    )),
+    (".expanders", (
+        "chordal_cycle",
+        "circulant",
+        "hypercube",
+        "is_prime",
+        "margulis",
+        "random_regular",
+    )),
+    (".grid", ("grid", "grid_coords", "grid_manhattan", "grid_vertex", "torus")),
+    (".implicit", (
+        "IMPLICIT_TOPOLOGIES",
+        "CirculantOracle",
+        "CSRNeighborOracle",
+        "HypercubeOracle",
+        "KroneckerOracle",
+        "NeighborOracle",
+        "TorusOracle",
+        "as_oracle",
+        "circulant_oracle",
+        "hypercube_oracle",
+        "kronecker",
+        "kronecker_oracle",
+        "to_csr",
+        "torus_oracle",
+    )),
+    (".named", ("de_bruijn_undirected", "kneser_graph", "petersen", "ring_of_cliques")),
+    (".product", (
+        "WaltPairChain",
+        "cartesian_product",
+        "tensor_product",
+        "walt_pair_chain",
+    )),
+    (".random_graphs", (
+        "barabasi_albert",
+        "chung_lu_powerlaw",
+        "erdos_renyi",
+        "gnm_random",
+        "largest_component",
+        "random_geometric",
+        "watts_strogatz",
+    )),
+    (".trees", (
+        "balanced_binary_tree",
+        "caterpillar",
+        "kary_tree",
+        "kary_tree_depth",
+        "random_tree",
+        "spider",
+    )),
+))

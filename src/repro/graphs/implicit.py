@@ -97,9 +97,17 @@ class NeighborOracle:
         ``"torus"``, ``"hypercube"``, ``"circulant"``, ``"kronecker"``).
     min_degree, max_degree : int
         Exact degree bounds.
+    pooled_slots : bool
+        Whether one ``neighbor_at`` call with a ``(k, F)`` slot block
+        against ``F`` vertices beats ``k`` calls with ``F`` slots each:
+        true where the oracle builds a per-vertex table once per call.
+        Engines drawing several neighbors per vertex pool their slots
+        only then; a CSR gather of ``k·F`` slots at once is slower
+        than ``k`` gathers of ``F``.
     """
 
     kind = "implicit"
+    pooled_slots = False
 
     def __init__(
         self,
@@ -243,6 +251,8 @@ class _CandidateTableOracle(NeighborOracle):
     """Shared ``neighbor_at`` for constant-degree arithmetic oracles
     whose per-vertex neighbor list is a small sorted candidate row."""
 
+    pooled_slots = True
+
     def _sorted_neighbors(self, vertices: np.ndarray) -> np.ndarray:
         """``(len(vertices), degree)`` ascending candidate table."""
         raise NotImplementedError
@@ -252,15 +262,12 @@ class _CandidateTableOracle(NeighborOracle):
         return np.full(v.shape, self.min_degree, dtype=np.int64)
 
     def neighbor_at(self, vertices: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        v, s = np.broadcast_arrays(
-            np.asarray(vertices, dtype=np.int64), np.asarray(slots, dtype=np.int64)
-        )
-        shape = v.shape
-        vf = np.ascontiguousarray(v).ravel()
-        sf = np.ascontiguousarray(s).ravel()
-        cand = self._sorted_neighbors(vf)
-        out = cand[np.arange(vf.size, dtype=np.int64), sf]
-        return out.reshape(shape)
+        # one table row per given vertex, not per broadcast query: a
+        # (k, F) slot block against F vertices builds and sorts F rows
+        v = np.asarray(vertices, dtype=np.int64)
+        cand = self._sorted_neighbors(v.ravel())
+        rows = np.arange(v.size, dtype=np.int64).reshape(v.shape)
+        return cand[rows, np.asarray(slots, dtype=np.int64)]
 
 
 class TorusOracle(_CandidateTableOracle):

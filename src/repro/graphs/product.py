@@ -14,12 +14,15 @@ requires) together with the Eulerian stationary distribution
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .base import Graph
 from .builders import from_edge_list
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "tensor_product",
@@ -123,6 +126,8 @@ def walt_pair_chain(g: Graph, *, lazy: bool = True, allow_reducible: bool = Fals
     """
     if not g.is_regular():
         raise ValueError("walt_pair_chain requires a regular graph (as in Lemma 11)")
+    import scipy.sparse as sp
+
     from .checks import is_bipartite
 
     if not allow_reducible and is_bipartite(g):

@@ -25,6 +25,7 @@ RPL120    error     ``cover`` capability requires a ``batch_cover`` engine
 RPL121    warning   ``hit`` capability without ``batch_hit`` (the known gap)
 RPL130    error     public functions in gated API modules are annotated
 RPL150    error     sim/store timing goes through the injected Tracer clock
+RPL160    error     no module-level ``import scipy`` outside ``repro/spectral/``
 RPL200    error     every registered sweep expands (contract audit)
 RPL201    error     batch engines/factories match the protocol (contract audit)
 RPL202    error     docs anchors the test suite expects resolve (contract audit)
@@ -736,6 +737,52 @@ def _check_rpl150(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
             )
 
 
+def _is_type_checking(test: ast.expr) -> bool:
+    """Match ``TYPE_CHECKING`` / ``typing.TYPE_CHECKING``."""
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _runs_at_import(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements executed when the module is imported: *body* and its
+    nested blocks, minus function bodies and ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            yield from _runs_at_import(node.orelse)
+            continue
+        for block in ("body", "orelse", "finalbody"):
+            yield from _runs_at_import(getattr(node, block, []))
+        for handler in getattr(node, "handlers", []):
+            yield from _runs_at_import(handler.body)
+
+
+def _is_scipy(module: str | None) -> bool:
+    return module is not None and (module == "scipy" or module.startswith("scipy."))
+
+
+def _check_rpl160(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
+    p = _posix(ctx.path)
+    if "repro/" not in p or "repro/spectral/" in p:
+        return
+    for node in _runs_at_import(ctx.tree.body):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if _is_scipy(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] if _is_scipy(node.module) else []
+        else:
+            continue
+        for name in names:
+            yield node, (
+                f"module-level import of {name} makes every importer of this "
+                "module load scipy; import it inside the function that "
+                "uses it (a TYPE_CHECKING import covers annotations)"
+            )
+
+
 # ---------------------------------------------------------------------------
 # registration
 
@@ -1076,5 +1123,28 @@ register_rule(
             "_RPL150_ALLOWLIST with a comment saying why."
         ),
         checker=_check_rpl150,
+    )
+)
+
+register_rule(
+    Rule(
+        id="RPL160",
+        severity=ERROR,
+        title="module-level scipy import outside repro/spectral",
+        invariant=(
+            "Outside repro/spectral/, no `import scipy...` / `from scipy... "
+            "import` runs when a repro module is imported. scipy costs "
+            "about a third of a sweep verb's cold start, and the CLI, the "
+            "store and the service never call it; one module-level import "
+            "on their import graph puts that cost back on every `sweep "
+            "run`, `sweep work` and `sweep serve` process. Imports under "
+            "`if TYPE_CHECKING:` and inside functions are fine."
+        ),
+        fix=(
+            "Move the import into the function that uses scipy, with a "
+            "`TYPE_CHECKING` import for annotations; or move the code into "
+            "repro/spectral/, the package that owns scipy."
+        ),
+        checker=_check_rpl160,
     )
 )

@@ -20,34 +20,19 @@ paths stay allocation-free and seed-for-seed identical when nobody is
 watching.
 """
 
-from .events import EVENTS_FILE, EventLog, load_events, tracer_for_store
-from .memory import peak_rss_mb
-from .report import StragglerReport, build_report, live_top, render_top
-from .trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    activate,
-    current_tracer,
-    default_worker_id,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "current_tracer",
-    "activate",
-    "default_worker_id",
-    "EVENTS_FILE",
-    "EventLog",
-    "load_events",
-    "tracer_for_store",
-    "StragglerReport",
-    "build_report",
-    "render_top",
-    "live_top",
-    "peak_rss_mb",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    (".trace", (
+        "Span",
+        "Tracer",
+        "NullTracer",
+        "NULL_TRACER",
+        "current_tracer",
+        "activate",
+        "default_worker_id",
+    )),
+    (".events", ("EVENTS_FILE", "EventLog", "load_events", "tracer_for_store")),
+    (".report", ("StragglerReport", "build_report", "render_top", "live_top")),
+    (".memory", ("peak_rss_mb",)),
+))

@@ -414,16 +414,14 @@ class _CobraMover(_Mover):
             first = np.floor(u, out=pool.get("first", F, ftype))
             u -= first  # leftover fraction: uniform again
             u *= degs
-            i1 = pool.get("i1", F, np.int64)
-            np.copyto(i1, first, casting="unsafe")  # trunc == floor (>= 0)
-            i2 = pool.get("i2", F, np.int64)
-            np.copyto(i2, u, casting="unsafe")
-            p1 = self.oracle.neighbor_at(v, i1)
-            p1 += base
-            p2 = self.oracle.neighbor_at(v, i2)
-            p2 += base
-            scratch[p1] = True
-            scratch[p2] = True
+            slots = pool.get("slots", 2 * F, np.int64).reshape(2, F)
+            np.copyto(slots[0], first, casting="unsafe")  # trunc == floor (>= 0)
+            np.copyto(slots[1], u, casting="unsafe")
+            # table oracles build each vertex's row once for both pebbles
+            for block in (slots,) if self.oracle.pooled_slots else slots:
+                picks = self.oracle.neighbor_at(v, block)
+                picks += base
+                scratch[picks] = True
         else:
             u = self.rng.random((self.k, F), dtype=ftype)
             nbrs = self.oracle.neighbor_at(v[None, :], (u * degs).astype(np.int64))

@@ -21,73 +21,38 @@ See ``docs/sweeps.md``.
 >>> store.frame(process="cobra").column("mean")  # doctest: +SKIP
 """
 
-from .backend import (
-    BackendError,
-    CASBackend,
-    HTTPCASBackend,
-    InMemoryCASBackend,
-    LocalBackend,
-    S3CASBackend,
-    StorageBackend,
-    resolve_backend,
-)
-from .campaign import Campaign, CampaignReport, CampaignStatus, run_cell
-from .dispatch import (
-    ClaimLedger,
-    CompactReport,
-    FsckReport,
-    Lease,
-    WorkerReport,
-    compact,
-    declare_sweep,
-    declared_sweeps,
-    drain,
-    fsck,
-)
-from .spec import (
-    STORE_SCHEMA_VERSION,
-    RunKey,
-    SeedPolicy,
-    SweepSpec,
-    canonical_json,
-)
-from .store import FRAME_SCHEMA, Frame, ResultStore, parse_record, record_row
-from .sweeps import build_sweep, register_sweep, sweep_names
+from .._lazy import lazy_exports
 
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "SweepSpec",
-    "SeedPolicy",
-    "RunKey",
-    "canonical_json",
-    "ResultStore",
-    "Frame",
-    "FRAME_SCHEMA",
-    "record_row",
-    "parse_record",
-    "StorageBackend",
-    "BackendError",
-    "LocalBackend",
-    "CASBackend",
-    "InMemoryCASBackend",
-    "HTTPCASBackend",
-    "S3CASBackend",
-    "resolve_backend",
-    "declare_sweep",
-    "declared_sweeps",
-    "Campaign",
-    "CampaignReport",
-    "CampaignStatus",
-    "run_cell",
-    "ClaimLedger",
-    "Lease",
-    "WorkerReport",
-    "drain",
-    "FsckReport",
-    "fsck",
-    "CompactReport",
-    "compact",
-    "register_sweep",
-    "build_sweep",
-    "sweep_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    (".spec", (
+        "STORE_SCHEMA_VERSION",
+        "SweepSpec",
+        "SeedPolicy",
+        "RunKey",
+        "canonical_json",
+    )),
+    (".store", ("ResultStore", "Frame", "FRAME_SCHEMA", "record_row", "parse_record")),
+    (".backend", (
+        "StorageBackend",
+        "BackendError",
+        "LocalBackend",
+        "CASBackend",
+        "InMemoryCASBackend",
+        "HTTPCASBackend",
+        "S3CASBackend",
+        "resolve_backend",
+    )),
+    (".dispatch", ("declare_sweep", "declared_sweeps")),
+    (".campaign", ("Campaign", "CampaignReport", "CampaignStatus", "run_cell")),
+    (".dispatch", (
+        "ClaimLedger",
+        "Lease",
+        "WorkerReport",
+        "drain",
+        "FsckReport",
+        "fsck",
+        "CompactReport",
+        "compact",
+    )),
+    (".sweeps", ("register_sweep", "build_sweep", "sweep_names")),
+))

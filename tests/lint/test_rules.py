@@ -429,6 +429,43 @@ class TestRPL150RawClockReads:
             ), rel
 
 
+class TestRPL160ModuleLevelScipy:
+    PRODUCT = "src/repro/graphs/product.py"
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import scipy.sparse as sp\n",
+            "from scipy import sparse\n",
+            "try:\n    import scipy\nexcept ImportError:\n    scipy = None\n",
+            "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    pass\n"
+            "else:\n    import scipy.linalg\n",
+        ],
+    )
+    def test_import_time_scipy_fires_outside_spectral(self, snippet):
+        (finding,) = findings_for(snippet, self.PRODUCT, "RPL160")
+        assert finding.severity == ERROR
+        assert "scipy" in finding.message
+
+    def test_function_and_type_checking_imports_are_silent(self):
+        src = """\
+        from typing import TYPE_CHECKING
+
+        if TYPE_CHECKING:
+            import scipy.sparse as sp
+
+        def build() -> "sp.csr_matrix":
+            import scipy.sparse as sp
+            return sp.eye(2, format="csr")
+        """
+        assert not findings_for(src, self.PRODUCT, "RPL160")
+
+    def test_spectral_and_non_package_files_are_exempt(self):
+        src = "import scipy.sparse as sp\n"
+        assert not findings_for(src, "src/repro/spectral/gap.py", "RPL160")
+        assert not findings_for(src, EXAMPLE, "RPL160")
+
+
 class TestOrderingAndRendering:
     def test_findings_sorted_by_position(self):
         src = """\
