@@ -414,11 +414,13 @@ def _sweep_main(args: argparse.Namespace) -> int:
 
 
 def _sweep_dispatch(args: argparse.Namespace) -> int:
-    """Dispatch the ``sweep`` subcommands (see the module docstring)."""
-    from ..store import Campaign
-    from ..store.sweeps import build_sweep, sweep_names
+    """Dispatch the ``sweep`` subcommands (see the module docstring).
 
+    Each verb imports what it runs inside its own branch, so ``sweep
+    serve`` never loads the campaign and engine modules."""
     if args.sweep_command == "list":
+        from ..store.sweeps import build_sweep, sweep_names
+
         for name in sweep_names():
             specs = build_sweep(name)
             cells = sum(len(s.expand()) for s in specs)
@@ -449,6 +451,7 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
 
     if args.sweep_command == "declare":
         from ..store.dispatch import declare_sweep
+        from ..store.sweeps import sweep_names
 
         if args.name not in sweep_names():
             known = ", ".join(sweep_names())
@@ -512,6 +515,8 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.sweep_command == "status":
+        from ..store.campaign import Campaign
+
         total = done = 0
         for spec in specs:
             status = Campaign(spec, store).status()
@@ -523,6 +528,8 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.sweep_command == "run":
+        from ..store.campaign import Campaign
+
         budget = args.max_cells
         if args.workers is not None and args.workers > 1 and budget is not None:
             raise UsageError("--workers and --max-cells are mutually exclusive")

@@ -34,12 +34,14 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..graphs.base import Graph
-from ..graphs.implicit import NeighborOracle
+
+if TYPE_CHECKING:
+    from ..graphs.implicit import NeighborOracle
 
 __all__ = [
     "STORE_SCHEMA_VERSION",

@@ -47,13 +47,15 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterator, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..sim.montecarlo import TrialSummary
 from .backend import LocalBackend, StorageBackend, resolve_backend
 from .spec import STORE_SCHEMA_VERSION, RunKey, canonical_json
+
+if TYPE_CHECKING:
+    from ..sim.montecarlo import TrialSummary
 
 __all__ = ["ResultStore", "Frame", "FRAME_SCHEMA", "record_row", "parse_record"]
 

@@ -70,6 +70,30 @@ def test_import_budget(module, excluded):
     assert _loaded_after(module, excluded) == []
 
 
+def test_serve_verb_loads_no_campaign_or_engine_modules():
+    """``sweep serve`` up to binding its server: the read path only."""
+    excluded = [
+        *CLI_EXCLUDED,
+        "repro.sim.batch",
+        "repro.sim.montecarlo",
+        "repro.store.campaign",
+        "multiprocessing",
+    ]
+    code = f"""
+import json
+import repro.store.service as service
+
+def stop(store, **kwargs):
+    print(json.dumps([m for m in {excluded!r} if m in sys.modules]))
+    raise SystemExit(0)
+
+service.make_server = stop
+from repro.experiments.cli import main
+main(["sweep", "serve", "--store", ":memory:", "--port", "0"])
+"""
+    assert json.loads(_fresh(code)) == []
+
+
 def test_every_lazy_name_resolves_to_its_object_cold():
     """Each exported name is the object, not a same-named submodule,
     even when every submodule was imported first (the order that makes
