@@ -15,10 +15,11 @@ The PR-10 acceptance flow as real OS processes::
 * every drained cell, fetched back via ``GET /cell/<hash>``, is
   **value-for-value identical** to an uninterrupted local
   ``Campaign.run()`` reference;
-* a ``GET /frame?groupby=…`` response parses as the canonical
-  ``repro.frame/1`` document and matches the reference's groupby
-  rows; a second GET with ``If-None-Match`` answers **304** with an
-  empty body;
+* a ``GET /frame?groupby=…`` sent with the ETag taken before the
+  drain answers **200**, never a stale 304; its body parses as the
+  canonical ``repro.frame/1`` document and matches the reference's
+  groupby rows; a second GET with the new ETag answers **304** with
+  an empty body;
 * ``sweep fsck --store http://…`` exits 0 against the served store;
 * SIGTERM stops the worker (``stopped on signal`` — the lease-release
   path) and the server (``serve: stopped``), both with exit 0.
@@ -121,6 +122,13 @@ def main() -> int:
             ),
             "declare",
         )
+        # a validator taken before the drain must never revalidate
+        # after it: the warm store has to notice every changed shard
+        frame_url = f"{url}/frame?groupby=g_n&aggregate=mean&column=mean"
+        status, headers, _ = _get(frame_url)
+        assert status == 200, f"pre-drain /frame answered {status}"
+        stale_etag = headers["ETag"]
+
         worker = _sweep_cli(
             "work", "--loop", "--store", url,
             "--owner", "smoke-loop", "--interval", "0.2",
@@ -153,25 +161,24 @@ def main() -> int:
             assert a == b, f"cell {cell.hash[:12]} diverged over HTTP"
         print(f"--- {len(cells)} cells value-identical to Campaign.run() ---")
 
-        # one canonical frame groupby over HTTP matches the reference
+        # one canonical frame groupby over HTTP matches the reference;
+        # asked with the pre-drain ETag, it is a 200, never a stale 304
         status, headers, body = _get(
-            f"{url}/frame?groupby=g_n&aggregate=mean&column=mean"
+            frame_url, **{"If-None-Match": stale_etag}
         )
-        assert status == 200, f"/frame answered {status}"
+        assert status == 200, f"/frame with a stale ETag answered {status}"
+        assert headers["ETag"] != stale_etag
         remote = Frame.from_json(body.decode("utf-8"))
         local = Frame(reference.frame().aggregate("g_n", column="mean"))
         assert remote.rows == local.rows, "HTTP frame diverged from reference"
 
         # strong ETag: the second GET revalidates to 304, empty body
         etag = headers["ETag"]
-        status, _, body = _get(
-            f"{url}/frame?groupby=g_n&aggregate=mean&column=mean",
-            **{"If-None-Match": etag},
-        )
+        status, _, body = _get(frame_url, **{"If-None-Match": etag})
         assert status == 304 and body == b"", (
             f"revalidation answered {status} with {len(body)} bytes"
         )
-        print("--- frame groupby matches; revalidation is 304 ---")
+        print("--- stale ETag is 200; frame matches; revalidation is 304 ---")
 
         # fsck over the same URL store: clean is exit 0
         _wait(_sweep_cli("fsck", "--store", url), "fsck")

@@ -125,7 +125,6 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "CASBackend",
         "InMemoryCASBackend",
         "HTTPCASBackend",
-        "S3CASBackend",
         "CAS ledger semantics",
         "value-for-value identical",
         "sweep serve",

@@ -39,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "CASBackend",
         "InMemoryCASBackend",
         "HTTPCASBackend",
-        "S3CASBackend",
         "resolve_backend",
     )),
     (".dispatch", ("declare_sweep", "declared_sweeps")),

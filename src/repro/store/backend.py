@@ -25,9 +25,8 @@ the seam — byte-for-byte the same on-disk layout, same advisory
 ``flock`` discipline (:mod:`repro.store.locking`).
 :class:`CASBackend` implements ``append_line`` as a conditional-put
 retry loop over two primitives (``_get``/``_put``), and
-:class:`InMemoryCASBackend` / :class:`HTTPCASBackend` /
-:class:`S3CASBackend` supply those primitives for tests, for the
-``sweep serve`` blob API, and for S3-compatible object stores.  See
+:class:`InMemoryCASBackend` and :class:`HTTPCASBackend` supply those
+primitives for tests and for the ``sweep serve`` blob API.  See
 ``docs/service.md``.
 """
 
@@ -36,12 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import threading
 import urllib.error
 import urllib.parse
 import urllib.request
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from .locking import append_line as _locked_append
 from .locking import locked
@@ -53,7 +53,6 @@ __all__ = [
     "CASBackend",
     "InMemoryCASBackend",
     "HTTPCASBackend",
-    "S3CASBackend",
     "resolve_backend",
 ]
 
@@ -61,6 +60,10 @@ __all__ = [
 #: workers resolves in O(N) rounds; hitting this means the remote end
 #: is returning inconsistent ETags, not that the store is busy
 _CAS_MAX_RETRIES = 10_000
+
+#: key parts that make ``realpath`` move a path (``""`` also marks an
+#: absolute key)
+_SPECIAL_PARTS = frozenset(("", ".", ".."))
 
 
 class BackendError(RuntimeError):
@@ -153,10 +156,29 @@ class LocalBackend:
     def _path(self, key: str) -> Path:
         # containment on the real path, so ``..``, absolute keys and
         # symlinks that lead out of the store are all refused
-        real = os.path.realpath(os.path.join(self._real_root, key))
-        if real != self._real_root and not real.startswith(self._real_prefix):
-            raise BackendError(f"key {key!r} escapes the store root")
+        if not self._plain(key):
+            real = os.path.realpath(os.path.join(self._real_root, key))
+            if real != self._real_root and not real.startswith(self._real_prefix):
+                raise BackendError(f"key {key!r} escapes the store root")
         return self._base / key
+
+    def _plain(self, key: str) -> bool:
+        """Whether *key* is relative, has no empty, ``.`` or ``..`` part
+        and meets no symlink beneath the resolved root — so ``realpath``
+        would leave it where it is, at one ``lstat`` per key part."""
+        parts = key.split("/")
+        if not _SPECIAL_PARTS.isdisjoint(parts):
+            return False
+        path = self._real_root
+        for part in parts:
+            path = os.path.join(path, part)
+            try:
+                mode = os.lstat(path).st_mode
+            except OSError:  # nothing below it exists to resolve
+                return True
+            if stat.S_ISLNK(mode):
+                return False
+        return True
 
     def read_blob(self, key: str) -> tuple[bytes, str] | None:
         """The file's bytes + content ETag (``None`` if absent/empty)."""
@@ -174,16 +196,33 @@ class LocalBackend:
         _locked_append(self._path(key), line)
 
     def list_prefix(self, prefix: str) -> list[str]:
-        """Sorted relative keys of non-empty files under *prefix*."""
+        """Sorted relative keys of non-empty files under *prefix*.
+
+        Scans only the directory the prefix names.  Files reached
+        through a symlink are listed; symlinked directories are not
+        descended into.
+        """
+        head, _, stem = prefix.rpartition("/")
+        if head and not self._plain(head):
+            return []  # no listed key has an odd part or a symlinked dir
         keys = []
-        if not self._base.is_dir():
-            return keys
-        for path in self._base.rglob("*"):
-            if not path.is_file():
+        rel = f"{head}/" if head else ""
+        pending = [(os.path.join(self._real_root, head), rel, stem)]
+        while pending:
+            directory, rel, stem = pending.pop()
+            try:
+                entries = os.scandir(directory)
+            except OSError:  # absent (a fresh store) or unreadable
                 continue
-            key = path.relative_to(self._base).as_posix()
-            if key.startswith(prefix) and path.stat().st_size > 0:
-                keys.append(key)
+            with entries:
+                for entry in entries:
+                    if not entry.name.startswith(stem):
+                        continue
+                    key = rel + entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((entry.path, key + "/", ""))
+                    elif entry.is_file() and entry.stat().st_size > 0:
+                        keys.append(key)
         return sorted(keys)
 
     def compare_and_swap(
@@ -430,92 +469,6 @@ class HTTPCASBackend(CASBackend):
         if not isinstance(keys, list):
             raise BackendError("GET /blobs did not return a JSON list")
         return [str(k) for k in keys]
-
-
-class S3CASBackend(CASBackend):
-    """S3-compatible adapter: conditional puts via ``IfMatch``/``IfNoneMatch``.
-
-    Optional — requires ``boto3``, which is **not** a dependency of
-    this repo; constructing the adapter without it raises a one-line
-    :class:`BackendError` instead of an ImportError at import time.
-    Uses S3's native conditional-write preconditions (supported by AWS
-    S3 since 2024 and by MinIO/R2), so the claim-ledger CAS semantics
-    are identical to :class:`InMemoryCASBackend`.
-
-    Parameters
-    ----------
-    bucket : str
-        Target bucket.
-    prefix : str
-        Key prefix acting as the store root (default ``""``).
-    client : object, optional
-        A pre-built ``boto3`` S3 client (tests inject fakes here);
-        default constructs one via ``boto3.client("s3")``.
-    """
-
-    def __init__(
-        self, bucket: str, prefix: str = "", *, client: Any | None = None
-    ) -> None:
-        if client is None:
-            try:
-                import boto3  # type: ignore[import-not-found]
-            except ImportError as exc:  # pragma: no cover - env-dependent
-                raise BackendError(
-                    "S3CASBackend needs boto3, which is not installed; "
-                    "use LocalBackend or a sweep-serve HTTPCASBackend instead"
-                ) from exc
-            client = boto3.client("s3")
-        self.bucket = bucket
-        self.prefix = prefix.strip("/")
-        self.client = client
-
-    def _key(self, key: str) -> str:
-        return f"{self.prefix}/{key}" if self.prefix else key
-
-    def _get(self, key: str) -> tuple[bytes, str] | None:
-        try:
-            resp = self.client.get_object(Bucket=self.bucket, Key=self._key(key))
-        except Exception as exc:  # noqa: BLE001 - boto error classes vary
-            if type(exc).__name__ in ("NoSuchKey", "ClientError") and (
-                "NoSuchKey" in str(exc) or "404" in str(exc)
-            ):
-                return None
-            raise BackendError(f"S3 GET {key} failed: {exc}") from exc
-        return resp["Body"].read(), resp["ETag"].strip('"')
-
-    def _put(
-        self, key: str, data: bytes, *, if_match: str | None = None,
-        if_none_match: bool = False,
-    ) -> str | None:
-        kwargs: dict[str, Any] = {
-            "Bucket": self.bucket, "Key": self._key(key), "Body": data,
-        }
-        if if_match is not None:
-            kwargs["IfMatch"] = if_match
-        if if_none_match:
-            kwargs["IfNoneMatch"] = "*"
-        try:
-            resp = self.client.put_object(**kwargs)
-        except Exception as exc:  # noqa: BLE001 - boto error classes vary
-            if "PreconditionFailed" in str(exc) or "412" in str(exc):
-                return None
-            raise BackendError(f"S3 PUT {key} failed: {exc}") from exc
-        return resp["ETag"].strip('"')
-
-    def _list(self, prefix: str) -> list[str]:
-        full = self._key(prefix)
-        try:
-            paginator = self.client.get_paginator("list_objects_v2")
-            keys: list[str] = []
-            for page in paginator.paginate(Bucket=self.bucket, Prefix=full):
-                for item in page.get("Contents", []):
-                    key = item["Key"]
-                    if self.prefix:
-                        key = key[len(self.prefix) + 1:]
-                    keys.append(key)
-            return keys
-        except Exception as exc:  # noqa: BLE001 - boto error classes vary
-            raise BackendError(f"S3 LIST {prefix} failed: {exc}") from exc
 
 
 def resolve_backend(

@@ -28,7 +28,9 @@ workers coordinate through:
 
 Every request is instrumented through :mod:`repro.obs` spans when the
 service carries a tracer (``sweep serve --trace``): one ``kind="http"``
-span per request, annotated with route and status.  See
+span per request, annotated with route and status (``/frame`` also
+with ``rows_scanned``, the store rows before filtering, and
+``bytes_hashed``, the body length behind its ETag).  See
 ``docs/service.md``.
 """
 
@@ -178,7 +180,11 @@ class SweepService:
                     return self._error(400, str(exc))
             body = frame.to_json().encode("utf-8")
             etag = hashlib.sha256(body).hexdigest()
-            self._annotate(rows=len(frame))
+            self._annotate(
+                rows=len(frame),
+                rows_scanned=len(self.store),
+                bytes_hashed=len(body),
+            )
             if self._revalidates(if_none_match, etag):
                 self._annotate(status=304)
                 return 304, {"ETag": f'"{etag}"'}, b""

@@ -43,6 +43,7 @@ a lightweight :class:`Frame` with ``filter``/``sort_by``/``column``/
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -508,7 +509,14 @@ class ResultStore:
             self.backend.root if isinstance(self.backend, LocalBackend) else None
         )
         self._cache: dict[str, dict[str, Any]] = {}
+        # hash -> (the record it was flattened from, its frame row)
+        self._rows: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {}
         self._loaded_shards: set[str] = set()
+        # shard prefix -> ETag of the shard version last parsed
+        self._shard_etags: dict[str, str] = {}
+        # a slower parse of an older shard version must not land
+        # after a newer one and claim its ETag
+        self._load_lock = threading.Lock()
         self._all_loaded = self.backend is None
         self._meta_checked = False
         if self.backend is not None:
@@ -552,23 +560,28 @@ class ResultStore:
         return f"shards/{prefix}.jsonl"
 
     def _load_shard(self, prefix: str) -> None:
-        if self.backend is None or prefix in self._loaded_shards:
+        if self.backend is None:
             return
-        self._loaded_shards.add(prefix)
-        blob = self.backend.read_blob(self._shard_key(prefix))
-        if blob is None:
-            return
-        bad = 0
-        for line in blob[0].decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = parse_record(line)
-            except ValueError:
-                bad += 1
-                continue
-            self._cache[record["hash"]] = record
+        with self._load_lock:
+            if prefix in self._loaded_shards:
+                return
+            self._loaded_shards.add(prefix)
+            blob = self.backend.read_blob(self._shard_key(prefix))
+            # a changed version is re-parsed in full: last write wins
+            if blob is None or self._shard_etags.get(prefix) == blob[1]:
+                return
+            bad = 0
+            for line in blob[0].decode("utf-8").splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = parse_record(line)
+                except ValueError:
+                    bad += 1
+                    continue
+                self._cache[record["hash"]] = record
+            self._shard_etags[prefix] = blob[1]
         if bad:
             warnings.warn(
                 f"store shard {self._shard_key(prefix)} had {bad} corrupt "
@@ -682,11 +695,13 @@ class ResultStore:
 
         Drops the shard-was-loaded bookkeeping so the next *miss*
         re-reads its shard through the backend.  Cached records are
-        kept: the store is content-addressed, so a hash→record binding
-        can only ever appear, never change — so a refresh costs one
-        read per shard a later miss touches, not a reload of every
-        record.  Refreshing and looking up every pending cell on each
-        claim round would cost a drain O(cells²) shard reads, so
+        kept (no committed cell ever leaves the store), but a duplicate
+        appended later can rebind a hash to new provenance (last write
+        wins), so a re-read shard whose ETag moved is re-parsed in
+        full; one whose ETag is unchanged is not parsed at all.  A
+        refresh costs one read per shard a later miss touches.
+        Refreshing and looking up every pending cell on each claim
+        round would cost a drain O(cells²) shard reads, so
         :func:`repro.store.dispatch.drain` refreshes only before the
         lookups it must redo.  A no-op for memory-only stores (there
         is nothing to re-read).
@@ -758,10 +773,18 @@ class ResultStore:
         Returns
         -------
         Frame
-            One row per stored record.
+            One row per stored record.  Rows are memoised per record
+            and handed out as shallow copies, so a caller that edits a
+            row does not change the next frame.
         """
         self._load_all()
-        frame = Frame([record_row(r) for _, r in sorted(self._cache.items())])
+        rows = []
+        for h, record in sorted(self._cache.items()):
+            memo = self._rows.get(h)
+            if memo is None or memo[0] is not record:  # put or re-parse
+                memo = self._rows[h] = (record, record_row(record))
+            rows.append(dict(memo[1]))
+        frame = Frame(rows)
         return frame.filter(**where) if where else frame
 
     def summary(self, key_or_hash: RunKey | str) -> TrialSummary | None:

@@ -145,18 +145,31 @@ class TestLocalKeyContainment:
         return LocalBackend(root), root, outside
 
     @pytest.mark.parametrize("operation", sorted(OPERATIONS))
-    @pytest.mark.parametrize("kind", ["parent", "absolute", "symlink"])
+    @pytest.mark.parametrize(
+        "kind", ["parent", "absolute", "symlink", "file_symlink"]
+    )
     def test_escaping_keys_are_refused(self, layout, operation, kind):
         backend, root, outside = layout
+        secret = outside / "secret.jsonl"
+        secret.write_bytes(b"secret\n")
+        (root / "shards" / "ab.jsonl").symlink_to(secret)
         key = {
             "parent": "../x",
             "absolute": str(outside / "x"),
             "symlink": "shards/link/x.jsonl",
+            "file_symlink": "shards/ab.jsonl",
         }[kind]
         with pytest.raises(BackendError, match="escapes the store root"):
             self.OPERATIONS[operation](backend, key)
         assert not (outside / "x").exists()
         assert not (outside / "x.jsonl").exists()
+        assert secret.read_bytes() == b"secret\n"
+
+    def test_symlink_within_the_root_still_works(self, layout):
+        backend, root, _ = layout
+        (root / "real.jsonl").write_bytes(b"row\n")
+        (root / "shards" / "ab.jsonl").symlink_to(root / "real.jsonl")
+        assert backend.read_blob("shards/ab.jsonl")[0] == b"row\n"
 
     def test_nested_key_still_works(self, layout):
         backend, root, _ = layout
@@ -165,6 +178,75 @@ class TestLocalKeyContainment:
         assert data == b"row\n"
         assert backend.compare_and_swap("shards/ab.jsonl", b"new\n", etag)
         assert (root / "shards" / "ab.jsonl").read_bytes() == b"new\n"
+
+
+def _rglob_listing(root, prefix):
+    """The reference ``LocalBackend.list_prefix``: a walk of the whole store."""
+    keys = []
+    if not root.is_dir():
+        return keys
+    for path in root.rglob("*"):
+        if not path.is_file():
+            continue
+        key = path.relative_to(root).as_posix()
+        if key.startswith(prefix) and path.stat().st_size > 0:
+            keys.append(key)
+    return sorted(keys)
+
+
+class TestLocalListPrefix:
+    """``list_prefix`` scans one directory yet lists what a full walk does."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path):
+        root = tmp_path / "store"
+        outside = tmp_path / "outside"
+        (outside / "dir").mkdir(parents=True)
+        (outside / "file.jsonl").write_text("far\n")
+        (outside / "dir" / "inner.jsonl").write_text("far\n")
+        files = {
+            "meta.json": "{}\n",
+            "claims.jsonl": "c\n",
+            "claims.jsonl.bak": "",
+            "claimsX/nested.jsonl": "n\n",
+            "events.jsonl": "e\n",
+            "shards/ab.jsonl": "r\n",
+            "shards/a0.jsonl": "",
+            "shards/b1.jsonl": "r\n",
+            "shards/a/deep/x.jsonl": "r\n",
+            "shards/a/empty.jsonl": "",
+            "shards/b/a.jsonl": "r\n",
+        }
+        for key, text in files.items():
+            (root / key).parent.mkdir(parents=True, exist_ok=True)
+            (root / key).write_text(text)
+        (root / "shards" / "empty_dir").mkdir()
+        (root / "shards" / "ac.jsonl").symlink_to(outside / "file.jsonl")
+        (root / "shards" / "a_dir").symlink_to(
+            outside / "dir", target_is_directory=True
+        )
+        (root / "shards" / "ad.jsonl").symlink_to(outside / "missing")
+        return LocalBackend(root), root.resolve()
+
+    @pytest.mark.parametrize(
+        "prefix",
+        ["", "shards/", "shards/a", "claims", "shards/a/", "shards/a_dir/",
+         "shards/ab.jsonl/", "missing/", "./shards/", "shards//", "../"],
+    )
+    def test_matches_a_full_walk(self, tree, prefix):
+        backend, root = tree
+        assert backend.list_prefix(prefix) == _rglob_listing(root, prefix)
+
+    def test_reference_sees_the_interesting_entries(self, tree):
+        _, root = tree
+        keys = _rglob_listing(root, "")
+        assert "shards/ac.jsonl" in keys  # a symlinked file is listed
+        assert "shards/a/deep/x.jsonl" in keys
+        assert not any(k.startswith("shards/a_dir") for k in keys)
+        assert "shards/a0.jsonl" not in keys and "shards/ad.jsonl" not in keys
+
+    def test_fresh_store_lists_nothing(self, tmp_path):
+        assert LocalBackend(tmp_path / "absent").list_prefix("") == []
 
 
 class TestLocalRootAfterChdir:

@@ -21,6 +21,7 @@ from repro.store import (
     Frame,
     HTTPCASBackend,
     InMemoryCASBackend,
+    LocalBackend,
     ResultStore,
     SeedPolicy,
     SweepSpec,
@@ -148,6 +149,22 @@ class TestFrameRoute:
         assert status == 200  # stale validator: full body again
         assert second["ETag"] != first["ETag"]
 
+    def test_old_etag_after_another_writer_commits(self, tmp_path):
+        backend = LocalBackend(tmp_path / "s")
+        reader, writer = ResultStore(backend=backend), ResultStore(backend=backend)
+        service = SweepService(reader)
+        spec = _spec()
+        drain(spec, writer, owner="w0", max_cells=2)
+        _, first, body = service.handle("GET", "/frame")
+        assert len(Frame.from_json(body.decode("utf-8"))) == 2
+        drain(spec, writer, owner="w0")
+        status, second, body = service.handle(
+            "GET", "/frame", headers={"If-None-Match": first["ETag"]}
+        )
+        assert status == 200
+        assert second["ETag"] != first["ETag"]
+        assert len(Frame.from_json(body.decode("utf-8"))) == 4
+
     def test_duplicate_parameter_is_400(self, served):
         service, _, _ = served
         status, _, body = service.handle("GET", "/frame?g_n=6&g_n=8")
@@ -231,6 +248,24 @@ class TestSpans:
         spans = [row for row in events.rows if row.get("kind") == "http"]
         assert len(spans) == 1
         assert spans[0]["route"] == "/health"
+
+    def test_frame_span_carries_its_cost(self):
+        from repro.obs import load_events, tracer_for_store
+
+        backend = InMemoryCASBackend()
+        store = ResultStore(backend=backend)
+        drain(_spec(), store, owner="w0")
+        service = SweepService(
+            store, tracer=tracer_for_store(backend, worker="srv")
+        )
+        _, _, body = service.handle("GET", "/frame?g_n=6")
+        (span,) = [
+            row for row in load_events(backend).rows
+            if row.get("route") == "/frame"
+        ]
+        assert span["rows"] == 2
+        assert span["rows_scanned"] == 4
+        assert span["bytes_hashed"] == len(body)
 
 
 class TestLiveServer:

@@ -1,12 +1,15 @@
 """ResultStore persistence, corruption tolerance, and the Frame API."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.sim.montecarlo import summarize_trials
-from repro.store import ResultStore, SeedPolicy, SweepSpec
+import repro.store.store as store_mod
+from repro.store import LocalBackend, ResultStore, SeedPolicy, SweepSpec
 
 
 @pytest.fixture()
@@ -22,12 +25,12 @@ def cells():
     ).expand()
 
 
-def put_fake(store, key, values):
+def put_fake(store, key, values, **provenance):
     return store.put(
         key,
         summarize_trials(np.asarray(values, dtype=np.float64)),
         {"sweep": "demo", "engine": "vectorized", "wall_time_s": 0.1,
-         "graph_name": "g", "graph_n": 49},
+         "graph_name": "g", "graph_n": 49, **provenance},
     )
 
 
@@ -216,3 +219,139 @@ class TestFrame:
         put_fake(store, cells[0], [1.0])
         with pytest.raises(ValueError, match="unknown aggregation"):
             store.frame().aggregate("k", agg="mode")
+
+
+class TestWarmStore:
+    """A reader that refreshes sees every change another writer makes,
+    while an unchanged shard costs one read and no parse."""
+
+    @pytest.fixture()
+    def pair(self, tmp_path):
+        backend = LocalBackend(tmp_path / "s")
+        return ResultStore(backend=backend), ResultStore(backend=backend)
+
+    @staticmethod
+    def _row(store, cell):
+        store.refresh()
+        (row,) = [r for r in store.frame() if r["hash"] == cell.hash]
+        return row
+
+    def test_unchanged_shards_are_read_but_not_parsed(
+        self, cells, pair, monkeypatch
+    ):
+        reader, writer = pair
+        for c in cells:
+            put_fake(writer, c, [1.0])
+        first = reader.frame()
+        calls = {"read_blob": 0, "parse_record": 0, "record_row": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        backend = reader.backend
+        monkeypatch.setattr(
+            backend, "read_blob", counting("read_blob", backend.read_blob)
+        )
+        for name in ("parse_record", "record_row"):
+            monkeypatch.setattr(
+                store_mod, name, counting(name, getattr(store_mod, name))
+            )
+        reader.refresh()
+        assert reader.frame().rows == first.rows
+        assert calls == {
+            "read_blob": len(reader.shard_keys()),
+            "parse_record": 0,
+            "record_row": 0,
+        }
+
+    def test_new_cell_from_another_writer(self, cells, pair):
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0])
+        assert len(reader.frame()) == 1
+        put_fake(writer, cells[1], [2.0])
+        assert self._row(reader, cells[1])["mean"] == 2.0
+        assert len(reader.frame()) == 2
+
+    def test_duplicate_shows_the_last_write(self, cells, pair):
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0])
+        assert self._row(reader, cells[0])["engine"] == "vectorized"
+        put_fake(writer, cells[0], [1.0], engine="serial")
+        assert self._row(reader, cells[0])["engine"] == "serial"
+        assert reader.get(cells[0])["provenance"]["engine"] == "serial"
+
+    def test_compare_and_swap_rewrite_shows_up(self, cells, pair):
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0])
+        assert self._row(reader, cells[0])["worker"] is None
+        key = f"shards/{cells[0].hash[:2]}.jsonl"
+        data, etag = writer.backend.read_blob(key)
+        record = json.loads(data)
+        record["provenance"]["worker"] = "compacted"
+        assert writer.backend.compare_and_swap(
+            key, (json.dumps(record, sort_keys=True) + "\n").encode(), etag
+        )
+        assert self._row(reader, cells[0])["worker"] == "compacted"
+
+    def test_mutating_a_row_leaves_the_next_frame_alone(self, cells, pair):
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0])
+        row = reader.frame().rows[0]
+        pristine = dict(row)
+        row["mean"] = -1.0
+        row["extra"] = "scribble"
+        assert reader.frame().rows == [pristine]
+        reader.refresh()
+        assert reader.frame().rows == [pristine]
+
+    def test_torn_tail_is_parsed_once_complete(self, cells, pair, tmp_path):
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0])
+        assert len(reader.frame()) == 1
+        line = json.dumps(
+            put_fake(ResultStore(), cells[1], [2.0]), sort_keys=True
+        ) + "\n"
+        shard = tmp_path / "s" / "shards" / f"{cells[1].hash[:2]}.jsonl"
+        with shard.open("a", encoding="utf-8") as fh:
+            fh.write(line[:40])
+        reader.refresh()
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert not reader.has(cells[1])
+        with shard.open("a", encoding="utf-8") as fh:
+            fh.write(line[40:])
+        assert self._row(reader, cells[1])["mean"] == 2.0
+
+    # a reader can catch an append mid-write and skip its torn tail;
+    # the final assertion is what proves that heals
+    @pytest.mark.filterwarnings("ignore:store shard .* corrupt:UserWarning")
+    def test_concurrent_frames_end_on_the_last_write(self, cells, pair):
+        # the service answers from a thread per connection: loaders
+        # racing a writer must never leave an older parse under the
+        # newest shard ETag
+        reader, writer = pair
+        put_fake(writer, cells[0], [1.0], worker="w0")
+        stop = threading.Event()
+
+        def frames():
+            while not stop.is_set():
+                reader.refresh()
+                reader.frame()
+
+        threads = [threading.Thread(target=frames) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for i in range(1, 40):
+                put_fake(writer, cells[0], [1.0], worker=f"w{i}")
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert self._row(reader, cells[0])["worker"] == "w39"
