@@ -26,8 +26,10 @@ Usage::
 Each run prints the experiment's tables and findings; ``run all``
 iterates the whole registry (this is how EXPERIMENTS.md numbers were
 produced).  ``--json`` emits a machine-readable findings dump instead
-of tables; ``--processes N`` fans Monte-Carlo trials out over a
-process pool via the :func:`repro.sim.facade.run_batch` default.
+of tables; ``--processes N`` (N > 1) moves every Monte-Carlo batch
+onto the per-trial process pool via the
+:func:`repro.sim.facade.run_batch` default, so its values are the
+``strategy="serial"`` ones, not the vectorized engines' streams.
 
 The ``sweep`` subcommands drive the registered sweep declarations
 (:mod:`repro.store.sweeps`) against a **durable content-addressed
@@ -115,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="fan Monte-Carlo trials out over N worker processes "
-        "(default: serial/vectorized)",
+        help="N > 1 runs every Monte-Carlo batch trial by trial on an "
+        "N-process pool, giving strategy='serial' values instead of the "
+        "default vectorized streams",
     )
     sweepp = sub.add_parser(
         "sweep", help="declarative sweep campaigns over a durable result store"
@@ -148,15 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--scale", choices=("quick", "full"), default="quick")
         p.add_argument("--seed", type=int, default=0)
         if cmd in ("run", "work"):
-            p.add_argument(
-                "--shards", type=int, default=None, metavar="K",
-                help="run each cell on the sharded executor "
-                "(placement-independent, seed-for-seed stable)",
-            )
-            p.add_argument(
-                "--max-workers", type=int, default=None, metavar="M",
-                help="process-pool width for --shards",
-            )
             p.add_argument(
                 "--max-cells", type=int, default=None, metavar="N",
                 help="stop after computing N cells (incremental mode)",
@@ -294,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.processes is not None:
         from ..sim import set_default_processes
 
+        if args.processes < 1:
+            print("error: --processes must be >= 1", file=sys.stderr)
+            return 2
         set_default_processes(args.processes)
 
     ids = [e.id for e in all_experiments()] if args.id == "all" else [args.id]
@@ -503,8 +500,6 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
             owner=owner,
             ttl=args.ttl if args.ttl is not None else dispatch.DEFAULT_TTL,
             max_cells=args.max_cells,
-            shards=args.shards,
-            max_workers=args.max_workers,
             wait=args.wait,
             tracer=tracer,
         )
@@ -541,8 +536,8 @@ def _sweep_dispatch(args: argparse.Namespace) -> int:
         ran = cached = pending = 0
         for spec in specs:
             campaign = Campaign(
-                spec, store, shards=args.shards, max_workers=args.max_workers,
-                workers=args.workers, tracer=tracer, profile=args.profile,
+                spec, store, workers=args.workers, tracer=tracer,
+                profile=args.profile,
             )
             report = campaign.run(max_cells=budget)
             ran += len(report.ran)
@@ -686,8 +681,6 @@ def _work_loop_main(args: argparse.Namespace) -> int:
                     owner=owner,
                     ttl=ttl,
                     max_cells=args.max_cells,
-                    shards=args.shards,
-                    max_workers=args.max_workers,
                     wait=False,
                     tracer=tracer,
                 )

@@ -54,7 +54,7 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "bit-packed",
         "Engine selection",
         "seed-spawning",
-        "shards",
+        "placement-independent",
         "batch_cover",
         "batch_hit",
         "The sweep store",

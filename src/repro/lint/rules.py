@@ -961,11 +961,10 @@ register_rule(
         title="cover capability without batch_cover engine",
         invariant=(
             "Every ProcessSpec literal that declares the 'cover' "
-            "capability declares a batch_cover engine. run_batch's sharded "
-            "executor and the sweep store both assume cover sweeps "
-            "vectorize; a spec without the engine silently falls back to "
-            "the serial per-trial loop and regresses sweeps by an order "
-            "of magnitude."
+            "capability declares a batch_cover engine. The sweep store "
+            "assumes cover sweeps vectorize; a spec without the engine "
+            "silently falls back to the serial per-trial loop and "
+            "regresses sweeps by an order of magnitude."
         ),
         fix=(
             "Ship a batched engine (see repro/sim/batch.py for the "

@@ -15,11 +15,11 @@ class's own runner for the same ``(process, metric, seed)``.
 ``run_batch`` fans out over the vectorized batched engine when the
 process has one for the metric (cover/spread: every cover-capable
 registered process; hit: cobra, simple, lazy, walt, push, pull,
-push_pull), the sharded executor when ``shards`` is
-given (per-trial seed streams, placement-independent — see
-``docs/architecture.md``), a multiprocessing pool when
-``processes > 1``, or a serial seed-spawned loop otherwise, always
-returning one :class:`~repro.sim.montecarlo.TrialSummary`.
+push_pull), a multiprocessing pool when ``processes > 1``, or a
+serial seed-spawned loop otherwise, always returning one
+:class:`~repro.sim.montecarlo.TrialSummary`.  The pool and the serial
+loop give trial ``i`` the ``i``-th spawned seed, so their values are
+identical (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ def select_execution_path(
     metric: str,
     *,
     strategy: str = "auto",
-    shards: int | None = None,
     processes: int | None = None,
 ) -> str:
     """The execution path :func:`run_batch` takes for these arguments.
@@ -239,18 +238,14 @@ def select_execution_path(
         The resolved metric.
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
-    shards : int or None
-        Sharded-executor request (wins over everything else).
     processes : int or None
         Effective pool width (the caller resolves the CLI default).
 
     Returns
     -------
     str
-        ``"sharded"``, ``"vectorized"``, ``"pool"``, or ``"serial"``.
+        ``"vectorized"``, ``"pool"``, or ``"serial"``.
     """
-    if shards is not None:
-        return "sharded"
     if metric in ("cover", "spread"):
         engine = spec.batch_cover
     elif metric == "hit":
@@ -461,97 +456,6 @@ def _batch_trial(
     ).value
 
 
-def _shard_worker(payload: tuple) -> list[float]:
-    """Picklable per-shard worker: run one contiguous block of trials.
-
-    Parameters
-    ----------
-    payload : tuple
-        ``(seeds, graph, proc_ref, metric, start, target, max_steps,
-        params)`` — *seeds* is the shard's slice of the per-trial
-        spawned seed list; everything else is static.
-
-    Returns
-    -------
-    list of float
-        One metric value per trial of the shard, in trial order.
-    """
-    seeds, graph, proc_ref, metric, start, target, max_steps, params = payload
-    return [
-        _batch_trial(s, graph, proc_ref, metric, start, target, max_steps, params)
-        for s in seeds
-    ]
-
-
-def _run_sharded(
-    graph: Graph,
-    proc_ref,
-    metric: str,
-    *,
-    trials: int,
-    start,
-    target,
-    seed: SeedLike,
-    max_steps,
-    params: dict,
-    shards: int,
-    max_workers: int | None,
-) -> TrialSummary:
-    """Sharded Monte-Carlo executor behind ``run_batch(shards=...)``.
-
-    The seed-spawning contract makes results placement-independent:
-    all *trials* per-trial seeds are spawned up front from *seed*
-    (exactly as the serial/pool paths spawn them), and shard ``j``
-    merely executes a contiguous slice of that list.  Trial ``i``
-    therefore consumes the identical RNG stream whether it runs
-    unsharded, in shard 0 of 1, or in shard 7 of 8 on another machine
-    — ``shards=k`` is seed-for-seed identical to ``shards=1`` and to
-    the unsharded serial path for every registered process.
-
-    Parameters
-    ----------
-    graph, proc_ref, metric, start, target, max_steps, params:
-        Static per-trial arguments (see :func:`_batch_trial`).
-    trials : int
-        Total trial count, split round-robin-free into ``shards``
-        contiguous blocks of near-equal size.
-    seed : SeedLike, optional
-        Parent seed for :func:`repro.sim.rng.spawn_seeds`.
-    shards : int or None
-        Number of blocks.
-    max_workers : int or None
-        Process-pool width (defaults to ``min(shards, cpu_count)``);
-        ``1`` executes every shard inline in this process.
-
-    Returns
-    -------
-    TrialSummary
-        Summary over all trials, in trial order.
-    """
-    import os
-
-    from .rng import spawn_seeds
-
-    seeds = spawn_seeds(seed, trials)
-    bounds = np.linspace(0, trials, shards + 1).astype(int)
-    payloads = [
-        (seeds[lo:hi], graph, proc_ref, metric, start, target, max_steps, params)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if max_workers is None:
-        max_workers = min(len(payloads), os.cpu_count() or 1)
-    if max_workers <= 1 or len(payloads) == 1:
-        chunks = [_shard_worker(p) for p in payloads]
-    else:
-        from .montecarlo import _pool_context
-
-        with _pool_context().Pool(processes=max_workers) as pool:
-            chunks = pool.map(_shard_worker, payloads)
-    values = np.array([v for chunk in chunks for v in chunk], dtype=np.float64)
-    return summarize_trials(values)
-
-
 def run_batch(
     graph: Graph | NeighborOracle,
     process: str | ProcessSpec = "cobra",
@@ -563,8 +467,6 @@ def run_batch(
     seed: SeedLike = None,
     max_steps: int | None = None,
     processes: int | None = None,
-    shards: int | None = None,
-    max_workers: int | None = None,
     strategy: str = "auto",
     **params: Any,
 ) -> TrialSummary:
@@ -572,7 +474,6 @@ def run_batch(
 
     Strategy selection (``strategy="auto"``):
 
-    * the sharded executor when ``shards`` is given (see below);
     * the process's vectorized batched engine, when it has one for the
       metric — ``batch_cover`` for coverage/spread, ``batch_hit`` for
       hitting — all trials advance in one ``(trials, n)`` frontier, no
@@ -582,6 +483,9 @@ def run_batch(
     * otherwise a serial loop over spawned per-trial seeds: trial ``i``
       is ``simulate(..., seed=spawn_seeds(seed, trials)[i])``.
 
+    The pool gives trial ``i`` the same spawned seed as the serial loop,
+    so the two return identical values for any pool width.
+
     ``strategy="vectorized"`` / ``"serial"`` force a path (vectorized
     raises for processes without a batched engine for the metric).
 
@@ -590,7 +494,7 @@ def run_batch(
     graph : Graph or NeighborOracle
         The graph to run on — a CSR :class:`Graph`, or an implicit
         :class:`~repro.graphs.implicit.NeighborOracle` (vectorized
-        path only: the serial/pool/sharded paths step CSR edge arrays).
+        path only: the serial and pool paths step CSR edge arrays).
     process : str or ProcessSpec
         Registry name or a :class:`~repro.sim.processes.ProcessSpec`.
     trials : int
@@ -610,20 +514,8 @@ def run_batch(
         Step budget per trial; defaults to the process's registered budget.
     processes : int or None
         Pool width for the per-trial multiprocessing path (``None``/1
-        = no pool).  Mutually exclusive with *shards*.
-    shards : int or None
-        Split the trials into this many contiguous blocks and run them
-        on the sharded executor.  Per-trial seeds are spawned up front,
-        so results are **placement-independent**: ``shards=k`` is
-        seed-for-seed identical to ``shards=1``, to the unsharded
-        serial path, and to any ``max_workers`` — the contract that
-        lets shards move across worker processes or machines.  Sharded
-        runs use per-trial streams (the serial contract), not the
-        single interleaved stream of the vectorized engines; force
-        ``strategy="vectorized"`` only without shards.
-    max_workers : int or None
-        Process-pool width for the sharded executor (default
-        ``min(shards, cpu_count)``; ``1`` = inline, same values).
+        = no pool; below 1 raises).  ``None`` falls back to the default
+        installed by :func:`set_default_processes`.
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
     **params : Any
@@ -640,25 +532,8 @@ def run_batch(
         raise ValueError("need at least one trial")
     if strategy not in ("auto", "vectorized", "serial"):
         raise ValueError(f"unknown strategy {strategy!r}; use auto|vectorized|serial")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if processes is not None:
-            raise ValueError(
-                "pass either shards= (sharded executor) or processes= "
-                "(per-trial pool), not both"
-            )
-        if strategy == "vectorized":
-            raise ValueError(
-                "sharded runs use the per-trial seed-spawning contract; "
-                "strategy='vectorized' cannot be sharded (drop shards= for "
-                "the single-stream vectorized engine)"
-            )
-    if max_workers is not None:
-        if shards is None:
-            raise ValueError("max_workers only applies to sharded runs (pass shards=)")
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+    if processes is not None and processes < 1:
+        raise ValueError("processes must be >= 1 (or None)")
     if metric == "hit":
         # validate here, before any fan-out: a bad target must fail fast
         # in the caller, not deep inside pool workers
@@ -666,7 +541,7 @@ def run_batch(
             raise ValueError("metric 'hit' needs a target vertex")
         if not (0 <= target < graph.n):
             raise ValueError("target out of range")
-    if processes is None and shards is None:
+    if processes is None:
         processes = _DEFAULT_PROCESSES
     if max_steps is None:
         max_steps = spec.default_budget(graph, params)
@@ -684,7 +559,6 @@ def run_batch(
         spec,
         metric,
         strategy=strategy,
-        shards=shards,
         processes=processes,
     )
     tracer = current_tracer()
@@ -696,24 +570,9 @@ def run_batch(
         raise ValueError(
             f"the {path!r} execution path steps CSR edge arrays, which an "
             "implicit NeighborOracle does not carry; use "
-            "strategy='vectorized' (drop shards=/processes=) or materialise "
+            "strategy='vectorized' (drop processes=) or materialise "
             "the graph with repro.graphs.to_csr(...)"
         )
-    if path == "sharded":
-        return _run_sharded(
-            graph,
-            proc_ref,
-            metric,
-            trials=trials,
-            start=start,
-            target=target,
-            seed=seed,
-            max_steps=max_steps,
-            params=dict(params),
-            shards=shards,
-            max_workers=max_workers,
-        )
-
     if path == "vectorized":
         engine = spec.batch_cover if metric in ("cover", "spread") else spec.batch_hit
         kwargs = dict(params)

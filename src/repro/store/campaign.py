@@ -9,14 +9,14 @@ so the completed-then-resumed results are seed-for-seed identical to
 an uninterrupted run; ``tests/store/test_campaign.py`` pins both).
 
 Execution rides the facade: each cell is one
-``run_batch(graph, process, trials=, metric=, seed=, shards=, ...)``
-call, so a campaign gets the vectorized batched engine, the
-multiprocessing pool, or the placement-independent sharded executor
-exactly as any other caller would.  Per-cell provenance (sweep name,
-engine path used, worker id, seed entropy, wall time and
-per-phase timings, graph name) is recorded next to the result; pass a
-:class:`~repro.obs.trace.Tracer` to additionally stream span events
-into the store's ``events.jsonl`` (see ``docs/observability.md``).
+``run_batch(graph, process, trials=, metric=, seed=, ...)`` call, so a
+campaign gets the vectorized batched engine, the multiprocessing pool
+or the serial loop exactly as any other caller would.  Per-cell
+provenance (sweep name, engine path used, worker id, seed entropy,
+wall time and per-phase timings, graph name) is recorded next to the
+result; pass a :class:`~repro.obs.trace.Tracer` to additionally stream
+span events into the store's ``events.jsonl`` (see
+``docs/observability.md``).
 
 ``Campaign(workers=N)`` instead spawns N local worker processes that
 drain the same sweep concurrently through the lease/claim dispatcher
@@ -99,7 +99,7 @@ class CampaignReport:
         return not self.pending
 
 
-def _engine_label(process: str, metric: str, shards: int | None) -> str:
+def _engine_label(process: str, metric: str) -> str:
     """The execution path ``run_batch`` takes for a cell, for
     provenance — computed by the facade's own
     :func:`~repro.sim.facade.select_execution_path` (the one selection
@@ -108,11 +108,7 @@ def _engine_label(process: str, metric: str, shards: int | None) -> str:
     from ..sim.facade import get_default_processes, select_execution_path
 
     pool = get_default_processes()
-    path = select_execution_path(
-        get_process(process), metric, shards=shards, processes=pool
-    )
-    if path == "sharded":
-        return f"sharded(shards={shards})"
+    path = select_execution_path(get_process(process), metric, processes=pool)
     if path == "pool":
         return f"pool(processes={pool})"
     return path
@@ -129,8 +125,6 @@ def run_cell(
     store: ResultStore,
     *,
     sweep: str,
-    shards: int | None = None,
-    max_workers: int | None = None,
     graph_cache: dict[tuple, Any] | None = None,
     extra_provenance: Mapping[str, Any] | None = None,
     tracer: Tracer | None = None,
@@ -162,10 +156,6 @@ def run_cell(
         Where the record lands (a locked single-line append).
     sweep : str
         Sweep name recorded as provenance.
-    shards : int, optional
-        Forwarded to ``run_batch(shards=)``.
-    max_workers : int, optional
-        Forwarded with *shards*.
     graph_cache : dict, optional
         ``(builder, params) -> Graph`` cache shared across cells of one
         runner.
@@ -215,7 +205,7 @@ def run_cell(
             graph = graph_cache[gkey]
         with phase("lower"):
             target = key.resolve_target(graph)
-            engine = _engine_label(key.process, key.metric, shards)
+            engine = _engine_label(key.process, key.metric)
         with phase("engine"), activate(tr):
             summary = run_batch(
                 graph,
@@ -225,8 +215,6 @@ def run_cell(
                 target=target,
                 seed=key.seed_sequence(),
                 max_steps=key.max_steps,
-                shards=shards,
-                max_workers=max_workers,
                 **dict(key.params),
             )
         provenance = {
@@ -267,11 +255,6 @@ class Campaign:
         Where results live (pass a disk-backed store for durable,
         resumable campaigns; the default is an ephemeral in-memory
         store).
-    shards : int, optional
-        Forwarded to ``run_batch(shards=)`` per cell (the
-        placement-independent sharded executor).
-    max_workers : int, optional
-        Forwarded with *shards*.
     workers : int, optional
         Spawn this many local worker processes that drain the sweep
         concurrently through the lease/claim dispatcher
@@ -296,16 +279,12 @@ class Campaign:
         spec: SweepSpec,
         store: ResultStore | None = None,
         *,
-        shards: int | None = None,
-        max_workers: int | None = None,
         workers: int | None = None,
         tracer: Tracer | None = None,
         profile: bool = False,
     ) -> None:
         self.spec = spec
         self.store = store if store is not None else ResultStore()
-        self.shards = shards
-        self.max_workers = max_workers
         self.workers = workers
         self.tracer = tracer
         self.profile = profile
@@ -431,8 +410,6 @@ class Campaign:
             self.spec,
             self.store.root,
             workers=self.workers,
-            shards=self.shards,
-            max_workers=self.max_workers,
             trace=self.tracer is not None and self.tracer.enabled,
             profile=self.profile,
         )
@@ -459,8 +436,6 @@ class Campaign:
             key,
             self.store,
             sweep=self.spec.name,
-            shards=self.shards,
-            max_workers=self.max_workers,
             graph_cache=graph_cache,
             tracer=self.tracer,
             profile=self.profile,

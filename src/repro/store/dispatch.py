@@ -450,8 +450,6 @@ def drain(
     owner: str | None = None,
     ttl: float = DEFAULT_TTL,
     max_cells: int | None = None,
-    shards: int | None = None,
-    max_workers: int | None = None,
     wait: bool = False,
     poll_s: float = 0.05,
     on_cell: Callable[[RunKey, dict[str, Any], bool], None] | None = None,
@@ -489,10 +487,6 @@ def drain(
     max_cells : int, optional
         Stop after computing this many cells (the CLI's incremental
         mode); cached cells don't count.
-    shards : int, optional
-        Forwarded to ``run_batch(shards=)`` per cell.
-    max_workers : int, optional
-        Forwarded with *shards*.
     wait : bool
         When pending cells are all leased elsewhere: ``False`` (default)
         returns with them in ``deferred``; ``True`` polls until they
@@ -607,8 +601,6 @@ def drain(
                 key,
                 store,
                 sweep=sweep_of[h],
-                shards=shards,
-                max_workers=max_workers,
                 graph_cache=graph_cache,
                 tracer=tracer,
                 worker=owner,
@@ -638,8 +630,6 @@ def worker_payloads(
     *,
     workers: int,
     ttl: float = DEFAULT_TTL,
-    shards: int | None = None,
-    max_workers: int | None = None,
     trace: bool = False,
     profile: bool = False,
 ) -> list[tuple]:
@@ -655,10 +645,6 @@ def worker_payloads(
         Pool width (one payload per worker).
     ttl : float
         Lease TTL handed to each worker.
-    shards : int, optional
-        Forwarded to ``run_batch(shards=)`` per cell.
-    max_workers : int, optional
-        Forwarded with *shards*.
     trace : bool
         Each worker opens its own store-backed event tracer
         (a tracer object cannot cross the pool pickle boundary).
@@ -668,14 +654,10 @@ def worker_payloads(
     Returns
     -------
     list of tuple
-        One ``(spec, root, owner, ttl, shards, max_workers, trace,
-        profile)`` each.
+        One ``(spec, root, owner, ttl, trace, profile)`` each.
     """
     return [
-        (
-            spec, str(root), f"{default_owner()}-w{i}", ttl, shards, max_workers,
-            trace, profile,
-        )
+        (spec, str(root), f"{default_owner()}-w{i}", ttl, trace, profile)
         for i in range(workers)
     ]
 
@@ -700,7 +682,7 @@ def pool_worker(payload: tuple) -> WorkerReport:
     WorkerReport
         This worker's share of the drain.
     """
-    spec, root, owner, ttl, shards, max_workers, trace, profile = payload
+    spec, root, owner, ttl, trace, profile = payload
     tracer = None
     if trace:
         from ..obs.events import tracer_for_store
@@ -711,8 +693,6 @@ def pool_worker(payload: tuple) -> WorkerReport:
         ResultStore(root),
         owner=owner,
         ttl=ttl,
-        shards=shards,
-        max_workers=max_workers,
         wait=True,
         tracer=tracer,
         profile=profile,

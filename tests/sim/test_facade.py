@@ -38,7 +38,14 @@ from repro.sim import (
 )
 from repro.sim.facade import select_execution_path
 from repro.sim.rng import resolve_rng, spawn_seeds
-from repro.graphs import cycle_graph, grid, kary_tree, star_graph
+from repro.graphs import (
+    complete_graph,
+    cycle_graph,
+    grid,
+    kary_tree,
+    path_graph,
+    star_graph,
+)
 from repro.walks import (
     BranchingWalk,
     CoalescingWalks,
@@ -246,11 +253,29 @@ class TestSeedForSeedParity:
             assert res.extras["hit_time"] == simulate_biased_hit(g, target, seed=seed)
 
 
+#: run_batch's message for a pool width below 1 (set_default_processes's too)
+_BAD_PROCESSES = r"processes must be >= 1 \(or None\)"
+
+
+def _pool_case(name):
+    """Graph and kwargs for a fast pool-vs-serial run of *name*: every
+    process but the line-only minima walk runs on ``complete_graph(8)``,
+    which is non-bipartite, so coalescing walkers actually meet."""
+    if name == "branching_minima":
+        return path_graph(17), {"generations": 4}
+    graph = complete_graph(8)
+    kw = {}
+    if name == "biased":
+        kw["target"] = graph.n - 1
+    if name == "coalescing":
+        kw["walkers"] = 4
+    return graph, kw
+
+
 class TestSelectExecutionPath:
     def test_default_args_unchanged(self):
         spec = get_process("cobra")
         assert select_execution_path(spec, "cover") == "vectorized"
-        assert select_execution_path(spec, "cover", shards=3) == "sharded"
         assert select_execution_path(spec, "cover", processes=4) == "pool"
         assert select_execution_path(spec, "cover", strategy="serial") == "serial"
 
@@ -264,10 +289,41 @@ class TestRunBatch:
         ]
         assert np.array_equal(s.values, np.array(ref, dtype=np.float64))
 
-    def test_pool_matches_serial(self, g):
-        ser = run_batch(g, "walt", trials=4, seed=5, strategy="serial")
-        par = run_batch(g, "walt", trials=4, seed=5, strategy="serial", processes=2)
-        assert np.array_equal(ser.values, par.values)
+    @pytest.mark.parametrize(
+        "name, trials, processes, extra",
+        [pytest.param(name, 9, 2, {}, id=name) for name in process_names()]
+        + [
+            pytest.param("cobra", 3, 8, {}, id="processes-above-trials"),
+            pytest.param("cobra", 6, 3, {"metric": "hit"}, id="cobra-hit"),
+        ],
+    )
+    def test_pool_matches_serial(self, name, trials, processes, extra):
+        """Trial ``i`` gets the ``i``-th spawned seed on the pool too, so
+        any pool width reproduces the serial loop element for element."""
+        graph, kw = _pool_case(name)
+        kw.update(extra)
+        if kw.get("metric") == "hit":
+            kw["target"] = graph.n - 1
+        par = run_batch(graph, name, trials=trials, seed=42, processes=processes, **kw)
+        ser = run_batch(graph, name, trials=trials, seed=42, strategy="serial", **kw)
+        assert np.array_equal(par.values, ser.values, equal_nan=True)
+        assert par.trials == ser.trials == trials
+        assert par.failures == ser.failures
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            pytest.param(
+                {"metric": "hit", "target": 8, "processes": 2}, "target",
+                id="bad-target",
+            ),
+            pytest.param({"processes": 0}, _BAD_PROCESSES, id="processes-0"),
+            pytest.param({"processes": -3}, _BAD_PROCESSES, id="processes-neg"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_pool_fanout(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            run_batch(complete_graph(8), "cobra", trials=4, **kw)
 
     def test_vectorized_matches_serial_distributionally(self):
         gg = grid(8, 2)

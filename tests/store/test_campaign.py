@@ -231,18 +231,6 @@ class TestStatusAndProvenance:
         assert set(frame.column("target")) == {"center"}
         assert all(v is not None for v in frame.column("mean"))
 
-    def test_sharded_campaign_matches_unsharded_values(self):
-        spec = make_spec(graph_grid={"n": [6], "d": [2]}, params_grid={"k": [2]})
-        plain, sharded = ResultStore(), ResultStore()
-        Campaign(spec, plain).run()
-        Campaign(spec, sharded, shards=2, max_workers=1).run()
-        cell = spec.expand()[0]
-        # sharded execution uses per-trial streams; unsharded auto uses
-        # the vectorized engine — same cell key either way, and the
-        # sharded label lands in provenance
-        assert sharded.get(cell)["provenance"]["engine"] == "sharded(shards=2)"
-        assert len(sharded.get(cell)["result"]["values"]) == 3
-
 
 class TestStoresWithBackendProvenance:
     """Stores written while provenance still carried a ``backend`` key
@@ -259,6 +247,9 @@ class TestStoresWithBackendProvenance:
         "0c82f94a1e280130dd34aa470637b03e2cbbec602f82685b62fd47ad8fe4ec35",
     ]
     LEGACY_ENGINE = "vectorized[compiled]"
+    #: label of the removed sharded executor, still present in old stores
+    SHARDED_ENGINE = "sharded(shards=2)"
+    LEGACY_ENGINES = {LEGACY_ENGINE, SHARDED_ENGINE}
 
     @pytest.fixture()
     def old_store(self, tmp_path):
@@ -272,6 +263,8 @@ class TestStoresWithBackendProvenance:
                 record["provenance"]["backend"] = "numpy"
                 if record["hash"] == self.HASHES[0]:
                     record["provenance"]["engine"] = self.LEGACY_ENGINE
+                if record["hash"] == self.HASHES[1]:
+                    record["provenance"]["engine"] = self.SHARDED_ENGINE
             shard.write_text(
                 "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
             )
@@ -283,16 +276,17 @@ class TestStoresWithBackendProvenance:
     def test_loads_in_frame(self, old_store):
         frame = ResultStore(old_store).frame()
         assert sorted(frame.column("hash")) == sorted(self.HASHES)
-        assert set(frame.column("engine")) == {"vectorized", self.LEGACY_ENGINE}
+        assert set(frame.column("engine")) == {"vectorized"} | self.LEGACY_ENGINES
 
     def test_renders_in_sweep_report(self, old_store):
         from repro.obs.report import build_report
 
         report = build_report(ResultStore(old_store), [make_spec()])
-        assert {g["engine"] for g in report.groups} == {
-            "vectorized", self.LEGACY_ENGINE
-        }
-        assert self.LEGACY_ENGINE in report.render()
+        assert {g["engine"] for g in report.groups} == (
+            {"vectorized"} | self.LEGACY_ENGINES
+        )
+        rendered = report.render()
+        assert all(label in rendered for label in self.LEGACY_ENGINES)
 
     def test_fsck_is_clean(self, old_store):
         from repro.store import fsck
