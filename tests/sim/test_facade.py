@@ -289,6 +289,11 @@ class TestRunBatch:
         ]
         assert np.array_equal(s.values, np.array(ref, dtype=np.float64))
 
+    def test_pool_matches_serial(self, g):
+        ser = run_batch(g, "walt", trials=4, seed=5, strategy="serial")
+        par = run_batch(g, "walt", trials=4, seed=5, strategy="serial", processes=2)
+        assert np.array_equal(ser.values, par.values)
+
     @pytest.mark.parametrize(
         "name, trials, processes, extra",
         [pytest.param(name, 9, 2, {}, id=name) for name in process_names()]
@@ -297,7 +302,7 @@ class TestRunBatch:
             pytest.param("cobra", 6, 3, {"metric": "hit"}, id="cobra-hit"),
         ],
     )
-    def test_pool_matches_serial(self, name, trials, processes, extra):
+    def test_pool_matches_serial_every_input(self, name, trials, processes, extra):
         """Trial ``i`` gets the ``i``-th spawned seed on the pool too, so
         any pool width reproduces the serial loop element for element."""
         graph, kw = _pool_case(name)
