@@ -1,18 +1,15 @@
 """Machine-readable benchmark output: ``BENCH_<name>.json`` files.
 
-CI runs the benchmark scripts' ``__main__`` blocks and uploads the
-JSON they emit as build artifacts, so the perf trajectory is a series
-of structured documents instead of log lines.  Locally::
-
-    BENCH_OUT=/tmp PYTHONPATH=src python benchmarks/bench_facade_batch.py
-
-``BENCH_OUT`` picks the output directory (default: the working
-directory).
+``benchmarks/bench.py`` writes its run through :func:`emit_bench_json`,
+and CI uploads the result as a build artifact, so the perf trajectory
+is a series of structured documents instead of log lines.
+``BENCH_OUT`` picks the output directory (default ``bench-artifacts``).
 
 Schema 2 stamps the execution environment into every document —
-hostname, CPU count, machine, Python and numpy versions — so a
-regression flagged by ``ci/check_bench_regression.py`` can be told
-apart from a machine change at a glance.
+hostname, CPU count, machine, Python and numpy versions.  The gate in
+``bench.py`` compares raw milliseconds only between documents whose
+stamps match, and ``sweepbench/run.py`` stamps its results with the
+same fields.
 """
 
 from __future__ import annotations
@@ -57,15 +54,15 @@ def emit_bench_json(
         JSON-safe measurement fields (timings in milliseconds,
         speedups, case lists…).
     out_dir : str, optional
-        Output directory; default ``$BENCH_OUT`` or the working
-        directory.
+        Output directory; default ``$BENCH_OUT`` or
+        ``bench-artifacts``.
 
     Returns
     -------
     Path
         The file written.
     """
-    out = Path(out_dir or os.environ.get("BENCH_OUT") or ".")
+    out = Path(out_dir or os.environ.get("BENCH_OUT") or "bench-artifacts")
     out.mkdir(parents=True, exist_ok=True)
     doc = {
         "bench": name,

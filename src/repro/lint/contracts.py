@@ -69,12 +69,14 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
     ),
     "docs/benchmarks.md": (
         "regression gate",
-        "BENCH_",
+        "benchmarks/bench.py",
+        "BENCH_engines.json",
+        "compare(baseline, fresh)",
+        "HostSpeed",
         "emit_bench_json",
-        "check_bench_regression",
         "schema: 2",
         "bench-artifacts",
-        "threshold",
+        "fingerprint",
     ),
     "docs/sweeps.md": (
         "SweepSpec schema",

@@ -8,7 +8,7 @@ with slack for Monte-Carlo noise at quick scale.
 
 import pytest
 
-from repro.experiments import get
+from repro.experiments import all_experiments, get
 
 # one shared seed: the quick runs are deterministic given (id, seed)
 SEED = 2016
@@ -191,3 +191,12 @@ class TestKCobra:
         f = results("KCOBRA_k").findings
         cliffs = [v for k, v in f.items() if k.endswith("_k1_over_k2")]
         assert all(c > 20.0 for c in cliffs)
+
+
+@pytest.mark.parametrize("exp_id", [e.id for e in all_experiments()])
+def test_every_experiment_reports_tables_and_findings(results, exp_id):
+    """Every registered experiment renders a table and states findings
+    (every id is also run above, so the cache makes this free)."""
+    result = results(exp_id)
+    assert result.tables
+    assert result.findings

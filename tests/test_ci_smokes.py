@@ -3,8 +3,9 @@
 `ci/smoke_sweep_resume.py` and `ci/smoke_dispatch.py` used to be
 inline YAML heredocs; as modules they are importable, run here against
 temp stores, and can no longer drift from the library without a test
-failure.  The benchmark JSON emitter is pinned alongside (CI uploads
-its output as build artifacts).
+failure.  The benchmark JSON emitter and the engine benchmark's gate
+are pinned alongside (CI uploads the benchmark's output as a build
+artifact).
 """
 
 import importlib.util
@@ -140,9 +141,7 @@ class TestImplicitBudgetSmoke:
         "ci/smoke_dispatch.py",
         "ci/smoke_implicit_budget.py",
         "ci/smoke_service.py",
-        "benchmarks/bench_implicit.py",
-        "benchmarks/bench_hypercube_engines.py",
-        "ci/check_bench_regression.py",
+        "benchmarks/bench.py",
     ],
 )
 def test_ci_workflow_runs_the_extracted_scripts(script):
@@ -158,117 +157,177 @@ def test_ci_runs_the_straggler_report_over_the_dispatch_store():
 
 
 def test_regression_gate_runs_against_fresh_artifacts():
-    """The gate must compare the artifact dir CI writes benches into —
-    and it gates (no `|| true` on its line)."""
+    """The one bench step gates against the committed baseline (no
+    `|| true` on its line) and writes its fresh run into the artifact
+    directory CI uploads."""
     ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
-    line = next(
-        ln for ln in ci.splitlines() if "check_bench_regression.py" in ln
-    )
-    assert "--fresh bench-artifacts" in line
-    assert "|| true" not in line
+    bench_lines = [ln for ln in ci.splitlines() if "benchmarks/" in ln and "run:" in ln]
+    assert bench_lines == ["        run: python benchmarks/bench.py --against BENCH_engines.json"]
+    assert "BENCH_OUT: bench-artifacts" in ci
+    assert "path: bench-artifacts/BENCH_*.json" in ci
+
+
+def _registry_batched_cases() -> set[str]:
+    """``process/metric`` for every registered pair with a batched engine."""
+    from repro.sim import all_processes
+    from repro.sim.facade import select_execution_path
+
+    out = set()
+    for spec in all_processes():
+        for metric in spec.capabilities - {"multi_source"}:
+            try:
+                select_execution_path(spec, metric, strategy="vectorized")
+            except ValueError:
+                continue
+            out.add(f"{spec.name}/{metric}")
+    return out
 
 
 class TestBenchRegressionGate:
-    """The regression gate's contract, offline: pass within threshold,
-    fail on a synthetic 25% slowdown, warn (not fail) on missing
-    counterparts and null timings — but fail hard when baselines exist
-    and the fresh run emitted no documents at all."""
+    """The engine benchmark's gate, offline: `compare(baseline, fresh)`
+    on synthetic documents, and the committed baseline's coverage."""
 
-    def _doc(self, name, **fields):
-        return {"bench": name, "schema": 2, **fields}
+    BASE_RATIO = 5.0
 
-    def _write(self, directory, doc):
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"BENCH_{doc['bench']}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return load_script("benchmarks/bench.py")
 
-    def test_passes_when_fresh_matches_baseline(self, tmp_path, capsys):
-        gate = load_script("ci/check_bench_regression.py")
-        doc = self._doc("x", run_ms=100.0)
-        self._write(tmp_path / "base", doc)
-        self._write(tmp_path / "fresh", doc)
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 0
+    @pytest.fixture(scope="class")
+    def committed(self):
+        return json.loads((REPO / "BENCH_engines.json").read_text(encoding="utf-8"))
 
-    def test_fails_on_synthetic_25_percent_regression(self, tmp_path, capsys):
-        gate = load_script("ci/check_bench_regression.py")
-        self._write(tmp_path / "base", self._doc("x", run_ms=100.0))
-        self._write(tmp_path / "fresh", self._doc("x", run_ms=125.0))
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 1
-        assert "REGRESSED" in capsys.readouterr().out
+    def _doc(self, hostname="ci-a", **csr):
+        """A two-case document: a CSR case with a serial side and an
+        oracle case without one."""
+        return {
+            "hostname": hostname, "cpu_count": 2, "machine": "x86_64",
+            "python": "3.11.7", "numpy_version": "2.4.6",
+            "cases": [
+                {
+                    "case": "cobra/cover@grid(16, 2)", "vectorized_ms": 10.0,
+                    "serial_ms": 50.0, "ratio": self.BASE_RATIO,
+                    "scaled_ns_per_trial_step": 100.0,
+                    "serial_scaled_ns_per_trial_step": 500.0, **csr,
+                },
+                {
+                    "case": "walt/cover@hypercube_oracle(17)", "vectorized_ms": 900.0,
+                    "scaled_ns_per_trial_step": 9000.0,
+                },
+            ],
+        }
 
-    def test_threshold_is_configurable(self, tmp_path):
-        gate = load_script("ci/check_bench_regression.py")
-        self._write(tmp_path / "base", self._doc("x", run_ms=100.0))
-        self._write(tmp_path / "fresh", self._doc("x", run_ms=125.0))
-        args = ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        assert gate.main([*args, "--threshold", "0.30"]) == 0
+    def test_passes_when_fresh_matches_baseline(self, bench):
+        assert bench.compare(self._doc(), self._doc()) == []
 
-    def test_tracks_case_timings_and_skips_nulls(self, tmp_path, capsys):
-        gate = load_script("ci/check_bench_regression.py")
-        base = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 10.0, "other_ms": None}]
-        )
-        fresh = self._doc(
-            "k", cases=[{"engine": "cobra", "numpy_ms": 20.0, "other_ms": None}]
-        )
-        self._write(tmp_path / "base", base)
-        self._write(tmp_path / "fresh", fresh)
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 1  # numpy_ms doubled; the null column is ignored
-        out = capsys.readouterr().out
-        assert "cases[cobra].numpy_ms" in out and "other_ms" not in out
+    def test_fails_on_synthetic_25_percent_regression(self, bench):
+        fresh = self._doc("ci-b", scaled_ns_per_trial_step=125.0)
+        failures = bench.compare(self._doc(), fresh)
+        assert len(failures) == 1
+        assert "cobra/cover@grid(16, 2)" in failures[0]
+        assert "scaled_ns_per_trial_step" in failures[0]
+        within = self._doc("ci-b", scaled_ns_per_trial_step=119.0)
+        assert bench.compare(self._doc(), within) == []
 
-    def test_empty_fresh_directory_fails_hard(self, tmp_path, capsys):
-        """Baselines committed but the fresh run emitted nothing at all:
-        the bench step itself broke, and the gate must fail, not warn."""
-        gate = load_script("ci/check_bench_regression.py")
-        self._write(tmp_path / "base", self._doc("x", run_ms=100.0))
-        (tmp_path / "fresh").mkdir()
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 1
-        assert "emitted nothing" in capsys.readouterr().err
+    def test_fails_on_a_serial_slowdown(self, bench):
+        fresh = self._doc("ci-b", serial_scaled_ns_per_trial_step=650.0)
+        assert bench.compare(self._doc(), fresh)
 
-    def test_missing_fresh_directory_fails_hard(self, tmp_path, capsys):
-        gate = load_script("ci/check_bench_regression.py")
-        self._write(tmp_path / "base", self._doc("x", run_ms=100.0))
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "absent"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 1
+    def test_fails_on_a_ratio_drop_beyond_the_limit(self, bench):
+        fresh = self._doc("ci-b", ratio=self.BASE_RATIO / 1.25)
+        assert "ratio" in " ".join(bench.compare(self._doc(), fresh))
+        fresh = self._doc("ci-b", ratio=self.BASE_RATIO / 1.15)
+        assert bench.compare(self._doc(), fresh) == []
 
-    def test_missing_counterparts_warn_but_pass(self, tmp_path, capsys):
-        gate = load_script("ci/check_bench_regression.py")
-        self._write(tmp_path / "base", self._doc("old", run_ms=5.0))
-        self._write(tmp_path / "fresh", self._doc("brand_new", run_ms=5.0))
-        rc = gate.main(
-            ["--fresh", str(tmp_path / "fresh"), "--baseline", str(tmp_path / "base")]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "warning" in out and "old" in out and "brand_new" in out
+    def test_fails_when_a_case_newly_falls_under_the_bar(self, bench):
+        base, fresh = self._doc(ratio=3.1), self._doc(ratio=2.9)
+        failures = bench.compare(base, fresh)
+        assert len(failures) == 1 and "bar" in failures[0]
 
-    def test_committed_baselines_cover_the_hypercube_engines(self):
-        """BENCH_hypercube_engines.json is a committed, schema-2
-        baseline with one case per benchmarked engine."""
-        doc = json.loads(
-            (REPO / "BENCH_hypercube_engines.json").read_text(encoding="utf-8")
-        )
-        assert doc["schema"] == 2 and doc["trials"] == 64
-        assert doc["n"] >= 100_000
-        engines = {c["engine"] for c in doc["cases"]}
-        assert {"cobra", "parallel", "walt", "simple"} <= engines
-        for case in doc["cases"]:
-            assert case["numpy_ms"] > 0
+    def test_passes_a_case_already_under_the_bar(self, bench):
+        base, fresh = self._doc(ratio=2.6), self._doc(ratio=2.5)
+        assert bench.compare(base, fresh) == []
+
+    def test_compares_raw_ms_only_when_the_fingerprint_matches(self, bench):
+        slower = dict(vectorized_ms=15.0, serial_ms=75.0)
+        failures = bench.compare(self._doc(), self._doc(**slower))
+        assert {f.split(":")[1].split()[0] for f in failures} == {
+            "vectorized_ms", "serial_ms"}
+        assert bench.compare(self._doc(), self._doc("ci-b", **slower)) == []
+
+    def test_tracks_case_timings_and_skips_nulls(self, bench):
+        """Every gated figure of every case is checked; figures a
+        baseline case does not carry (an oracle case has no serial side)
+        are skipped, but losing one the baseline has fails."""
+        fresh = self._doc()
+        fresh["cases"][1]["scaled_ns_per_trial_step"] = 12_000.0
+        failures = bench.compare(self._doc(), fresh)
+        assert len(failures) == 1 and "hypercube_oracle(17)" in failures[0]
+        fresh = self._doc(ratio=None)
+        assert bench.compare(self._doc(), fresh) == ["cobra/cover@grid(16, 2): ratio missing"]
+
+    def test_missing_counterparts_fail(self, bench):
+        fresh = self._doc()
+        del fresh["cases"][1]
+        assert bench.compare(self._doc(), fresh) == [
+            "walt/cover@hypercube_oracle(17): no fresh measurement"]
+        fresh = self._doc()
+        fresh["cases"].append({"case": "new/cover@grid(16, 2)"})
+        assert bench.compare(self._doc(), fresh) == [
+            "new/cover@grid(16, 2): no committed baseline"]
+
+    def test_empty_fresh_directory_fails_hard(self, bench):
+        """A fresh run that measured no cases fails the gate."""
+        assert bench.compare(self._doc(), {**self._doc(), "cases": []})
+
+    def test_missing_fresh_directory_fails_hard(self, bench):
+        """No fresh document at all fails the gate."""
+        assert bench.compare(self._doc(), None)
+
+    def test_unreadable_baseline_fails_before_measuring(self, bench, tmp_path, capsys):
+        assert bench.main(["--against", str(tmp_path / "absent.json")]) == 1
+        assert "cannot read the baseline" in capsys.readouterr().err
+        old_style = tmp_path / "BENCH_facade_batch.json"
+        old_style.write_text(json.dumps({"bench": "facade_batch", "serial_ms": 53.7}))
+        assert bench.main(["--against", str(old_style)]) == 1
+        assert "cannot read the baseline" in capsys.readouterr().err
+
+    def test_measures_a_case_with_engine_counters(self, bench, tmp_path):
+        """One case end to end, written the way `main` writes a run."""
+        case = bench.Case("cobra", "cover", "grid(16, 2)", 2)
+        path = bench.emit_bench_json(
+            "engines", bench.measure([case], rounds=1), out_dir=str(tmp_path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        (row,) = doc["cases"]
+        assert row["case"] == "cobra/cover@grid(16, 2)"
+        assert row["trial_steps"] > 0 and row["rng_draws"] > 0
+        assert row["serial_trial_steps"] > 0 and row["ratio"] > 0
+        assert row["scaled_ns_per_trial_step"] > 0 and doc["probe_ms"] > 0
+        for key in bench.FINGERPRINT:
+            assert doc[key] is not None
+
+    def test_committed_baseline_covers_every_batched_engine(self, committed):
+        """A newly registered batched engine cannot ship without a
+        baseline row, and every such row carries its ratio."""
+        rows = {c["case"]: c for c in committed["cases"]}
+        for pair in sorted(_registry_batched_cases()):
+            row = rows.get(f"{pair}@grid(16, 2)")
+            assert row is not None, f"BENCH_engines.json has no row for {pair}"
+            assert row["ratio"] > 0 and row["scaled_ns_per_trial_step"] > 0
+
+    def test_committed_baselines_cover_the_hypercube_engines(self, committed):
+        rows = {c["case"]: c for c in committed["cases"]}
+        for process in ("cobra/cover", "parallel/cover", "walt/cover", "simple/hit"):
+            row = rows[f"{process}@hypercube_oracle(17)"]
+            assert row["trials"] == 64 and row["scaled_ns_per_trial_step"] > 0
+
+    def test_committed_baseline_keeps_the_other_gated_cells(self, committed):
+        rows = {c["case"]: c for c in committed["cases"]}
+        cobra = rows["cobra/cover@grid(32, 2)"]
+        assert cobra["serial_ms"] > 0 and cobra["vectorized_ms"] > 0
+        for oracle in ("torus_oracle(99, 2)", "hypercube_oracle(13)",
+                       "circulant_oracle(10001, (1, 2, 5))", "kronecker_oracle(K3, 8)"):
+            assert rows[f"cobra/cover@{oracle}"]["scaled_ns_per_trial_step"] > 0
 
 
 class TestStaticJob:
