@@ -9,6 +9,8 @@ Two ``cobra-experiments sweep work DEMO_grid2x2 --trace`` workers are
 launched concurrently against one store.  Afterward:
 
 * the campaign is complete and ``sweep fsck`` exits 0 (clean store);
+* ``claims.jsonl`` replays every raw line, with exactly one ``claim``
+  and one ``done`` line per cell;
 * a third ``sweep work`` over the finished store reports every cell
   cached and leaves ``claims.jsonl`` byte-identical (no claim written);
 * every stored cell's values are **identical** to an uninterrupted
@@ -106,9 +108,24 @@ def main(store_dir: str) -> int:
     ran_total = sum(int(out.split("ran ")[1].split(",")[0]) for out in outputs)
     assert ran_total == len(cells), f"workers ran {ran_total} cells, not {len(cells)}"
 
+    # the two processes' claims (swaps that append to claims.jsonl) and
+    # releases (locked appends) raced on one file: every raw line must
+    # replay, and each cell holds exactly one claim and one done line
+    from repro.store import ClaimLedger
+
+    ledger = Path(store_dir) / "claims.jsonl"
+    records = ClaimLedger(store_dir).records()
+    raw_lines = len(ledger.read_bytes().splitlines())
+    assert raw_lines == len(records), (
+        f"claims.jsonl has {raw_lines} lines but replays {len(records)} records"
+    )
+    for cell in cells:
+        ops = sorted(r["op"] for r in records if r["hash"] == cell.hash)
+        assert ops == ["claim", "done"], f"cell {cell.hash[:12]} ledger ops {ops}"
+    assert len(records) == 2 * len(cells), f"{len(records)} ledger records"
+
     # a third worker over the finished store finds every cell cached
     # and writes no claim: the ledger stays byte-identical
-    ledger = Path(store_dir) / "claims.jsonl"
     before = ledger.read_bytes()
     third = _wait(
         _sweep_cli(

@@ -134,8 +134,11 @@ class LocalBackend:
     appenders take, so a CAS and a concurrent append serialize instead
     of corrupting.  ETags are content hashes: the filesystem keeps no
     version counter, and content equality is exactly the invariant the
-    CAS loops need.  A zero-byte file reads as absent (``locked``
-    creates empty files as a side effect of lock acquisition).
+    CAS loops need.  A swap whose payload extends the file (a claim
+    appended to the ledger) writes only the new bytes; any other payload
+    rewrites the file in place.  A zero-byte file reads as absent
+    (``locked`` creates empty files as a side effect of lock
+    acquisition).
 
     The root is resolved once, at construction: every read and write
     goes to that directory even if the process changes its working
@@ -228,18 +231,36 @@ class LocalBackend:
     def compare_and_swap(
         self, key: str, data: bytes, etag: str | None
     ) -> str | None:
-        """Rewrite the file under its writer lock iff the ETag matches."""
+        """Swap the file's bytes for *data* under its writer lock iff the
+        ETag matches.
+
+        A payload that extends the current bytes — every ledger claim —
+        is written as just its new tail at EOF, so a claim costs its own
+        lines, not a rewrite of the whole ledger; a crash mid-write then
+        leaves the old bytes plus a torn tail, which replay skips.  Any
+        other payload (compaction, a pruned ledger, truncation to zero
+        bytes) truncates the file and rewrites it, where a crash can
+        leave it cut short.  Either way the file ends up holding exactly
+        *data*, in the same inode, and the ETag returned is its content
+        hash.
+        """
         path = self._path(key)
         with locked(path) as handle:
             handle.seek(0)
-            current = handle.read().encode("utf-8")
-            current_etag = _content_etag(current) if current else None
-            if current_etag != etag:
+            current = handle.read()
+            hasher = hashlib.sha256(current)
+            if (hasher.hexdigest() if current else None) != etag:
                 return None
+            if data.startswith(current):
+                # "a+b" mode: the tail lands at EOF, right after *current*
+                tail = memoryview(data)[len(current):]
+                handle.write(tail)
+                hasher.update(tail)
+                return hasher.hexdigest()
             handle.truncate(0)
-            # "a+" mode: the write lands at EOF, which truncate just
-            # moved to 0 — same inode concurrent appenders block on
-            handle.write(data.decode("utf-8"))
+            # the write lands at EOF, which truncate just moved to 0 —
+            # same inode concurrent appenders block on
+            handle.write(data)
             return _content_etag(data)
 
 

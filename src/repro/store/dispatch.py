@@ -308,6 +308,7 @@ class ClaimLedger:
         limit: int | None = 1,
         now: float | None = None,
         lease: str | None = None,
+        skip_newly_done: bool = False,
     ) -> list[str]:
         """Atomically claim up to *limit* of *hashes* for *owner*.
 
@@ -338,6 +339,13 @@ class ClaimLedger:
             Lease-id token stamped on the claim line(s) — the
             attribution key telemetry events carry.  Additive field:
             old ledgers replay fine without it.
+        skip_newly_done : bool
+            Leave out a hash whose ``done`` release first shows up in
+            this call's read (a fresh handle has read nothing, so every
+            ``done`` is new to it).  Its cell was stored after this
+            handle last read the ledger; a caller that looks in the
+            store between claims, as :func:`drain` does, finds it there
+            instead of claiming it only to release it again.
 
         Returns
         -------
@@ -345,6 +353,7 @@ class ClaimLedger:
             The hashes won, in *hashes* order (may be empty).
         """
         t = time.time() if now is None else now
+        known_done = set(self._done) if skip_newly_done else None
         while True:
             data, etag, state = self._read()
             won: list[str] = []
@@ -354,6 +363,12 @@ class ClaimLedger:
                     break
                 existing = state.get(h)
                 if existing is not None and not existing.expired(t):
+                    continue
+                if (
+                    known_done is not None
+                    and h in self._done
+                    and h not in known_done
+                ):
                     continue
                 won.append(h)
                 record = {
@@ -568,13 +583,16 @@ def drain(
         # cells under another worker's live lease go last
         busy = _held_elsewhere(ledger, owner)
         lease_token = uuid.uuid4().hex[:8]
+        done_seen = len(ledger._done)
         won = ledger.try_claim(
             sorted(pending, key=busy.__contains__), owner=owner, ttl=ttl,
-            limit=1, lease=lease_token,
+            limit=1, lease=lease_token, skip_newly_done=True,
         )
         if not won:
             # nothing winnable: rescan what is left, then give up or poll
             settle(list(pending))
+            if pending and len(ledger._done) > done_seen:
+                continue  # the claim skipped releases this scan has now seen
             if pending and wait:
                 time.sleep(poll_s)
                 continue

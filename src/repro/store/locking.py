@@ -48,16 +48,26 @@ def _flocked(handle: IO[AnyStr]) -> Iterator[IO[AnyStr]]:
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
+def _open(path: Path) -> IO[bytes]:
+    """*path* opened ``a+b``; its parent directories are created only
+    when the open misses them, not with a ``mkdir`` on every write."""
+    try:
+        return path.open("a+b")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("a+b")
+
+
 @contextlib.contextmanager
-def locked(path: str | Path) -> Iterator[IO[str]]:
+def locked(path: str | Path) -> Iterator[IO[bytes]]:
     """Exclusive advisory lock on *path* for a read+append critical section.
 
-    The file is created (empty) if missing and opened ``a+`` — reads
-    see the full current contents after a ``seek(0)``, writes always
-    land at the end — and the ``flock`` is held until the ``with``
-    block exits, so a read-decide-append sequence inside the block is
-    atomic against every other :func:`locked`/:func:`append_line` user
-    of the same path.
+    The file is created (empty) if missing and opened ``a+b`` — reads
+    see the full current bytes after a ``seek(0)``, writes always land
+    at the end — and the ``flock`` is held until the ``with`` block
+    exits, so a read-decide-write sequence inside the block is atomic
+    against every other :func:`locked`/:func:`append_line` user of the
+    same path.
 
     Parameters
     ----------
@@ -66,12 +76,10 @@ def locked(path: str | Path) -> Iterator[IO[str]]:
 
     Yields
     ------
-    IO[str]
-        The locked ``a+`` handle.
+    IO[bytes]
+        The locked binary ``a+b`` handle.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a+", encoding="utf-8") as handle:
+    with _open(Path(path)) as handle:
         with _flocked(handle):
             yield handle
 
@@ -93,10 +101,8 @@ def append_line(path: str | Path, line: str) -> None:
     line : str
         The record text, without a trailing newline.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     record = (line + "\n").encode("utf-8")
-    with path.open("a+b") as handle:
+    with _open(Path(path)) as handle:
         with _flocked(handle):
             end = handle.seek(0, os.SEEK_END)
             if end:

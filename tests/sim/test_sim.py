@@ -1,7 +1,11 @@
 """Tests for the simulation harness (rng, engine, montecarlo, record)."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import CobraWalk
 from repro.graphs import cycle_graph, grid
@@ -183,6 +187,61 @@ class TestUnifiedSummary:
     def test_all_nan_quantiles(self):
         s = summarize_trials(np.array([np.nan]))
         assert np.isnan(s.q25) and np.isnan(s.minimum) and s.n == 0
+
+
+#: trial outcomes: arbitrary doubles, small integer-valued floats (ties)
+#: and the special values — NaN (a failed trial), ±inf and ±0.0
+_TRIAL_VALUES = st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-5, 5).map(float),
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+    ),
+    max_size=80,
+)
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal as floats (so ``0.0 == -0.0``), with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_TRIAL_VALUES)
+@example(values=[])
+@example(values=[7.0])
+@example(values=[np.nan, np.nan, np.nan])
+@example(values=[np.inf])
+@example(values=[-np.inf, np.inf])
+@example(values=[1e308, 1e308])
+def test_summary_matches_the_numpy_reference(values):
+    """Every field equals numpy's own reduction of the successful values:
+    the one-sort median and quartiles follow numpy's formulas exactly."""
+    array = np.array(values, dtype=np.float64)
+    ok = array[~np.isnan(array)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        s = summarize_trials(array)
+        if ok.size:
+            reference = {
+                "median": np.median(ok),
+                "q25": np.quantile(ok, 0.25),
+                "q75": np.quantile(ok, 0.75),
+                "minimum": ok.min(),
+                "maximum": ok.max(),
+                "mean": ok.mean(),
+                "std": ok.std(ddof=1) if ok.size > 1 else np.nan,
+            }
+        else:
+            reference = dict.fromkeys(
+                ("median", "q25", "q75", "minimum", "maximum", "mean", "std"),
+                np.nan,
+            )
+    assert s.failures == array.size - ok.size and s.n == ok.size
+    for field, want in reference.items():
+        got = getattr(s, field)
+        assert isinstance(got, float), (field, type(got))
+        assert _same(got, float(want)), (field, got, want)
 
 
 class TestCoverageRecord:

@@ -14,6 +14,7 @@ Three pillars:
   on both backends afterward.
 """
 
+import contextlib
 import json
 import threading
 
@@ -32,6 +33,7 @@ from repro.store import (
     drain,
     fsck,
 )
+from repro.store import backend as backend_module
 from repro.store.dispatch import CLAIMS_FILE
 
 BACKENDS = ["local", "memory"]
@@ -270,6 +272,165 @@ class TestLocalRootAfterChdir:
         store = tmp_path / "home" / "store"
         assert (store / "shards" / "ab.jsonl").read_bytes() == b"new\n"
         assert not (elsewhere / "store").exists()
+
+
+class _SpyHandle:
+    """The locked file handle, recording what ``compare_and_swap`` does
+    with it."""
+
+    def __init__(self, handle, log) -> None:
+        self._handle = handle
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def truncate(self, size=None):
+        self._log.append(("truncate", size))
+        return self._handle.truncate(size)
+
+    def write(self, data):
+        self._log.append(("write", bytes(data)))
+        return self._handle.write(data)
+
+
+class TestLocalCompareAndSwap:
+    """``LocalBackend`` appends a payload that extends the file and
+    rewrites every other one; the bytes, the ETag and the inode come out
+    the same either way."""
+
+    @pytest.fixture()
+    def spied(self, tmp_path, monkeypatch):
+        log = []
+        real = backend_module.locked
+
+        @contextlib.contextmanager
+        def spying(path):
+            with real(path) as handle:
+                yield _SpyHandle(handle, log)
+
+        monkeypatch.setattr(backend_module, "locked", spying)
+        return LocalBackend(tmp_path / "store"), tmp_path / "store", log
+
+    def test_extending_swap_appends_only_the_tail(self, spied, tmp_path):
+        backend, root, log = spied
+        base = b'{"op": "claim", "hash": "a"}\n'
+        etag = backend.compare_and_swap(CLAIMS_FILE, base, None)
+        inode = (root / CLAIMS_FILE).stat().st_ino
+        log.clear()
+        grown = base + b'{"op": "claim", "hash": "b"}\n'
+        new_etag = backend.compare_and_swap(CLAIMS_FILE, grown, etag)
+        assert log == [("write", grown[len(base):])]
+        assert (root / CLAIMS_FILE).read_bytes() == grown
+        assert (root / CLAIMS_FILE).stat().st_ino == inode
+        # the ETag a full write of the same bytes gets
+        rewritten = LocalBackend(tmp_path / "other")
+        assert new_etag == rewritten.compare_and_swap(CLAIMS_FILE, grown, None)
+        assert backend.read_blob(CLAIMS_FILE) == (grown, new_etag)
+
+    def test_unchanged_payload_appends_nothing(self, spied):
+        backend, root, log = spied
+        etag = backend.compare_and_swap(CLAIMS_FILE, b"a\n", None)
+        log.clear()
+        assert backend.compare_and_swap(CLAIMS_FILE, b"a\n", etag) == etag
+        assert log == [("write", b"")]
+        assert (root / CLAIMS_FILE).read_bytes() == b"a\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"b\nc\n", b"a\n", b"c\nb\na\n", b"a\nb\nx\n", b""],
+        ids=["prune", "shrink", "compact", "diverge", "truncate"],
+    )
+    def test_non_extending_swap_rewrites(self, spied, data):
+        backend, root, log = spied
+        etag = backend.compare_and_swap(CLAIMS_FILE, b"a\nb\nc\n", None)
+        inode = (root / CLAIMS_FILE).stat().st_ino
+        log.clear()
+        new_etag = backend.compare_and_swap(CLAIMS_FILE, data, etag)
+        assert log == [("truncate", 0), ("write", data)]
+        assert (root / CLAIMS_FILE).read_bytes() == data
+        assert (root / CLAIMS_FILE).stat().st_ino == inode
+        if data:
+            assert backend.read_blob(CLAIMS_FILE) == (data, new_etag)
+        else:
+            assert new_etag is not None
+            assert backend.read_blob(CLAIMS_FILE) is None
+
+    def test_claim_after_a_torn_tail_appends_exactly(self, spied):
+        backend, root, log = spied
+        torn = b'{"op": "done", "hash": "x", "owner": "w"}\n{"op": "claim", "hash": "h'
+        backend.compare_and_swap(CLAIMS_FILE, torn, None)
+        log.clear()
+        ledger = ClaimLedger(backend)
+        assert ledger.try_claim(["h1"], owner="w1", now=0.0) == ["h1"]
+        (claim,) = [r for r in ledger.records() if r["op"] == "claim"]
+        line = json.dumps(claim, sort_keys=True).encode() + b"\n"
+        assert log == [("write", b"\n" + line)]
+        assert (root / CLAIMS_FILE).read_bytes() == torn + b"\n" + line
+
+    @pytest.mark.parametrize(
+        "current", [b"a\r\n", b'{"op": "claim", "owner": "\xe2\x82'],
+        ids=["crlf", "torn_utf8"],
+    )
+    def test_swaps_against_the_raw_bytes(self, spied, current):
+        """The ETag a swap checks is the one ``read_blob`` returned, even
+        for bytes a text decode would alter or reject."""
+        backend, root, _ = spied
+        backend.compare_and_swap(CLAIMS_FILE, current, None)
+        data, etag = backend.read_blob(CLAIMS_FILE)
+        assert data == current
+        assert backend.compare_and_swap(CLAIMS_FILE, data + b"\nb\n", etag)
+        assert backend.compare_and_swap(CLAIMS_FILE, b"c\r\n", etag) is None
+        assert (root / CLAIMS_FILE).read_bytes() == current + b"\nb\n"
+
+    def test_stale_etag_leaves_the_file_untouched(self, spied):
+        backend, root, log = spied
+        stale = backend.compare_and_swap(CLAIMS_FILE, b"a\n", None)
+        backend.append_line(CLAIMS_FILE, "b")
+        log.clear()
+        assert backend.compare_and_swap(CLAIMS_FILE, b"a\nc\n", stale) is None
+        assert backend.compare_and_swap(CLAIMS_FILE, b"", stale) is None
+        assert log == []
+        assert (root / CLAIMS_FILE).read_bytes() == b"a\nb\n"
+
+    def test_concurrent_appends_and_extending_swaps_keep_every_line(
+        self, tmp_path
+    ):
+        backend = LocalBackend(tmp_path / "store")
+        rounds = 150
+
+        def appender() -> None:
+            for i in range(rounds):
+                backend.append_line(CLAIMS_FILE, f"append-{i}")
+
+        thread = threading.Thread(target=appender)
+        thread.start()
+        for i in range(rounds):
+            while True:
+                blob = backend.read_blob(CLAIMS_FILE)
+                data, etag = blob if blob is not None else (b"", None)
+                line = f"swap-{i}\n".encode()
+                if backend.compare_and_swap(CLAIMS_FILE, data + line, etag):
+                    break
+        thread.join()
+        lines = backend.read_blob(CLAIMS_FILE)[0].decode().splitlines()
+        expected = [f"append-{i}" for i in range(rounds)] + [
+            f"swap-{i}" for i in range(rounds)
+        ]
+        assert sorted(lines) == sorted(expected)
+        # each writer's own lines stay in its order
+        assert [x for x in lines if x.startswith("swap-")] == expected[rounds:]
+        assert [x for x in lines if x.startswith("append-")] == expected[:rounds]
+
+    @pytest.mark.parametrize("operation", ["append_line", "compare_and_swap"])
+    def test_missing_nested_directories_are_created(self, tmp_path, operation):
+        backend = LocalBackend(tmp_path / "store")
+        key = "shards/deep/er/ab.jsonl"
+        if operation == "append_line":
+            backend.append_line(key, "row")
+        else:
+            assert backend.compare_and_swap(key, b"row\n", None)
+        assert (tmp_path / "store" / key).read_bytes() == b"row\n"
 
 
 class RacingBackend:

@@ -50,6 +50,24 @@ def reference():
 
 
 class TestClaimLedger:
+    def test_hash_released_done_since_the_last_read_is_not_claimed(
+        self, tmp_path
+    ):
+        a = ClaimLedger(tmp_path)
+        b = ClaimLedger(tmp_path)
+        assert a.try_claim(["h1", "h2"], owner="A", limit=None) == ["h1", "h2"]
+        b._read()  # B last saw both leased to A
+        a.release("h1", owner="A")
+        a.release("h2", owner="A", op="abandon")
+        # B's claim read is the first to show h1 stored: B must look in
+        # the store, not claim it; an abandoned cell is claimable at once
+        assert b.try_claim(
+            ["h1", "h2"], owner="B", limit=None, skip_newly_done=True
+        ) == ["h2"]
+        # once B has read the release, h1 is free to claim again (a cell
+        # whose record went missing after its release)
+        assert b.try_claim(["h1"], owner="B", skip_newly_done=True) == ["h1"]
+
     def test_claim_is_exclusive(self, tmp_path):
         a = ClaimLedger(tmp_path)
         b = ClaimLedger(tmp_path)
@@ -185,7 +203,71 @@ def test_incremental_replay_equals_full_replay(steps):
             assert state == ClaimLedger._replay(each.records())
 
 
+class _CommitBeforeClaimRead:
+    """Backend proxy on which a rival worker claims, stores and releases
+    *spec*'s one cell ``done`` just before the first ledger read that
+    follows the drain's store scan — the window between a worker's scan
+    and its first claim."""
+
+    def __init__(self, inner, spec, rival_hash):
+        self.inner = inner
+        self.spec = spec
+        self.rival_hash = rival_hash
+        self.scanned = False
+        self.committed = False
+
+    def read_blob(self, key):
+        if key.startswith("shards/"):
+            self.scanned = True
+        elif key == CLAIMS_FILE and self.scanned and not self.committed:
+            self.committed = True
+            rival = ClaimLedger(self.inner)
+            assert rival.try_claim([self.rival_hash], owner="A")
+            Campaign(self.spec, ResultStore(backend=self.inner)).run()
+            rival.release(self.rival_hash, owner="A")
+        return self.inner.read_blob(key)
+
+    def append_line(self, key, line):
+        self.inner.append_line(key, line)
+
+    def list_prefix(self, prefix):
+        return self.inner.list_prefix(prefix)
+
+    def compare_and_swap(self, key, data, etag):
+        return self.inner.compare_and_swap(key, data, etag)
+
+
 class TestDrain:
+    def test_cell_stored_between_scan_and_claim_is_not_reclaimed(self):
+        """A cell another worker stores and releases after this worker's
+        store scan is settled from the store, not claimed a second time:
+        the ledger keeps one claim and one release per cell."""
+        spec = make_spec(graph_grid={"n": [6], "d": [2]}, params_grid={"k": [1]})
+        (cell,) = spec.expand()
+        inner = InMemoryCASBackend()
+        proxy = _CommitBeforeClaimRead(inner, spec, cell.hash)
+        report = drain(spec, ResultStore(backend=proxy), owner="B")
+        assert proxy.committed
+        assert report.ran == [] and report.cached == [cell.hash]
+        assert report.complete
+        ops = [(r["op"], r["owner"]) for r in ClaimLedger(inner).records()]
+        assert ops == [("claim", "A"), ("done", "A")]
+
+    def test_cell_released_done_but_missing_from_the_store_is_run(
+        self, tmp_path
+    ):
+        """A ``done`` whose record never landed (or was lost) does not
+        strand the cell: a fresh worker skips it on its first claim,
+        finds it missing from the store, and then claims and runs it."""
+        spec = make_spec(graph_grid={"n": [6], "d": [2]}, params_grid={"k": [1]})
+        (cell,) = spec.expand()
+        store = ResultStore(tmp_path / "s")
+        ledger = ClaimLedger(store.backend)
+        assert ledger.try_claim([cell.hash], owner="A") == [cell.hash]
+        ledger.release(cell.hash, owner="A")
+        report = drain(spec, store, owner="B")
+        assert report.ran == [cell.hash] and report.complete
+
     def test_single_drain_matches_campaign_values(self, tmp_path, reference):
         spec = make_spec()
         store = ResultStore(tmp_path / "s")

@@ -67,6 +67,13 @@ class TestDispatchSmoke:
         assert 'f"ran 0, cached {len(cells)}, deferred 0"' in source
         assert "ledger.read_bytes() == before" in source
 
+    def test_smoke_pins_the_ledger_replay(self):
+        """After the two-process drain every raw ledger line must replay,
+        with one claim and one done line per cell."""
+        source = (REPO / "ci" / "smoke_dispatch.py").read_text(encoding="utf-8")
+        assert "raw_lines == len(records)" in source
+        assert 'ops == ["claim", "done"]' in source
+
 
 class TestServiceSmoke:
     def test_serve_declare_loop_drain_passes(self):
