@@ -124,8 +124,8 @@ def summarize_trials(values: np.ndarray) -> TrialSummary:
         failures,
         q25=_sorted_quantile(ordered, 0.25),
         q75=_sorted_quantile(ordered, 0.75),
-        minimum=float(ok.min()),
-        maximum=float(ok.max()),
+        minimum=ordered.item(0),
+        maximum=ordered.item(-1),
     )
 
 

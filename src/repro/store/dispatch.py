@@ -308,7 +308,6 @@ class ClaimLedger:
         limit: int | None = 1,
         now: float | None = None,
         lease: str | None = None,
-        skip_newly_done: bool = False,
     ) -> list[str]:
         """Atomically claim up to *limit* of *hashes* for *owner*.
 
@@ -321,6 +320,14 @@ class ClaimLedger:
         ETag, the swap fails, and this worker re-reads (now seeing the
         rival's claim) and retries.  No line is ever double-appended:
         a claim lands exactly once, in the one swap that succeeds.
+
+        A hash whose ``done`` release first shows up in this call's read
+        is left out (a fresh handle has read nothing, so every ``done``
+        not written through it is new to it): its cell was stored after
+        this handle last looked, and a caller that checks the store
+        between claims, as :func:`drain` does, finds it there instead of
+        claiming it only to release it again.  Once read, a released
+        hash is claimable as usual (a cell whose record went missing).
 
         Parameters
         ----------
@@ -339,13 +346,6 @@ class ClaimLedger:
             Lease-id token stamped on the claim line(s) — the
             attribution key telemetry events carry.  Additive field:
             old ledgers replay fine without it.
-        skip_newly_done : bool
-            Leave out a hash whose ``done`` release first shows up in
-            this call's read (a fresh handle has read nothing, so every
-            ``done`` is new to it).  Its cell was stored after this
-            handle last read the ledger; a caller that looks in the
-            store between claims, as :func:`drain` does, finds it there
-            instead of claiming it only to release it again.
 
         Returns
         -------
@@ -353,7 +353,7 @@ class ClaimLedger:
             The hashes won, in *hashes* order (may be empty).
         """
         t = time.time() if now is None else now
-        known_done = set(self._done) if skip_newly_done else None
+        known_done = set(self._done)
         while True:
             data, etag, state = self._read()
             won: list[str] = []
@@ -364,11 +364,7 @@ class ClaimLedger:
                 existing = state.get(h)
                 if existing is not None and not existing.expired(t):
                     continue
-                if (
-                    known_done is not None
-                    and h in self._done
-                    and h not in known_done
-                ):
+                if h in self._done and h not in known_done:
                     continue
                 won.append(h)
                 record = {
@@ -403,7 +399,9 @@ class ClaimLedger:
             The releasing worker's id (provenance; replay does not
             check it — the claim lock already guaranteed exclusivity).
         op : str
-            ``"done"`` or ``"abandon"``.
+            ``"done"`` or ``"abandon"``.  A ``done`` written through
+            this handle is known to it at once, so :meth:`try_claim`
+            does not treat it as new.
         """
         if op not in ("done", "abandon"):
             raise ValueError(f"release op must be done/abandon, got {op!r}")
@@ -419,6 +417,8 @@ class ClaimLedger:
                 sort_keys=True,
             ),
         )
+        if op == "done":
+            self._done.add(h)
 
 
 @dataclass
@@ -586,7 +586,7 @@ def drain(
         done_seen = len(ledger._done)
         won = ledger.try_claim(
             sorted(pending, key=busy.__contains__), owner=owner, ttl=ttl,
-            limit=1, lease=lease_token, skip_newly_done=True,
+            limit=1, lease=lease_token,
         )
         if not won:
             # nothing winnable: rescan what is left, then give up or poll

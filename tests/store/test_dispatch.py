@@ -61,12 +61,10 @@ class TestClaimLedger:
         a.release("h2", owner="A", op="abandon")
         # B's claim read is the first to show h1 stored: B must look in
         # the store, not claim it; an abandoned cell is claimable at once
-        assert b.try_claim(
-            ["h1", "h2"], owner="B", limit=None, skip_newly_done=True
-        ) == ["h2"]
+        assert b.try_claim(["h1", "h2"], owner="B", limit=None) == ["h2"]
         # once B has read the release, h1 is free to claim again (a cell
         # whose record went missing after its release)
-        assert b.try_claim(["h1"], owner="B", skip_newly_done=True) == ["h1"]
+        assert b.try_claim(["h1"], owner="B") == ["h1"]
 
     def test_claim_is_exclusive(self, tmp_path):
         a = ClaimLedger(tmp_path)
