@@ -101,9 +101,11 @@ class NeighborOracle:
         Whether one ``neighbor_at`` call with a ``(k, F)`` slot block
         against ``F`` vertices beats ``k`` calls with ``F`` slots each:
         true where the oracle builds a per-vertex table once per call.
-        Engines drawing several neighbors per vertex pool their slots
-        only then; a CSR gather of ``k·F`` slots at once is slower
-        than ``k`` gathers of ``F``.
+        Engines drawing several neighbors per vertex through
+        ``neighbor_at`` pool their slots only then; a CSR gather of
+        ``k·F`` slots at once is slower than ``k`` gathers of ``F``.
+        (Cobra gathers from a per-run neighbor table instead, unless it
+        would pass 1 MiB.)
     """
 
     kind = "implicit"

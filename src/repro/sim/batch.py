@@ -56,7 +56,7 @@ The movers, each with the engines built on it:
   :func:`batched_walt_hit_trials`, horizon
   :func:`batched_walt_positions_at` (pebble positions);
 * :class:`_CoalescingMover` — shrinking walker sets: one neighbor draw
-  moves every surviving walker and one ``np.unique`` on the flat key
+  moves every surviving walker and one sorted unique on the flat key
   merges co-located walkers of a trial (ids of different trials live
   ``n`` apart and never collide).  Cover
   :func:`batched_coalescing_cover_trials`;
@@ -83,11 +83,20 @@ Hot-path notes (measured on the benchmark machine, not guessed):
 * index arrays stay ``int64`` end to end — numpy silently converts
   any other integer dtype to ``intp`` per fancy-indexing call, which
   doubles the cost of the scatter;
-* flat ids decompose arithmetically (``v = front % n``,
-  ``base = front - v``) against one **size-n** degree table shared by
+* flat ids decompose against one **size-n** degree table shared by
   all trials — the old per-flat-id tables tiled
   ``start``/``degree``/``base``/``row`` per trial, an ``O(trials·n)``
-  allocation that capped scaling long before the edge arrays did;
+  allocation that capped scaling long before the edge arrays did.
+  Cobra splits its sorted frontier at the row starts (``searchsorted``,
+  ``v = front - base``): 53 µs at 54k ids against 290 µs for ``% n``;
+* cobra gathers all ``k·F`` pebbles with one ``take`` from a flat
+  ``int64[n · max_degree]`` neighbor table built once per run
+  (:func:`_neighbor_table`) instead of a per-step ``neighbor_at`` — on
+  ``hypercube_oracle(13)`` at F = 60k, 0.3 ms against 7 ms for the
+  ``(F, 13)`` candidate build and row sort.  Oracles whose table would
+  pass 1 MiB keep ``neighbor_at``;
+* flat-id sets are deduplicated by :func:`~repro.sim.bitmask.sorted_unique`,
+  not by numpy 2's hash-based ``np.unique``;
 * per-``(trial, vertex)`` visited state is **bit-packed** at scale
   (:class:`repro.sim.bitmask.BitMask`, ``n/8`` bytes per trial, via
   the :func:`~repro.sim.bitmask.visited_mask` factory — small runs
@@ -104,7 +113,7 @@ Hot-path notes (measured on the benchmark machine, not guessed):
   :func:`repro.walks.simple.walk_blocks`: one ``rng.random((b, P))``
   per block, which is bit for bit ``b`` calls of ``rng.random(P)``,
   then about six small numpy calls per step to move the positions, and
-  coverage settled once per block (one mask test, one ``np.unique``,
+  coverage settled once per block (one mask test, one sorted unique,
   one ``bincount``, one sorted set).  When the last trial stops inside
   a block the generator is rewound to the block's start and the used
   rows are drawn again, so the stream a caller sees afterwards (the
@@ -136,7 +145,8 @@ import numpy as np
 from ..graphs.base import Graph
 from ..graphs.implicit import NeighborOracle, as_oracle
 from ..obs.trace import current_tracer
-from .bitmask import visited_mask
+from . import bitmask
+from .bitmask import sorted_unique, visited_mask
 from .rng import SeedLike, resolve_rng
 
 __all__ = [
@@ -170,11 +180,24 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 def _degree_table(oracle: NeighborOracle, ftype=np.float64) -> np.ndarray:
     """Size-``n`` per-vertex degree table in the engine's float width.
 
-    Shared by every trial: the hot loops gather from it after the
-    arithmetic flat-id decomposition ``v = front % n`` — the
-    trial-count-independent replacement for the old per-flat-id tiled
-    tables."""
+    Shared by every trial: the hot loops gather from it at each flat
+    id's vertex ``v = front - base`` — the trial-count-independent
+    replacement for the old per-flat-id tiled tables."""
     return oracle.degree(np.arange(oracle.n, dtype=np.int64)).astype(ftype)
+
+
+def _neighbor_table(oracle: NeighborOracle) -> np.ndarray | None:
+    """Flat ``int64[n · max_degree]`` table whose row ``v`` lists ``v``'s
+    neighbors in ascending order, padded past ``deg(v)`` with its last
+    neighbor (never drawn: every slot is below ``deg(v)``).  None when
+    the table would exceed :data:`~repro.sim.bitmask.DENSE_LIMIT` bytes
+    (read at call time); those oracles answer ``neighbor_at`` per step."""
+    width = oracle.max_degree
+    if 8 * oracle.n * width > bitmask.DENSE_LIMIT:
+        return None
+    verts = np.arange(oracle.n, dtype=np.int64)[:, None]
+    slots = np.minimum(np.arange(width, dtype=np.int64), oracle.degree(verts) - 1)
+    return np.ascontiguousarray(oracle.neighbor_at(verts, slots), dtype=np.int64).ravel()
 
 
 class _BufferPool:
@@ -282,7 +305,7 @@ class _Cover(_Rule):
             # re-setting already-set bits is a no-op
             fresh = reached[self.visited.test_and_set_sorted(reached)]
         else:
-            fresh = np.unique(reached[~self.visited.test_flat(reached)])
+            fresh = sorted_unique(reached[~self.visited.test_flat(reached)])
             self.visited.set_sorted_flat(fresh)
         if not fresh.size:
             return None
@@ -379,7 +402,8 @@ class _CobraMover(_Mover):
     they reach is the next frontier.  Per-step temporaries come from a
     buffer pool; the uniforms are float32 while the ``k == 2``
     double-draw (degree ≤ 64) or the single-draw index (degree < 2^20)
-    stays exact (module notes)."""
+    stays exact (module notes).  Neighbors come from the neighbor table
+    where there is one, else from ``neighbor_at``, with the same ids."""
 
     peak = 0
 
@@ -393,11 +417,14 @@ class _CobraMover(_Mover):
         self.ftype = np.float32 if exact else np.float64
         self.nn = np.int64(oracle.n)
         self.deg_f = _degree_table(oracle, self.ftype)
+        self.table = _neighbor_table(oracle)
+        self.width = np.int64(oracle.max_degree)
         self.pool = _BufferPool()
         self._clear_scratch(rows)
 
     def _clear_scratch(self, rows: int) -> None:
         self.scratch = np.zeros(rows * int(self.nn), dtype=bool)
+        self.row_starts = np.arange(rows + 1, dtype=np.int64) * self.nn
         self.reset_by_scatter = self.scratch.size > _SCATTER_RESET_CELLS
 
     def step(self) -> np.ndarray:
@@ -405,27 +432,37 @@ class _CobraMover(_Mover):
         F = front.size
         self.draws += F if self.pair else self.k * F
         self.peak = max(self.peak, F)
-        v = np.remainder(front, self.nn, out=pool.get("v", F, np.int64))
-        base = np.subtract(front, v, out=pool.get("base", F, np.int64))
+        # the sorted frontier splits into rows at the row starts
+        bounds = front.searchsorted(self.row_starts)
+        base = self.row_starts[:-1].repeat(bounds[1:] - bounds[:-1])
+        v = np.subtract(front, base, out=pool.get("v", F, np.int64))
         degs = self.deg_f.take(v, out=pool.get("deg", F, ftype))
         if self.pair:
             u = self.rng.random(out=pool.get("u", F, ftype), dtype=ftype)
             u *= degs
-            first = np.floor(u, out=pool.get("first", F, ftype))
-            u -= first  # leftover fraction: uniform again
-            u *= degs
-            slots = pool.get("slots", 2 * F, np.int64).reshape(2, F)
-            np.copyto(slots[0], first, casting="unsafe")  # trunc == floor (>= 0)
-            np.copyto(slots[1], u, casting="unsafe")
-            # table oracles build each vertex's row once for both pebbles
-            for block in (slots,) if self.oracle.pooled_slots else slots:
+            scaled = pool.get("scaled", 2 * F, ftype).reshape(2, F)
+            first, rest = scaled
+            np.floor(u, out=first)
+            np.subtract(u, first, out=rest)  # leftover fraction: uniform again
+            rest *= degs
+        else:
+            scaled = self.rng.random((self.k, F), dtype=ftype)
+            scaled *= degs
+        # the scaled uniforms truncate (== floor, they are >= 0) to slots,
+        # offset to the vertex's table row where there is a table
+        slots = pool.get("slots", scaled.size, np.int64).reshape(scaled.shape)
+        offset = 0 if self.table is None else np.multiply(v, self.width, out=v)
+        np.add(scaled, offset, out=slots, dtype=np.int64, casting="unsafe")
+        if self.table is not None:
+            picks = self.table.take(slots)
+            picks += base
+            scratch[picks] = True
+        else:
+            pooled = self.oracle.pooled_slots or not self.pair
+            for block in (slots,) if pooled else slots:
                 picks = self.oracle.neighbor_at(v, block)
                 picks += base
                 scratch[picks] = True
-        else:
-            u = self.rng.random((self.k, F), dtype=ftype)
-            nbrs = self.oracle.neighbor_at(v[None, :], (u * degs).astype(np.int64))
-            scratch[(base + nbrs).ravel()] = True
         front = self.front = scratch.nonzero()[0]
         if self.reset_by_scatter:
             scratch[front] = False
@@ -481,7 +518,7 @@ class _GossipMover(_Mover):
         """Unique flat neighbor ids of *fresh* and how often each is hit."""
         w = fresh % self.nn
         nbrs_local, deg = self.oracle.all_neighbors(w)
-        return np.unique(np.repeat(fresh - w, deg) + nbrs_local, return_counts=True)
+        return sorted_unique(np.repeat(fresh - w, deg) + nbrs_local, return_counts=True)
 
     def _draw(self, ids: np.ndarray) -> np.ndarray:
         """One uniform neighbor's flat id per flat id in *ids*."""
@@ -507,7 +544,7 @@ class _GossipMover(_Mover):
         new = np.concatenate(new_parts) if new_parts else _NO_IDS
         if new.size == 0:
             return _NO_IDS
-        fresh = np.unique(new)
+        fresh = sorted_unique(new)
         informed.set_sorted_flat(fresh)
         uids, ucnt = self._expand(fresh)
         if self.push:
@@ -616,7 +653,7 @@ class _WaltMover(_Mover):
 class _CoalescingMover(_Mover):
     """Coalescing walkers held as one sorted array of flat walker ids:
     one neighbor draw moves every surviving walker, and one
-    ``np.unique`` merges co-located walkers of the same trial."""
+    sorted unique merges co-located walkers of the same trial."""
 
     peak = 0
 
@@ -629,7 +666,7 @@ class _CoalescingMover(_Mover):
         self.draws += v.size
         self.peak = max(self.peak, v.size)
         moved = self.oracle.sample_one(v, self.rng) + (self.walkers - v)
-        self.walkers = np.unique(moved)  # in-step merge, trial-local by key design
+        self.walkers = sorted_unique(moved)  # in-step merge, trial-local by key design
         return self.walkers
 
     def keep(self, keep: np.ndarray) -> None:
@@ -749,7 +786,7 @@ def _cobra_mover(
         raise ValueError(f"branching factor k must be >= 1, got {k}")
     if target is not None:
         _check_vertex(oracle, target, "target")
-    start_arr = np.unique(_start_vertices(oracle, start))
+    start_arr = sorted_unique(_start_vertices(oracle, start))
     return _CobraMover(oracle, k, trials, start_arr, resolve_rng(seed))
 
 
@@ -1110,8 +1147,8 @@ def batched_parallel_walks_cover_trials(
     trial_base = np.repeat(np.arange(trials, dtype=np.int64) * n, walkers)
     pos = np.tile(start_pos, trials)
     covered = visited_mask(trials, n)
-    covered.set_sorted_flat(np.unique(trial_base + pos))
-    count = np.full(trials, np.unique(start_pos).size, dtype=np.int64)
+    covered.set_sorted_flat(sorted_unique(trial_base + pos))
+    count = np.full(trials, sorted_unique(start_pos).size, dtype=np.int64)
     out = np.full(trials, np.nan)
     out[count == n] = 0.0
     if not np.isnan(out).any():
@@ -1569,7 +1606,7 @@ def batched_coalescing_cover_trials(
     per-trial sets are its runs of equal ``id // n``).  Per step every
     surviving walker of every trial joins one batched neighbor draw,
     and the in-step merge is a single duplicate-scatter
-    (``np.unique`` on the flat key): co-located walkers of the same
+    (a sorted unique on the flat key): co-located walkers of the same
     trial collapse to one id, while walkers of different trials can
     never collide because their ids live ``n`` apart — the same
     distributional law as :class:`repro.walks.coalescing.CoalescingWalks`.
@@ -1608,7 +1645,7 @@ def batched_coalescing_cover_trials(
     rng = resolve_rng(seed)
     draws = 0
     if start is not None and np.ndim(start) > 0:
-        pos0 = np.unique(np.asarray(start, dtype=np.int64))
+        pos0 = sorted_unique(np.asarray(start, dtype=np.int64).ravel())
         if pos0.size == 0:
             raise ValueError("need at least one walker")
         if pos0.min() < 0 or pos0.max() >= n:

@@ -25,13 +25,16 @@ small and measurably faster (no divisions, direct fancy indexing).
 :func:`visited_mask` picks the backend — :class:`DenseMask` under
 :data:`DENSE_LIMIT` positions, :class:`BitMask` above — and the two
 expose the same five operations, so the engines never branch on it.
+:func:`sorted_unique` builds the sorted id sets they take.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-__all__ = ["DENSE_LIMIT", "BitMask", "DenseMask", "popcount", "visited_mask"]
+__all__ = ["DENSE_LIMIT", "BitMask", "DenseMask", "popcount", "sorted_unique", "visited_mask"]
 
 #: rows * n at or below this uses the dense boolean backend (1 MB of
 #: state); the 10^6-vertex cells stay bit-packed
@@ -207,3 +210,27 @@ def visited_mask(rows: int, n: int) -> BitMask | DenseMask:
     if rows * n <= DENSE_LIMIT:
         return DenseMask(rows, n)
     return BitMask(rows, n)
+
+
+def sorted_unique(
+    keys: np.ndarray, *, return_index: bool = False, return_counts: bool = False
+) -> Any:
+    """``np.unique`` of a 1-D array, same outputs, by one sort and one
+    neighbor compare (first indices from a stable sort): numpy 2's
+    hash-based unique took 1.45 ms against 86 µs at 10^4 int64 keys and
+    12 against 7 µs at 100 (2-CPU VM, numpy 2.4)."""
+    if return_index:
+        order = keys.argsort(kind="stable")
+        ordered = keys[order]
+    else:
+        ordered = np.sort(keys)
+    head = np.empty(ordered.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    out = [ordered[head]]
+    if return_index:
+        out.append(order[head])
+    if return_counts:
+        ends = np.concatenate((np.flatnonzero(head), [ordered.size]))
+        out.append(ends[1:] - ends[:-1])
+    return out[0] if len(out) == 1 else tuple(out)

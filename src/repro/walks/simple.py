@@ -21,7 +21,7 @@ import numpy as np
 from ..graphs.base import Graph
 from ..graphs.implicit import NeighborOracle, as_oracle
 from ..obs.trace import current_tracer
-from ..sim.bitmask import BitMask, DenseMask, visited_mask
+from ..sim.bitmask import BitMask, DenseMask, sorted_unique, visited_mask
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
@@ -291,7 +291,7 @@ class CoverSettle:
         flat = (walk + self.base).ravel()
         unseen = np.flatnonzero(~self.covered.test_flat(flat))
         cand = flat[unseen]
-        fresh = np.unique(cand)
+        fresh = sorted_unique(cand)
         self.covered.set_sorted_flat(fresh)
         self.count += np.bincount(fresh // self.n, minlength=self.count.size)
         newly = self.running & (self.count == self.n)
@@ -300,7 +300,7 @@ class CoverSettle:
         # a newly complete trial stopped at the first visit of the last
         # of its fresh vertices: the latest first occurrence among them
         mine = newly[cand // self.n]
-        ids, first = np.unique(cand[mine], return_index=True)
+        ids, first = sorted_unique(cand[mine], return_index=True)
         row = np.zeros(self.count.size, dtype=np.int64)
         np.maximum.at(row, ids // self.n, unseen[mine][first] // walk.shape[1])
         self.out[newly] = t0 + row[newly] + 1

@@ -14,9 +14,10 @@ per graph pin the fixed-horizon engines outside the registry,
 :func:`~repro.sim.batch.batched_walt_positions_at`.
 
 The vectorized rows are also re-run with every visited mask forced onto
-the bit-packed backend, and the cobra rows with the dedup mask always
-scatter-reset, so code paths that only large cells reach are pinned by
-the same fingerprints.
+the bit-packed backend (which also turns off cobra's neighbor table, so
+the oracles' per-step ``neighbor_at`` path runs), and the cobra rows
+with the dedup mask always scatter-reset, so code paths that only large
+cells reach are pinned by the same fingerprints.
 
 A refactor that reorders one RNG draw fails here with a diff naming the
 engine.  A deliberate stream change regenerates the file, printing each
@@ -160,7 +161,9 @@ def test_streams_match_golden():
 
 
 def test_packed_masks_match_golden(monkeypatch):
-    """Every vectorized row again, with each visited mask bit-packed."""
+    """Every vectorized row again, with each visited mask bit-packed and
+    cobra drawing through ``neighbor_at`` (both caps read ``DENSE_LIMIT``
+    at call time)."""
     monkeypatch.setattr(bitmask_mod, "DENSE_LIMIT", 0)
     _assert_matches_golden(compute_rows(lambda key: "/vectorized/" in key))
 

@@ -19,7 +19,19 @@ import pytest
 from conformance import SERIAL_PARITY_CASES, assert_means_close
 
 import repro.sim.batch as batch_mod
-from repro.graphs import complete_graph, cycle_graph, grid, star_graph
+import repro.sim.bitmask as bitmask_mod
+from repro.graphs import (
+    as_oracle,
+    barbell,
+    complete_graph,
+    cycle_graph,
+    grid,
+    hypercube_oracle,
+    kronecker_oracle,
+    lollipop,
+    star_graph,
+    torus_oracle,
+)
 from repro.obs.trace import Tracer, activate
 from repro.sim import (
     all_processes,
@@ -27,6 +39,7 @@ from repro.sim import (
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
     batched_cobra_active_sizes,
+    batched_cobra_cover_trials,
     batched_cobra_hit_trials,
     batched_gossip_hit_trials,
     batched_gossip_spread_trials,
@@ -314,6 +327,58 @@ class TestCobraHitEngine:
         c = cycle_graph(24)
         t = batched_cobra_hit_trials(c, 12, trials=8, k=3, seed=4)
         assert np.isfinite(t).all()
+
+
+#: irregular graphs, so the neighbor table's padding sits next to drawn
+#: slots (the golden graphs are all regular)
+IRREGULAR = {
+    "star": lambda: star_graph(12),
+    "lollipop": lambda: lollipop(64),
+    "barbell": lambda: barbell(64),
+    "grid": lambda: grid(6, 2),
+    # loops on two base digits: the all-loop vertices lose their self pair
+    "kronecker_loopy": lambda: kronecker_oracle([1, 1, 0, 1, 0, 1, 0, 1, 1], 3),
+}
+
+
+class TestCobraNeighborTable:
+    @pytest.mark.parametrize("name", IRREGULAR)
+    def test_rows_are_the_ascending_neighbor_lists(self, name):
+        oracle = as_oracle(IRREGULAR[name]())
+        nbrs, deg = oracle.all_neighbors(np.arange(oracle.n, dtype=np.int64))
+        assert deg.min() < oracle.max_degree
+        rows = batch_mod._neighbor_table(oracle).reshape(oracle.n, oracle.max_degree)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows[np.arange(oracle.max_degree) < deg[:, None]], nbrs)
+
+    def test_none_above_the_cap(self, monkeypatch):
+        # 8 bytes · n · max_degree against bitmask.DENSE_LIMIT (1 MiB)
+        assert batch_mod._neighbor_table(hypercube_oracle(17)) is None
+        assert batch_mod._neighbor_table(torus_oracle(1024)) is None
+        cube = hypercube_oracle(13)
+        assert batch_mod._neighbor_table(cube).size == cube.n * 13
+        monkeypatch.setattr(bitmask_mod, "DENSE_LIMIT", 8 * cube.n * 13 - 1)
+        assert batch_mod._neighbor_table(cube) is None
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", IRREGULAR)
+    def test_table_and_fallback_agree(self, name, k, monkeypatch):
+        graph = IRREGULAR[name]()
+        last = as_oracle(graph).n - 1
+
+        def run():
+            return (
+                batched_cobra_cover_trials(graph, trials=4, k=k, seed=5, max_steps=2000),
+                batched_cobra_hit_trials(graph, last, trials=4, k=k, seed=6, max_steps=2000),
+                batched_cobra_active_sizes(graph, trials=4, steps=40, k=k, seed=7),
+            )
+
+        assert batch_mod._neighbor_table(as_oracle(graph)) is not None
+        table = run()
+        monkeypatch.setattr(bitmask_mod, "DENSE_LIMIT", 0)
+        assert batch_mod._neighbor_table(as_oracle(graph)) is None
+        for got, want in zip(run(), table):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLazyEngine:

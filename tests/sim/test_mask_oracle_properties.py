@@ -1,14 +1,17 @@
 """Property-based tests (hypothesis) for the batched engines' two
 substrates.
 
-The batched engines lean on exactly two data-structure contracts:
+The batched engines lean on two data-structure contracts, plus the
+sorted-set helper that feeds the first:
 
 * :class:`repro.sim.bitmask.BitMask` — the five mask operations must
   agree with a dense ``bool`` array bit-for-bit, including duplicate
   scatters, shared-byte ids and empty frontiers;
 * implicit-oracle ``neighbor_at`` — slot ``s`` of vertex ``v`` must be
   ``indices[indptr[v] + s]`` of the materialised CSR twin, so an
-  oracle and its CSR graph make the same neighbour draw.
+  oracle and its CSR graph make the same neighbour draw;
+* :func:`repro.sim.bitmask.sorted_unique` — equal to ``np.unique`` in
+  values, dtypes, first indices and counts.
 
 Random shapes, degrees and id patterns come from hypothesis; every
 case is checked against the obvious dense reference implementation.
@@ -24,7 +27,7 @@ from repro.graphs import (
     torus_oracle,
 )
 from repro.graphs.implicit import to_csr
-from repro.sim.bitmask import BitMask, DenseMask
+from repro.sim.bitmask import BitMask, DenseMask, sorted_unique
 
 
 @st.composite
@@ -194,3 +197,22 @@ class TestOracleAgainstCSRTwin:
             [np.arange(d, dtype=np.int64) for d in deg]
         ) if verts.size else np.empty(0, dtype=np.int64)
         assert np.array_equal(oracle.neighbor_at(verts, slots), csr.indices)
+
+
+class TestSortedUnique:
+    @given(
+        keys=st.lists(st.integers(min_value=-50, max_value=50), max_size=300),
+        return_index=st.booleans(),
+        return_counts=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_np_unique(self, keys, return_index, return_counts):
+        arr = np.asarray(keys, dtype=np.int64)
+        flags = {"return_index": return_index, "return_counts": return_counts}
+        got, want = sorted_unique(arr, **flags), np.unique(arr, **flags)
+        if not isinstance(want, tuple):
+            got, want = (got,), (want,)
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)

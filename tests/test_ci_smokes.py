@@ -156,6 +156,13 @@ def test_ci_workflow_runs_the_extracted_scripts(script):
     assert script in ci, f"ci.yml no longer runs {script}"
 
 
+@pytest.mark.parametrize("workload", ["paper_sweep", "cell_drain", "serve_reads"])
+def test_ci_runs_every_sweepbench_workload_tiny(workload):
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    command = f"python3 sweepbench/run.py --workload {workload} --seed 1 --seconds 1 --tiny"
+    assert command in ci, f"ci.yml no longer runs sweepbench's {workload}"
+
+
 def test_ci_runs_the_straggler_report_over_the_dispatch_store():
     """The smokes job must render `sweep report` from the store the
     two traced dispatch workers just drained."""
