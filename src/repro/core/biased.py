@@ -176,7 +176,7 @@ def simulate_biased_hit(
     eps: float | None = None,
     controller: np.ndarray | None = None,
     seed: SeedLike = None,
-    max_steps: int = 10_000_000,
+    max_steps: int | None = None,
 ) -> int | None:
     """Simulate one biased walk until it hits *target*.
 
@@ -185,6 +185,8 @@ def simulate_biased_hit(
     walk = BiasedWalk(
         graph, target, start=start, eps=eps, controller=controller, seed=seed
     )
+    if max_steps is None:
+        max_steps = _budget(graph.n)
     while walk.first_visit[target] < 0 and walk.t < max_steps:
         walk.step()
     hit = walk.first_visit[target]
@@ -321,3 +323,7 @@ def return_time_bound_cor17(graph: Graph, v: int) -> float:
     mask = np.ones(graph.n, dtype=bool)
     mask[v] = False
     return float((deg[v] + (sigma[mask] * deg[mask]).sum()) / deg[v])
+
+
+def _budget(n: int) -> int:
+    return 10_000_000

@@ -196,6 +196,10 @@ def walt_cover_time(
     rng = resolve_rng(seed)
     positions = walt_start_positions(graph, delta, start, rng)
     if max_steps is None:
-        max_steps = max(20_000, 1000 * graph.n)
+        max_steps = _budget(graph.n)
     proc = WaltProcess(graph, positions, lazy=lazy, seed=rng)
     return proc.run_until_cover(max_steps)
+
+
+def _budget(n: int) -> int:
+    return max(20_000, 1000 * n)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Table
-from ..store import Campaign, ResultStore
-from ..store.sweeps import base_compare_graphs, build_sweep
-from .registry import ExperimentResult, register
+from ..store.sweeps import base_compare_graphs
+from .registry import ExperimentResult, register, run_campaigns
 
 #: arm → table column, in render order
 _COLUMNS = [
@@ -37,11 +36,7 @@ _COLUMNS = [
 
 @register("BASE_compare", "Related work: cobra vs push gossip vs parallel/simple RW")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("BASE_compare", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("BASE_compare", scale=scale, seed=seed)
 
     table = Table(
         ["graph", "n"] + [col for _, col in _COLUMNS],

@@ -20,18 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Table, ascii_plot, fit_constant_to_shape, fit_power_law
-from ..store import Campaign, ResultStore
-from ..store.sweeps import build_sweep
-from .registry import ExperimentResult, register
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("C9_expander", "Cor 9: bounded-degree expander cover is O(log^2 n) whp")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("C9_expander", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("C9_expander", scale=scale, seed=seed)
 
     # the rw baseline keyed by n (absent beyond its vertex cap)
     rw_mean = {

@@ -23,22 +23,19 @@ import numpy as np
 
 from ..analysis import Table, fit_power_law
 from ..core import thm20_general_cover
-from ..store import Campaign, ResultStore
-from ..store.sweeps import T20_WITNESSES, build_sweep
+from ..store.sweeps import T20_WITNESSES
 from ..walks import rw_exact_hitting_times
-from .registry import ExperimentResult, register
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("T20_general", "Thm 20: general-graph cobra cover O(n^{11/4} log n) beats RW Θ(n^3)")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    specs = build_sweep("T20_general", scale=scale, seed=seed)
-    for spec in specs:
-        Campaign(spec, store).run()
+    campaigns = run_campaigns("T20_general", scale=scale, seed=seed)
 
     tables: list[Table] = []
     findings: dict[str, float] = {}
-    frame = store.frame()
+    # the per-n rw specs share one name: read every arm off the shared store
+    frame = next(iter(campaigns.values())).store.frame()
     for witness in T20_WITNESSES:
         cobra_rows = frame.filter(sweep=f"T20_general/{witness}/cobra")
         rw_sim = {

@@ -18,18 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Table, ascii_loglog
-from ..store import Campaign, ResultStore
-from ..store.sweeps import T3_SWEEPS, build_sweep
-from .registry import ExperimentResult, register
+from ..store.sweeps import T3_SWEEPS
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("T3_grid", "Thm 3: 2-cobra cover time on [0,n]^d is O(n)")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("T3_grid", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("T3_grid", scale=scale, seed=seed)
 
     tables: list[Table] = []
     findings: dict[str, float] = {}

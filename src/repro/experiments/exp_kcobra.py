@@ -16,23 +16,17 @@ factor as a ``params_grid`` axis.
 from __future__ import annotations
 
 from ..analysis import Table
-from ..store import Campaign, ResultStore
-from ..store.sweeps import KCOBRA_KS, build_sweep
-from .registry import ExperimentResult, register
+from ..store.sweeps import KCOBRA_KS
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("KCOBRA_k", "Model: cover time non-increasing in branching factor k")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = []
-    for spec in build_sweep("KCOBRA_k", scale=scale, seed=seed):
-        campaign = Campaign(spec, store)
-        campaign.run()
-        campaigns.append(campaign)
+    campaigns = run_campaigns("KCOBRA_k", scale=scale, seed=seed)
 
     tables = []
     findings: dict[str, float] = {}
-    for campaign in campaigns:
+    for campaign in campaigns.values():
         rows = campaign.frame()
         gname = rows.rows[0]["graph_name"]
         table = Table(

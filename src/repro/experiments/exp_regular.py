@@ -23,19 +23,14 @@ import numpy as np
 
 from ..analysis import Table, fit_power_law
 from ..core import thm15_regular_hitting
-from ..store import Campaign, ResultStore
-from ..store.sweeps import build_sweep, t15_families
+from ..store.sweeps import t15_families
 from ..walks import rw_exact_hitting_times
-from .registry import ExperimentResult, register
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("T15_regular", "Thm 15: δ-regular cobra hitting is O(n^{2-1/δ})")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("T15_regular", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("T15_regular", scale=scale, seed=seed)
 
     tables: list[Table] = []
     findings: dict[str, float] = {}
@@ -50,7 +45,7 @@ def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
         # the stored mean rides the record, the deterministic columns
         # rebuild the cell's graph and farthest-pair target
         for cell in campaign.cells:
-            record = store.get(cell)
+            record = campaign.store.get(cell)
             mean = record["result"]["mean"]
             n = dict(cell.graph_params)["n"]
             g = cell.build_graph()

@@ -22,18 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Table, fit_power_law
-from ..store import Campaign, ResultStore
-from ..store.sweeps import build_sweep
-from .registry import ExperimentResult, register
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("STAR_lb", "Conclusion: star graph cobra cover is Ω(n log n)")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("STAR_lb", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("STAR_lb", scale=scale, seed=seed)
 
     cobra = campaigns["STAR_lb/cobra"].frame().sort_by("g_n")
     push_by_n = {

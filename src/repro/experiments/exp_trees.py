@@ -16,18 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import Table, fit_power_law
-from ..store import Campaign, ResultStore
-from ..store.sweeps import TREES_DEPTHS, build_sweep
-from .registry import ExperimentResult, register
+from ..store.sweeps import TREES_DEPTHS
+from .registry import ExperimentResult, register, run_campaigns
 
 
 @register("TREES_kary", "§3 remark: k-ary tree cover ∝ diameter (k=2,3 proven; all k conjectured)")
 def run(*, scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    store = ResultStore()
-    campaigns = {}
-    for spec in build_sweep("TREES_kary", scale=scale, seed=seed):
-        campaigns[spec.name] = campaign = Campaign(spec, store)
-        campaign.run()
+    campaigns = run_campaigns("TREES_kary", scale=scale, seed=seed)
 
     tables: list[Table] = []
     findings: dict[str, float] = {}

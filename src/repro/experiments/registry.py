@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from ..analysis.tables import Table
 
-__all__ = ["Experiment", "ExperimentResult", "register", "get", "all_experiments"]
+if TYPE_CHECKING:
+    from ..store import Campaign
+
+__all__ = ["Experiment", "ExperimentResult", "register", "get", "all_experiments", "run_campaigns"]
 
 
 @dataclass
@@ -97,6 +101,25 @@ def all_experiments() -> list[Experiment]:
     """All registered experiments, sorted by id."""
     _load_all()
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
+
+
+def run_campaigns(experiment_id: str, *, scale: str, seed: int) -> dict[str, Campaign]:
+    """Run every sweep spec of *experiment_id* through one ephemeral
+    in-memory store.
+
+    Returns the campaigns keyed by spec name, in expansion order (of
+    specs sharing a name the last is kept); they share one ``store``.  The store is imported here rather than at
+    module level so that importing the CLI stays off it.
+    """
+    from ..store import Campaign, ResultStore
+    from ..store.sweeps import build_sweep
+
+    store = ResultStore()
+    campaigns = {}
+    for spec in build_sweep(experiment_id, scale=scale, seed=seed):
+        campaigns[spec.name] = campaign = Campaign(spec, store)
+        campaign.run()
+    return campaigns
 
 
 def _load_all() -> None:

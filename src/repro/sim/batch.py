@@ -234,6 +234,17 @@ def _start_vertices(oracle: NeighborOracle, start) -> np.ndarray:
     return start_arr
 
 
+def _scalar_start(graph: GraphLike, start) -> int:
+    """Facade-style ``start`` (a vertex or a one-element array) as the
+    single vertex a single-pebble process needs, validated."""
+    arr = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    if arr.size != 1:
+        raise ValueError("this process takes a single start vertex")
+    vertex = int(arr[0])
+    _check_vertex(graph, vertex, "start")
+    return vertex
+
+
 def _samplable(graph: GraphLike, trials: int) -> NeighborOracle:
     """*graph* as an oracle, checked to have a trial and no isolated vertex."""
     oracle = as_oracle(graph)
@@ -244,8 +255,8 @@ def _samplable(graph: GraphLike, trials: int) -> NeighborOracle:
     return oracle
 
 
-def _check_vertex(oracle: NeighborOracle, v: int, what: str) -> None:
-    if not (0 <= v < oracle.n):
+def _check_vertex(graph: GraphLike, v: int, what: str) -> None:
+    if not (0 <= v < graph.n):
         raise ValueError(f"{what} out of range")
 
 
@@ -947,7 +958,7 @@ def _gossip_trials(
     graph: GraphLike,
     target,
     trials: int,
-    start: int,
+    start,
     seed,
     max_steps,
     push: bool,
@@ -958,8 +969,7 @@ def _gossip_trials(
     if not (push or pull):
         raise ValueError("enable at least one of push/pull")
     n = oracle.n
-    start = int(start)
-    _check_vertex(oracle, start, "start")
+    start = _scalar_start(oracle, start)
     if target is not None:
         _check_vertex(oracle, target, "target")
     if max_steps is None:
@@ -977,7 +987,7 @@ def batched_gossip_spread_trials(
     graph: GraphLike,
     *,
     trials: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
     push: bool = True,
@@ -1010,8 +1020,8 @@ def batched_gossip_spread_trials(
         Connected graph without isolated vertices (CSR or implicit).
     trials : int
         Number of independent runs.
-    start : int
-        The initially informed vertex.
+    start : int or numpy.ndarray
+        The initially informed vertex (or a one-element array of it).
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
@@ -1036,7 +1046,7 @@ def batched_gossip_hit_trials(
     target: int,
     *,
     trials: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
     push: bool = True,
@@ -1063,8 +1073,8 @@ def batched_gossip_hit_trials(
         Vertex whose first informing stops a trial.
     trials : int
         Number of independent runs.
-    start : int
-        The initially informed vertex.
+    start : int or numpy.ndarray
+        The initially informed vertex (or a one-element array of it).
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
@@ -1125,20 +1135,12 @@ def batched_parallel_walks_cover_trials(
         ``float64[trials]`` cover times with ``np.nan`` marking budget
         exhaustion.
     """
-    oracle = _samplable(graph, trials)
-    if walkers < 1:
-        raise ValueError("need at least one walker")
-    n = oracle.n
-    start_pos = np.atleast_1d(np.asarray(start, dtype=np.int64))
-    if start_pos.size == 1:
-        start_pos = np.full(walkers, start_pos[0], dtype=np.int64)
-    if start_pos.size != walkers:
-        raise ValueError("start must be scalar or length == walkers")
-    if start_pos.min() < 0 or start_pos.max() >= n:
-        raise ValueError("start out of range")
-    if max_steps is None:
-        from ..walks.parallel import _default_budget
+    from ..walks.parallel import _default_budget, _start_positions
 
+    oracle = _samplable(graph, trials)
+    n = oracle.n
+    start_pos = _start_positions(n, walkers, start)
+    if max_steps is None:
         max_steps = _default_budget(n, walkers)
     rng = resolve_rng(seed)
 
@@ -1195,8 +1197,9 @@ def _walt_stop_times(
         _check_vertex(oracle, target, "target")
         rule = _Hit(n, target, sorted_ids=False)
     if max_steps is None:
-        # the serial helper's default budget (walt_cover_time)
-        max_steps = max(20_000, 1000 * n)
+        from ..core.walt import _budget
+
+        max_steps = _budget(n)
     p = max(1, int(delta * n))
     return _walt_run(oracle, trials, p, lazy, start, seed, rule, max_steps)[0]
 
@@ -1237,8 +1240,8 @@ def batched_walt_cover_trials(
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
-        Step budget per trial; defaults to the Walt helper's
-        ``max(20_000, 1000·n)``.
+        Step budget per trial; defaults to Walt's budget
+        (``_budget`` in :mod:`repro.core.walt`).
 
     Returns
     -------
@@ -1287,8 +1290,8 @@ def batched_walt_hit_trials(
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
-        Round budget per trial; defaults to the Walt helper's
-        ``max(20_000, 1000·n)``.
+        Round budget per trial; defaults to Walt's budget
+        (``_budget`` in :mod:`repro.core.walt`).
 
     Returns
     -------
@@ -1400,15 +1403,12 @@ def _lazy_trials(graph: GraphLike, target, trials: int, start, seed, max_steps) 
     oracle = _samplable(graph, trials)
     from ..walks.simple import _cover_budget, rw_cover_trials, rw_hitting_trials
 
-    if target is not None:
-        _check_vertex(oracle, target, "target")
-    start = int(start)
-    _check_vertex(oracle, start, "start")
     if max_steps is None:
         max_steps = _cover_budget(oracle.n)
     rng = resolve_rng(seed)
     # total steps >= moves, so `max_steps` moves bounds every trial
-    # that could still stop within the step budget
+    # that could still stop within the step budget; the move-chain
+    # engines check start and target
     kw = dict(start=start, trials=trials, seed=rng, max_steps=max_steps)
     if target is None:
         moves = rw_cover_trials(graph, **kw)
@@ -1421,7 +1421,7 @@ def batched_lazy_cover_trials(
     graph: GraphLike,
     *,
     trials: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
@@ -1448,8 +1448,8 @@ def batched_lazy_cover_trials(
         Connected graph without isolated vertices (CSR or implicit).
     trials : int
         Number of independent runs.
-    start : int
-        Common start vertex of every trial.
+    start : int or numpy.ndarray
+        Common start vertex of every trial (or a one-element array of it).
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
@@ -1471,7 +1471,7 @@ def batched_lazy_hit_trials(
     target: int,
     *,
     trials: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
@@ -1496,8 +1496,8 @@ def batched_lazy_hit_trials(
         Vertex whose first visit stops a trial.
     trials : int
         Number of independent runs.
-    start : int
-        Common start vertex of every trial.
+    start : int or numpy.ndarray
+        Common start vertex of every trial (or a one-element array of it).
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
@@ -1518,7 +1518,7 @@ def batched_branching_cover_trials(
     *,
     trials: int,
     k: int = 2,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
     population_cap: int = 1_000_000,
@@ -1556,13 +1556,14 @@ def batched_branching_cover_trials(
         Number of independent runs.
     k : int
         Branching factor (children per particle per step).
-    start : int
-        Common start vertex of every trial (one initial particle).
+    start : int or numpy.ndarray
+        Common start vertex of every trial (one initial particle), or a
+        one-element array of it.
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
-        Step budget per trial; defaults to the serial helper's
-        ``max(10_000, 50·n)``.
+        Step budget per trial; defaults to the branching walk's
+        budget (``_budget`` in :mod:`repro.walks.branching`).
     population_cap : int
         Per-trial particle ceiling before renormalisation.
 
@@ -1578,10 +1579,11 @@ def batched_branching_cover_trials(
     if population_cap < 1:
         raise ValueError("population_cap must be >= 1")
     n = oracle.n
-    start = int(start)
-    _check_vertex(oracle, start, "start")
+    start = _scalar_start(oracle, start)
     if max_steps is None:
-        max_steps = max(10_000, 50 * n)
+        from ..walks.branching import _budget
+
+        max_steps = _budget(n)
     occupied = np.arange(trials, dtype=np.int64) * n + start
     counts = np.zeros(trials * n, dtype=np.int64)
     counts[occupied] = 1
@@ -1629,8 +1631,8 @@ def batched_coalescing_cover_trials(
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
-        Step budget per trial; defaults to the serial helper's
-        ``max(100_000, 20·n²)``.
+        Step budget per trial; defaults to the coalescing walks'
+        budget (``_budget`` in :mod:`repro.walks.coalescing`).
 
     Returns
     -------
@@ -1638,26 +1640,23 @@ def batched_coalescing_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
+    from ..walks.coalescing import _budget, _walker_positions
+
     oracle = _samplable(graph, trials)
     n = oracle.n
     if max_steps is None:
-        max_steps = max(100_000, 20 * n * n)
+        max_steps = _budget(n)
     rng = resolve_rng(seed)
     draws = 0
-    if start is not None and np.ndim(start) > 0:
-        pos0 = sorted_unique(np.asarray(start, dtype=np.int64).ravel())
+    positions = _walker_positions(start)
+    if positions is not None:
+        pos0 = sorted_unique(positions.ravel())
         if pos0.size == 0:
             raise ValueError("need at least one walker")
         if pos0.min() < 0 or pos0.max() >= n:
             raise ValueError("walker position out of range")
         wpos = _row_ids(trials, n, pos0)
     else:
-        if start not in (None, 0):
-            raise ValueError(
-                "the coalescing process takes an array of walker positions "
-                "as start (or the walkers= count); a scalar start has no "
-                "meaning for a multi-walker coalescing system"
-            )
         if walkers is None or walkers >= n:
             # one walker per vertex: everything is covered at t = 0
             return np.zeros(trials)
@@ -1675,10 +1674,10 @@ def batched_coalescing_cover_trials(
 
 def batched_biased_cover_trials(
     graph: GraphLike,
-    target: int,
+    target: int | None = None,
     *,
     trials: int,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
     eps: float | None = None,
@@ -1707,11 +1706,12 @@ def batched_biased_cover_trials(
         oracles must pass *controller* explicitly.
     target : int
         The vertex the controller steers toward (the biased walk is
-        defined relative to a target even when sweeping coverage).
+        defined relative to a target even when sweeping coverage);
+        ``None`` raises ``ValueError``.
     trials : int
         Number of independent runs.
-    start : int
-        Common start vertex of every trial.
+    start : int or numpy.ndarray
+        Common start vertex of every trial (or a one-element array of it).
     seed : SeedLike, optional
         Seed/stream for the single interleaved RNG.
     max_steps : int, optional
@@ -1730,14 +1730,18 @@ def batched_biased_cover_trials(
         ``float64[trials]`` cover times, ``np.nan`` marking budget
         exhaustion.
     """
+    if target is None:
+        raise ValueError("the biased walk needs a target (its controller steers toward it)")
     oracle = _samplable(graph, trials)
     n = oracle.n
     _check_vertex(oracle, target, "target")
-    _check_vertex(oracle, int(start), "start")
+    start = _scalar_start(oracle, start)
     if eps is not None and not 0.0 <= eps <= 1.0:
         raise ValueError("eps must be in [0, 1]")
     if max_steps is None:
-        max_steps = 10_000_000
+        from ..core.biased import _budget
+
+        max_steps = _budget(n)
     if controller is None:
         if not isinstance(graph, Graph):
             raise ValueError(
@@ -1750,5 +1754,5 @@ def batched_biased_cover_trials(
     controller = np.asarray(controller, dtype=np.int64)
     if controller.shape != (n,):
         raise ValueError("controller table must have one entry per vertex")
-    mover = _BiasedMover(oracle, trials, int(start), controller, eps, resolve_rng(seed))
+    mover = _BiasedMover(oracle, trials, start, controller, eps, resolve_rng(seed))
     return _lockstep(mover, _Cover(trials, n), trials, max_steps, mover.base + mover.pos)

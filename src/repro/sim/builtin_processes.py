@@ -9,9 +9,21 @@ Every factory builds the process class exactly as its own runners do,
 so ``simulate(graph, process=p, seed=s)`` reproduces
 ``CobraWalk(...).run_until_cover`` / ``walt_cover_time`` / … seed for
 seed — the parity suite in ``tests/sim/test_facade.py`` pins this.
+
+The ``batch_cover`` / ``batch_hit`` hooks are the public engines of
+:mod:`repro.sim.batch` and :mod:`repro.walks.simple` themselves (the
+gossip ones with ``push``/``pull`` bound by :func:`functools.partial`):
+each engine takes ``start`` the way ``run_batch`` passes it and checks
+it itself, the single-start ones with ``_scalar_start``, the helper
+their factories here call too.  Each ``default_budget`` calls the
+private budget function of the process's own module, the one its
+engine and its serial helpers fall back to when given no
+``max_steps``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +37,7 @@ from ..walks import minima as _minima_mod
 from ..walks import parallel as _parallel_mod
 from ..walks import simple as _simple_mod
 from .batch import (
+    _scalar_start,
     batched_biased_cover_trials,
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
@@ -44,15 +57,6 @@ from .rng import resolve_rng
 __all__: list[str] = []
 
 
-def _scalar_start(start) -> int:
-    """Collapse facade-style ``start`` to the single vertex single-pebble
-    processes require."""
-    arr = np.atleast_1d(np.asarray(start, dtype=np.int64))
-    if arr.size != 1:
-        raise ValueError("this process takes a single start vertex")
-    return int(arr[0])
-
-
 # ----------------------------------------------------------------------
 # factories (signature: graph, *, start, seed, target, **params)
 # ----------------------------------------------------------------------
@@ -62,12 +66,8 @@ def _make_cobra(graph, *, start=0, seed=None, target=None, k=2, record_history=F
     )
 
 
-def _make_simple(graph, *, start=0, seed=None, target=None):
-    return _simple_mod.RandomWalk(graph, start=_scalar_start(start), lazy=False, seed=seed)
-
-
-def _make_lazy(graph, *, start=0, seed=None, target=None):
-    return _simple_mod.RandomWalk(graph, start=_scalar_start(start), lazy=True, seed=seed)
+def _make_random_walk(graph, *, lazy, start=0, seed=None, target=None):
+    return _simple_mod.RandomWalk(graph, start=_scalar_start(graph, start), lazy=lazy, seed=seed)
 
 
 def _make_walt(graph, *, start=0, seed=None, target=None, delta=0.5, lazy=True):
@@ -86,7 +86,7 @@ def _make_branching(
     return _branching_mod.BranchingWalk(
         graph,
         k=k,
-        start=_scalar_start(start),
+        start=_scalar_start(graph, start),
         seed=seed,
         population_cap=population_cap,
     )
@@ -94,39 +94,17 @@ def _make_branching(
 
 def _make_coalescing(graph, *, start=None, seed=None, target=None, walkers=None):
     """Walkers spread per the classical setting; an *array* ``start``
-    places them explicitly.  A scalar start would silently mean a
-    single trivially-coalesced walker, so only the facade's default
-    ``0`` is tolerated (and ignored: the default walker placement);
-    any other scalar raises."""
+    places them explicitly (see ``_walker_positions``)."""
     rng = resolve_rng(seed)
-    if start is not None and np.ndim(start) > 0:
-        positions = np.asarray(start, dtype=np.int64)
-    else:
-        if start not in (None, 0):
-            raise ValueError(
-                "the coalescing process takes an array of walker positions "
-                "as start (or the walkers= count); a scalar start has no "
-                "meaning for a multi-walker coalescing system"
-            )
+    positions = _coalescing_mod._walker_positions(start)
+    if positions is None:
         positions = _coalescing_mod.coalescing_start_positions(graph, walkers, rng)
     return _coalescing_mod.CoalescingWalks(graph, positions, seed=rng)
 
 
-def _make_push(graph, *, start=0, seed=None, target=None):
+def _make_gossip(graph, *, push, pull, start=0, seed=None, target=None):
     return _gossip_mod.GossipSpread(
-        graph, start=_scalar_start(start), push=True, pull=False, seed=seed
-    )
-
-
-def _make_pull(graph, *, start=0, seed=None, target=None):
-    return _gossip_mod.GossipSpread(
-        graph, start=_scalar_start(start), push=False, pull=True, seed=seed
-    )
-
-
-def _make_push_pull(graph, *, start=0, seed=None, target=None):
-    return _gossip_mod.GossipSpread(
-        graph, start=_scalar_start(start), push=True, pull=True, seed=seed
+        graph, start=_scalar_start(graph, start), push=push, pull=pull, seed=seed
     )
 
 
@@ -155,173 +133,11 @@ def _make_biased(graph, *, start=0, seed=None, target=None, eps=None, controller
     return _biased_mod.BiasedWalk(
         graph,
         target,
-        start=_scalar_start(start),
+        start=_scalar_start(graph, start),
         eps=eps,
         controller=controller,
         seed=seed,
     )
-
-
-def _simple_batch_cover(graph, *, trials, start=0, seed=None, max_steps=None):
-    """Vectorized simple-walk cover engine (one row of state per trial)."""
-    return _simple_mod.rw_cover_trials(
-        graph, start=_scalar_start(start), trials=trials, seed=seed, max_steps=max_steps
-    )
-
-
-def _simple_batch_hit(graph, *, trials, target, start=0, seed=None, max_steps=None):
-    """Vectorized simple-walk hitting engine (``rw_hitting_trials``)."""
-    return _simple_mod.rw_hitting_trials(
-        graph,
-        target,
-        start=_scalar_start(start),
-        trials=trials,
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _cobra_batch_hit(graph, *, trials, target, start=0, seed=None, max_steps=None, k=2):
-    return batched_cobra_hit_trials(
-        graph, target, trials=trials, k=k, start=start, seed=seed, max_steps=max_steps
-    )
-
-
-def _walt_batch_cover(
-    graph, *, trials, start=0, seed=None, max_steps=None, delta=0.5, lazy=True
-):
-    return batched_walt_cover_trials(
-        graph,
-        trials=trials,
-        delta=delta,
-        lazy=lazy,
-        start=start,
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _walt_batch_hit(
-    graph, *, trials, target, start=0, seed=None, max_steps=None, delta=0.5, lazy=True
-):
-    return batched_walt_hit_trials(
-        graph,
-        target,
-        trials=trials,
-        delta=delta,
-        lazy=lazy,
-        start=start,
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _parallel_batch_cover(graph, *, trials, start=0, seed=None, max_steps=None, walkers=2):
-    return batched_parallel_walks_cover_trials(
-        graph,
-        trials=trials,
-        walkers=walkers,
-        start=start,
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _lazy_batch_cover(graph, *, trials, start=0, seed=None, max_steps=None):
-    return batched_lazy_cover_trials(
-        graph, trials=trials, start=_scalar_start(start), seed=seed, max_steps=max_steps
-    )
-
-
-def _lazy_batch_hit(graph, *, trials, target, start=0, seed=None, max_steps=None):
-    return batched_lazy_hit_trials(
-        graph,
-        target,
-        trials=trials,
-        start=_scalar_start(start),
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _biased_batch_cover(
-    graph, *, trials, start=0, seed=None, max_steps=None, target=None,
-    eps=None, controller=None,
-):
-    """``target`` arrives via the facade's target-forwarding (the
-    signature-declared keyword); the biased walk is undefined without
-    one, matching the factory's error."""
-    if target is None:
-        raise ValueError("the biased walk needs a target (its controller steers toward it)")
-    return batched_biased_cover_trials(
-        graph,
-        target,
-        trials=trials,
-        start=_scalar_start(start),
-        seed=seed,
-        max_steps=max_steps,
-        eps=eps,
-        controller=controller,
-    )
-
-
-def _branching_batch_cover(
-    graph, *, trials, start=0, seed=None, max_steps=None, k=2,
-    population_cap=1_000_000,
-):
-    return batched_branching_cover_trials(
-        graph,
-        trials=trials,
-        k=k,
-        start=_scalar_start(start),
-        seed=seed,
-        max_steps=max_steps,
-        population_cap=population_cap,
-    )
-
-
-def _coalescing_batch_cover(
-    graph, *, trials, start=None, seed=None, max_steps=None, walkers=None
-):
-    return batched_coalescing_cover_trials(
-        graph,
-        trials=trials,
-        walkers=walkers,
-        start=start,
-        seed=seed,
-        max_steps=max_steps,
-    )
-
-
-def _gossip_batch_cover(push: bool, pull: bool):
-    def engine(graph, *, trials, start=0, seed=None, max_steps=None):
-        return batched_gossip_spread_trials(
-            graph,
-            trials=trials,
-            start=_scalar_start(start),
-            seed=seed,
-            max_steps=max_steps,
-            push=push,
-            pull=pull,
-        )
-
-    return engine
-
-
-def _gossip_batch_hit(push: bool, pull: bool):
-    def engine(graph, *, trials, target, start=0, seed=None, max_steps=None):
-        return batched_gossip_hit_trials(
-            graph,
-            target,
-            trials=trials,
-            start=_scalar_start(start),
-            seed=seed,
-            max_steps=max_steps,
-            push=push,
-            pull=pull,
-        )
-
-    return engine
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +152,7 @@ register_process(
         default_params={"k": 2},
         default_budget=lambda g, p: _cobra_mod._default_budget(g.n),
         batch_cover=batched_cobra_cover_trials,
-        batch_hit=_cobra_batch_hit,
+        batch_hit=batched_cobra_hit_trials,
         description="k-cobra walk (§2): branch to k uniform neighbors, coalesce on meeting",
     )
 )
@@ -344,12 +160,12 @@ register_process(
 register_process(
     ProcessSpec(
         name="simple",
-        factory=_make_simple,
+        factory=partial(_make_random_walk, lazy=False),
         capabilities=frozenset({"cover", "hit"}),
         default_metric="cover",
         default_budget=lambda g, p: _simple_mod._cover_budget(g.n),
-        batch_cover=_simple_batch_cover,
-        batch_hit=_simple_batch_hit,
+        batch_cover=_simple_mod.rw_cover_trials,
+        batch_hit=_simple_mod.rw_hitting_trials,
         description="simple random walk (Feige's classical cover-time baseline)",
     )
 )
@@ -357,12 +173,12 @@ register_process(
 register_process(
     ProcessSpec(
         name="lazy",
-        factory=_make_lazy,
+        factory=partial(_make_random_walk, lazy=True),
         capabilities=frozenset({"cover", "hit"}),
         default_metric="cover",
         default_budget=lambda g, p: _simple_mod._cover_budget(g.n),
-        batch_cover=_lazy_batch_cover,
-        batch_hit=_lazy_batch_hit,
+        batch_cover=batched_lazy_cover_trials,
+        batch_hit=batched_lazy_hit_trials,
         description="lazy random walk (holds with probability 1/2)",
     )
 )
@@ -374,9 +190,9 @@ register_process(
         capabilities=frozenset({"cover", "hit", "multi_source"}),
         default_metric="cover",
         default_params={"delta": 0.5, "lazy": True},
-        default_budget=lambda g, p: max(20_000, 1000 * g.n),
-        batch_cover=_walt_batch_cover,
-        batch_hit=_walt_batch_hit,
+        default_budget=lambda g, p: _walt_mod._budget(g.n),
+        batch_cover=batched_walt_cover_trials,
+        batch_hit=batched_walt_hit_trials,
         description="Walt (§4): δn ordered pebbles, the cobra walk's analysis proxy",
     )
 )
@@ -391,7 +207,7 @@ register_process(
         default_budget=lambda g, p: _parallel_mod._default_budget(
             g.n, int(p.get("walkers", 2))
         ),
-        batch_cover=_parallel_batch_cover,
+        batch_cover=batched_parallel_walks_cover_trials,
         description="k independent parallel random walks (Alon et al.)",
     )
 )
@@ -403,8 +219,8 @@ register_process(
         capabilities=frozenset({"cover", "hit"}),
         default_metric="cover",
         default_params={"k": 2, "population_cap": 1_000_000},
-        default_budget=lambda g, p: max(10_000, 50 * g.n),
-        batch_cover=_branching_batch_cover,
+        default_budget=lambda g, p: _branching_mod._budget(g.n),
+        batch_cover=batched_branching_cover_trials,
         description="pure branching walk (no coalescence): population explodes",
     )
 )
@@ -416,50 +232,29 @@ register_process(
         capabilities=frozenset({"coalesce", "cover", "multi_source"}),
         default_metric="coalesce",
         default_params={"walkers": None},
-        default_budget=lambda g, p: max(100_000, 20 * g.n**2),
-        batch_cover=_coalescing_batch_cover,
+        default_budget=lambda g, p: _coalescing_mod._budget(g.n),
+        batch_cover=batched_coalescing_cover_trials,
         description="coalescing random walks (voter-model dual): walkers merge on meeting",
     )
 )
 
-register_process(
-    ProcessSpec(
-        name="push",
-        factory=_make_push,
-        capabilities=frozenset({"spread", "hit"}),
-        default_metric="spread",
-        default_budget=lambda g, p: _gossip_mod._budget(g.n),
-        batch_cover=_gossip_batch_cover(push=True, pull=False),
-        batch_hit=_gossip_batch_hit(push=True, pull=False),
-        description="push gossip: every informed vertex tells one uniform neighbor",
+for name, push, pull, description in (
+    ("push", True, False, "push gossip: every informed vertex tells one uniform neighbor"),
+    ("pull", False, True, "pull gossip: every uninformed vertex polls one uniform neighbor"),
+    ("push_pull", True, True, "combined push-pull gossip"),
+):
+    register_process(
+        ProcessSpec(
+            name=name,
+            factory=partial(_make_gossip, push=push, pull=pull),
+            capabilities=frozenset({"spread", "hit"}),
+            default_metric="spread",
+            default_budget=lambda g, p: _gossip_mod._budget(g.n),
+            batch_cover=partial(batched_gossip_spread_trials, push=push, pull=pull),
+            batch_hit=partial(batched_gossip_hit_trials, push=push, pull=pull),
+            description=description,
+        )
     )
-)
-
-register_process(
-    ProcessSpec(
-        name="pull",
-        factory=_make_pull,
-        capabilities=frozenset({"spread", "hit"}),
-        default_metric="spread",
-        default_budget=lambda g, p: _gossip_mod._budget(g.n),
-        batch_cover=_gossip_batch_cover(push=False, pull=True),
-        batch_hit=_gossip_batch_hit(push=False, pull=True),
-        description="pull gossip: every uninformed vertex polls one uniform neighbor",
-    )
-)
-
-register_process(
-    ProcessSpec(
-        name="push_pull",
-        factory=_make_push_pull,
-        capabilities=frozenset({"spread", "hit"}),
-        default_metric="spread",
-        default_budget=lambda g, p: _gossip_mod._budget(g.n),
-        batch_cover=_gossip_batch_cover(push=True, pull=True),
-        batch_hit=_gossip_batch_hit(push=True, pull=True),
-        description="combined push-pull gossip",
-    )
-)
 
 register_process(
     ProcessSpec(
@@ -468,8 +263,8 @@ register_process(
         capabilities=frozenset({"hit", "cover"}),
         default_metric="hit",
         default_params={"eps": None},
-        default_budget=lambda g, p: 10_000_000,
-        batch_cover=_biased_batch_cover,
+        default_budget=lambda g, p: _biased_mod._budget(g.n),
+        batch_cover=batched_biased_cover_trials,
         description="ε-/inverse-degree-biased walk (§5.1, Azar et al.)",
     )
 )

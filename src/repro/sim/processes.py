@@ -93,7 +93,8 @@ class ProcessSpec:
         The factory's tunable defaults, for documentation/CLI listing.
     default_budget : BudgetFn
         The step budget ``simulate``/``run_batch`` use when the caller
-        gives none.
+        gives none.  Built-ins call their module's private budget
+        function, the one their engine falls back to without ``max_steps``.
     batch_cover : BatchCoverFn or None
         Optional vectorized engine advancing all cover/spread trials in
         one ``(trials, n)`` frontier; ``run_batch`` uses it when

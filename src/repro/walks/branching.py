@@ -114,3 +114,5 @@ class BranchingWalk:
         )
 
 
+def _budget(n: int) -> int:
+    return max(10_000, 50 * n)

@@ -87,6 +87,22 @@ class CoalescingWalks:
         )
 
 
+def _walker_positions(start) -> np.ndarray | None:
+    """Explicit walker positions: an array ``start``, or ``None`` (for
+    ``None`` and the facade default ``0``) to defer to the default
+    placement.  A scalar start would mean one trivially coalesced
+    walker, so any other scalar raises."""
+    if start is not None and np.ndim(start) > 0:
+        return np.asarray(start, dtype=np.int64)
+    if start not in (None, 0):
+        raise ValueError(
+            "the coalescing process takes an array of walker positions "
+            "as start (or the walkers= count); a scalar start has no "
+            "meaning for a multi-walker coalescing system"
+        )
+    return None
+
+
 def coalescing_start_positions(
     graph: Graph, walkers: int | None, rng: np.random.Generator
 ) -> np.ndarray:
@@ -97,3 +113,5 @@ def coalescing_start_positions(
     return rng.choice(graph.n, size=walkers, replace=False)
 
 
+def _budget(n: int) -> int:
+    return max(100_000, 20 * n**2)

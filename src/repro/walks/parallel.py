@@ -35,19 +35,10 @@ class ParallelWalks:
         start: int | np.ndarray = 0,
         seed: SeedLike = None,
     ) -> None:
-        if walkers < 1:
-            raise ValueError("need at least one walker")
-        rng = resolve_rng(seed)
-        pos = np.atleast_1d(np.asarray(start, dtype=np.int64))
-        if pos.size == 1:
-            pos = np.full(walkers, pos[0], dtype=np.int64)
-        if pos.size != walkers:
-            raise ValueError("start must be scalar or length == walkers")
-        if pos.min() < 0 or pos.max() >= graph.n:
-            raise ValueError("start out of range")
+        pos = _start_positions(graph.n, walkers, start)
         self.graph = graph
         self.positions = pos.copy()
-        self.rng = rng
+        self.rng = resolve_rng(seed)
         self.t = 0
         self.first_visit = np.full(graph.n, -1, dtype=np.int64)
         self.first_visit[np.unique(pos)] = 0
@@ -74,6 +65,21 @@ class ParallelWalks:
             self.first_visit[fresh] = self.t
             self._num_covered += int(np.unique(fresh).size)
         return self.positions
+
+
+def _start_positions(n: int, walkers: int, start: int | np.ndarray) -> np.ndarray:
+    """``int64[walkers]`` start positions from one vertex or one per
+    walker, validated against ``n`` vertices."""
+    if walkers < 1:
+        raise ValueError("need at least one walker")
+    pos = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    if pos.size == 1:
+        pos = np.full(walkers, pos[0], dtype=np.int64)
+    if pos.size != walkers:
+        raise ValueError("start must be scalar or length == walkers")
+    if pos.min() < 0 or pos.max() >= n:
+        raise ValueError("start out of range")
+    return pos
 
 
 def _default_budget(n: int, walkers: int) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 from ..graphs.base import Graph
 from ..graphs.implicit import NeighborOracle, as_oracle
 from ..obs.trace import current_tracer
+from ..sim.batch import _check_vertex, _scalar_start
 from ..sim.bitmask import BitMask, DenseMask, sorted_unique, visited_mask
 from ..sim.rng import SeedLike, resolve_rng
 
@@ -56,13 +57,17 @@ class RandomWalk:
 
     @property
     def num_covered(self) -> int:
+        """Vertices visited so far."""
         return self._num_covered
 
     @property
     def all_covered(self) -> bool:
+        """Whether every vertex has been visited."""
         return self._num_covered == self.graph.n
 
     def step(self) -> int:
+        """Advance one step (a held step when the lazy coin says so);
+        returns the new position."""
         self.t += 1
         if self.lazy and self.rng.random() < 0.5:
             return self.position
@@ -74,11 +79,15 @@ class RandomWalk:
         return self.position
 
     def run_until_cover(self, max_steps: int) -> int | None:
+        """Step until every vertex is visited; the cover time, or
+        ``None`` if *max_steps* ran out first."""
         while not self.all_covered and self.t < max_steps:
             self.step()
         return int(self.first_visit.max()) if self.all_covered else None
 
     def run_until_hit(self, target: int, max_steps: int) -> int | None:
+        """Step until *target* is visited; its hitting time, or ``None``
+        if *max_steps* ran out first."""
         if not (0 <= target < self.graph.n):
             raise ValueError("target out of range")
         while self.first_visit[target] < 0 and self.t < max_steps:
@@ -90,12 +99,13 @@ class RandomWalk:
 def rw_cover_trials(
     graph: Graph | NeighborOracle,
     *,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     trials: int = 10,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Vectorized independent cover trials on the block-walk driver.
+    """Vectorized independent cover trials on the block-walk driver
+    (the ``"simple"`` process's cover engine).
 
     One row of state per trial: every step draws one uniform per trial
     and moves every walker, and :func:`walk_blocks` runs those steps in
@@ -103,14 +113,33 @@ def rw_cover_trials(
     keeps its walker stepping, as the per-step loop did (masking it out
     costs more than it saves at these trial counts); the RNG stream and
     the values are those of that loop, bit for bit.  Visited state is
-    bit-packed at scale (``n/8`` bytes per trial) and the graph may be
-    a CSR :class:`Graph` or an implicit
-    :class:`~repro.graphs.implicit.NeighborOracle`.
+    bit-packed at scale (``n/8`` bytes per trial).
+
+    Parameters
+    ----------
+    graph : Graph or NeighborOracle
+        Connected graph without isolated vertices (CSR or implicit).
+    start : int or numpy.ndarray
+        Common start vertex of every trial (or a one-element array of it).
+    trials : int
+        Number of independent runs.
+    seed : SeedLike, optional
+        Seed/stream for the single interleaved RNG.
+    max_steps : int, optional
+        Step budget per trial; defaults to Feige's worst-case ``n³``
+        with slack.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``float64[trials]`` cover times, ``np.nan`` marking budget
+        exhaustion.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     oracle = as_oracle(graph)
     n = oracle.n
+    start = _scalar_start(oracle, start)
     if max_steps is None:
         max_steps = _cover_budget(n)
     rng = resolve_rng(seed)
@@ -127,17 +156,41 @@ def rw_hitting_trials(
     graph: Graph | NeighborOracle,
     target: int,
     *,
-    start: int = 0,
+    start: int | np.ndarray = 0,
     trials: int = 10,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Vectorized independent hitting-time trials (CSR or implicit
-    oracle graphs), on the block-walk driver: each block is compared
-    against *target* once."""
+    """Vectorized independent hitting-time trials on the block-walk
+    driver (the ``"simple"`` process's hit engine): each block is
+    compared against *target* once.
+
+    Parameters
+    ----------
+    graph : Graph or NeighborOracle
+        Connected graph without isolated vertices (CSR or implicit).
+    target : int
+        Vertex whose first visit stops a trial.
+    start : int or numpy.ndarray
+        Common start vertex of every trial (or a one-element array of it).
+    trials : int
+        Number of independent runs.
+    seed : SeedLike, optional
+        Seed/stream for the single interleaved RNG.
+    max_steps : int, optional
+        Step budget per trial; defaults to the cover engine's budget.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``float64[trials]`` hitting times, ``np.nan`` marking budget
+        exhaustion (``0.0`` when *target* is the start vertex).
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     oracle = as_oracle(graph)
+    start = _scalar_start(oracle, start)
+    _check_vertex(oracle, target, "target")
     if max_steps is None:
         max_steps = _cover_budget(oracle.n)
     rng = resolve_rng(seed)
@@ -329,7 +382,21 @@ class _HitSettle:
 
 
 def rw_exact_hitting_times(graph: Graph, target: int) -> np.ndarray:
-    """Exact expected hitting times to *target* by linear solve."""
+    """Exact expected hitting times to *target* by linear solve.
+
+    Parameters
+    ----------
+    graph : Graph
+        Connected CSR graph.
+    target : int
+        The vertex every hitting time ends at.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``float64[n]``; entry ``v`` is the expected steps of a simple
+        walk from ``v`` to *target* (``0`` at *target*).
+    """
     from ..spectral.matrices import transition_matrix
 
     n = graph.n

@@ -280,7 +280,37 @@ class TestSelectExecutionPath:
         assert select_execution_path(spec, "cover", strategy="serial") == "serial"
 
 
+def _bad_start_cases():
+    """``(process, metric, strategy)`` for every declared metric of every
+    registered process, on the serial path and, where the metric has a
+    batched engine, the vectorized one."""
+    for name in process_names():
+        spec = get_process(name)
+        for metric in sorted(spec.capabilities - {"multi_source"}):
+            for strategy in ("vectorized", "serial"):
+                if strategy == "vectorized":
+                    try:
+                        select_execution_path(spec, metric, strategy=strategy, processes=1)
+                    except ValueError:
+                        continue
+                yield pytest.param(name, metric, strategy, id=f"{name}/{metric}/{strategy}")
+
+
 class TestRunBatch:
+    @pytest.mark.parametrize("past_end", [False, True], ids=["start=-1", "start=n"])
+    @pytest.mark.parametrize("name, metric, strategy", list(_bad_start_cases()))
+    def test_out_of_range_start_raises(self, name, metric, strategy, past_end):
+        graph = path_graph(9) if name == "branching_minima" else cycle_graph(9)
+        start = graph.n if past_end else -1
+        with pytest.raises(ValueError):
+            # hit sweeps and the biased walk need a target; the other
+            # metrics ignore it.  A small budget bounds a run that fails
+            # to raise.
+            run_batch(
+                graph, name, metric=metric, start=start, target=graph.n - 1,
+                trials=3, seed=0, max_steps=64, strategy=strategy, processes=1,
+            )
+
     def test_serial_matches_per_trial_class_runs(self, g):
         s = run_batch(g, "cobra", trials=6, seed=42, strategy="serial")
         ref = [

@@ -1,9 +1,10 @@
-"""Docstring gate for the sim facade layer.
+"""Docstring gate for the sim facade layer and its registered engines.
 
 The CI pipeline runs ``ruff check --select D1,D417`` (pydocstyle
 missing-docstring rules plus undocumented-parameters, numpy
 convention via ruff.toml) over ``sim/facade.py``, ``sim/batch.py``,
-and ``sim/processes.py``; this in-repo twin keeps the core of that
+``sim/processes.py`` and ``walks/simple.py`` (whose ``rw_*`` engines
+are the simple walk's registered batch engines); this in-repo twin keeps the core of that
 contract enforceable offline (ruff is not vendored): every public
 symbol carries a real docstring, and every public function's
 docstring names each of its parameters.
@@ -16,8 +17,9 @@ import pytest
 import repro.sim.batch as batch
 import repro.sim.facade as facade
 import repro.sim.processes as processes
+import repro.walks.simple as simple
 
-MODULES = [facade, batch, processes]
+MODULES = [facade, batch, processes, simple]
 
 
 def _public_functions(module):

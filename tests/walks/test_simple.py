@@ -86,6 +86,25 @@ class TestBatchedTrials:
         with pytest.raises(ValueError):
             rw_cover_trials(small_cycle, trials=0)
 
+    @pytest.mark.parametrize("start", [-1, 8, [0, 1]])
+    def test_bad_start_rejected(self, start):
+        g = cycle_graph(8)
+        for engine, args in ((rw_cover_trials, ()), (rw_hitting_trials, (4,))):
+            with pytest.raises(ValueError, match="start"):
+                engine(g, *args, start=start, trials=3, seed=0)
+
+    @pytest.mark.parametrize("target", [-1, 8])
+    def test_bad_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target out of range"):
+            rw_hitting_trials(cycle_graph(8), target, trials=3, seed=0)
+
+    def test_one_element_start_array(self):
+        g = cycle_graph(8)
+        assert np.array_equal(
+            rw_cover_trials(g, start=np.array([3]), trials=5, seed=1),
+            rw_cover_trials(g, start=3, trials=5, seed=1),
+        )
+
 
 class TestExactHitting:
     def test_cycle_closed_form(self):
