@@ -22,7 +22,13 @@ The PR-10 acceptance flow as real OS processes::
   an empty body;
 * ``sweep fsck --store http://…`` exits 0 against the served store;
 * SIGTERM stops the worker (``stopped on signal`` — the lease-release
-  path) and the server (``serve: stopped``), both with exit 0.
+  path) and the server (``serve: stopped``), both with exit 0;
+* a disk-backed ``sweep serve --store DIR`` stays fresh: three cells
+  run by ``sweep run --max-cells 3`` are left to settle, so the
+  server's ``LocalBackend`` remembers their shards; a fourth cell
+  committed by a separate ``sweep run`` process then makes a
+  ``/frame`` sent with the earlier ETag answer **200** with the new
+  row, and the new ETag revalidates to **304**.
 
 Runnable locally and testable (``tests/test_ci_smokes.py``).  Exits
 non-zero on any violation.
@@ -35,6 +41,8 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -88,6 +96,61 @@ def _get(url: str, **headers: str):
         return exc.code, dict(exc.headers), exc.read()
 
 
+def _serve_url(server: subprocess.Popen) -> str:
+    """The base URL from the documented supervisor parse point: the
+    first stdout line of ``sweep serve``."""
+    banner = server.stdout.readline().strip()
+    assert " at http://" in banner, f"unexpected serve banner: {banner!r}"
+    return banner.rsplit(" at ", 1)[1]
+
+
+def disk_backed_freshness(cells) -> None:
+    """A commit from another process reaches a disk-backed server's
+    ``/frame``, however long the server has remembered its shards."""
+    from repro.store import Frame
+    from repro.store.backend import _SETTLE_S
+
+    with tempfile.TemporaryDirectory() as root:
+        run = ("run", SWEEP, "--store", root, "--seed", str(SEED))
+        _wait(_sweep_cli(*run, "--max-cells", str(len(cells) - 1)), "sweep run")
+        # settled shards are the ones the server serves from one lstat
+        time.sleep(_SETTLE_S + 0.5)
+        server = _sweep_cli("serve", "--store", root, "--port", "0")
+        try:
+            frame_url = f"{_serve_url(server)}/frame"
+            status, headers, _ = _get(frame_url)
+            assert status == 200, f"disk-backed /frame answered {status}"
+            stale_etag = headers["ETag"]
+            status, _, _ = _get(frame_url, **{"If-None-Match": stale_etag})
+            assert status == 304, f"unchanged store revalidated to {status}"
+
+            _wait(_sweep_cli(*run, "--max-cells", "1"), "sweep run (one more cell)")
+            status, headers, body = _get(
+                frame_url, **{"If-None-Match": stale_etag}
+            )
+            assert status == 200, (
+                f"disk-backed /frame with a stale ETag answered {status}"
+            )
+            hashes = Frame.from_json(body.decode("utf-8")).column("hash")
+            assert sorted(hashes) == sorted(c.hash for c in cells), (
+                "disk-backed /frame is missing the newly committed cell"
+            )
+            status, _, body = _get(
+                frame_url, **{"If-None-Match": headers["ETag"]}
+            )
+            assert status == 304 and body == b"", (
+                f"disk-backed revalidation answered {status}"
+            )
+            out = _terminate(server, "disk-backed serve shutdown")
+            server = None
+            assert "serve: stopped" in out, out
+        finally:
+            if server is not None and server.poll() is None:
+                server.kill()
+                server.communicate(timeout=30)
+    print("--- disk-backed serve: a new cell from another process is a 200 ---")
+
+
 def main() -> int:
     """Run the service smoke (serve + declare + loop worker over HTTP).
 
@@ -110,10 +173,7 @@ def main() -> int:
     server = _sweep_cli("serve", "--store", ":memory:", "--port", "0")
     worker = None
     try:
-        # the documented supervisor parse point: first stdout line
-        banner = server.stdout.readline().strip()
-        assert " at http://" in banner, f"unexpected serve banner: {banner!r}"
-        url = banner.rsplit(" at ", 1)[1]
+        url = _serve_url(server)
         print(f"--- serve bound at {url} ---")
 
         _wait(
@@ -195,9 +255,11 @@ def main() -> int:
                 proc.kill()
                 proc.communicate(timeout=30)
 
+    disk_backed_freshness(cells)
     print(
         "service smoke: declare + loop-worker drain over HTTP "
-        "value-identical, frame 304 revalidation, fsck clean"
+        "value-identical, frame 304 revalidation, fsck clean, "
+        "disk-backed frames fresh"
     )
     return 0
 

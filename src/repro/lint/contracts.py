@@ -153,6 +153,7 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "Counters",
         "Straggler reports",
         "sweep report",
+        "service requests by route",
         "sweep top",
         "--trace",
         "--profile",

@@ -8,8 +8,9 @@ claim ledger, and the ``events.jsonl`` log — into answers:
 
 * :func:`build_report` → :class:`StragglerReport`: per-cell wall times
   attributed to workers, p50/p95/max by ``(process, graph_kind,
-  engine)``, per-worker totals, and ledger health (reclaimed leases,
-  double-computed cells) — rendered by the ``sweep report`` CLI verb;
+  engine)``, per-worker totals, ledger health (reclaimed leases,
+  double-computed cells), and the ``sweep serve --trace`` traffic by
+  route — rendered by the ``sweep report`` CLI verb;
 * :func:`render_top` / :func:`live_top`: a polling snapshot of a
   draining store — progress, live leases, the freshest events, and the
   slowest cells so far — the ``sweep top`` CLI verb.
@@ -70,6 +71,10 @@ class StragglerReport:
     events : dict
         ``records``/``torn`` counts of ``events.jsonl`` (zeros when
         the store was never traced).
+    service : list of dict
+        Per-route ``sweep serve --trace`` traffic (see
+        :func:`_service_rows`); empty when the store was never served
+        with tracing on.
     """
 
     cells: list[dict[str, Any]] = field(default_factory=list)
@@ -77,6 +82,7 @@ class StragglerReport:
     workers: list[dict[str, Any]] = field(default_factory=list)
     ledger: dict[str, int] = field(default_factory=dict)
     events: dict[str, int] = field(default_factory=dict)
+    service: list[dict[str, Any]] = field(default_factory=list)
 
     def render(self) -> str:
         """The ``sweep report`` CLI output.
@@ -132,6 +138,15 @@ class StragglerReport:
             f"events: {ev.get('records', 0)} record(s), "
             f"{ev.get('torn', 0)} torn line(s)"
         )
+        if self.service:
+            sections.append(
+                _table(
+                    self.service,
+                    ["route", "requests", "p50_ms", "p95_ms", "max_ms",
+                     "rate_304", "4xx", "5xx"],
+                    title="service requests by route",
+                )
+            )
         return "\n\n".join(sections)
 
 
@@ -180,6 +195,39 @@ def _ledger_stats(backend: Any, *, now: float) -> dict[str, int]:
         "live": len(leases) - stale,
         "double_computed": 0,  # filled in by build_report's shard scan
     }
+
+
+def _service_rows(records: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Per-route traffic from the ``kind="http"`` spans ``sweep serve
+    --trace`` writes: request count, p50/p95/max latency, the share of
+    304s, and 4xx/5xx counts.  A span without a status is a request
+    whose handler raised (the client got no response); it counts as a
+    5xx."""
+    by_route: dict[str, list[dict[str, Any]]] = {}
+    for record in records:
+        if record.get("kind") == "http":
+            by_route.setdefault(str(record.get("route")), []).append(record)
+    rows = []
+    for route, spans in sorted(by_route.items()):
+        ms = np.asarray([float(s.get("dur_s") or 0.0) for s in spans]) * 1e3
+        statuses = [s.get("status") for s in spans]
+        rows.append(
+            {
+                "route": route,
+                "requests": len(spans),
+                "p50_ms": _round(float(np.percentile(ms, 50))),
+                "p95_ms": _round(float(np.percentile(ms, 95))),
+                "max_ms": _round(float(ms.max())),
+                "rate_304": _round(statuses.count(304) / len(spans)),
+                "4xx": sum(
+                    1 for st in statuses if isinstance(st, int) and 400 <= st < 500
+                ),
+                "5xx": sum(
+                    1 for st in statuses if not isinstance(st, int) or st >= 500
+                ),
+            }
+        )
+    return rows
 
 
 def _double_computed(store: "ResultStore") -> int:
@@ -292,6 +340,7 @@ def build_report(
         log = EventLog(store.backend)
         records, torn = log._scan()
         report.events = {"records": len(records), "torn": torn}
+        report.service = _service_rows(records)
     return report
 
 

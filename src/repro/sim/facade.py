@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -278,6 +279,27 @@ def _accepts_target(engine) -> bool:
         return False
 
 
+def _refuse_bound_params(spec: ProcessSpec, params: dict[str, Any]) -> None:
+    """Raise ``TypeError`` for a param the spec binds with ``partial``.
+
+    ``push`` fixes ``push=True, pull=False``; a caller's ``pull=True``
+    would otherwise override the binding and quietly run another
+    process under this one's name.
+    """
+    bound = {
+        name
+        for fn in (spec.factory, spec.batch_cover, spec.batch_hit)
+        if isinstance(fn, partial)
+        for name in fn.keywords
+    }
+    clash = sorted(bound.intersection(params))
+    if clash:
+        raise TypeError(
+            f"process {spec.name!r} fixes {', '.join(clash)}; pick the "
+            "process that has the values you want instead"
+        )
+
+
 # ----------------------------------------------------------------------
 # the facade proper
 # ----------------------------------------------------------------------
@@ -330,6 +352,7 @@ def simulate(
             "repro.graphs.to_csr(...) or use run_batch(strategy='vectorized')"
         )
     spec = process if isinstance(process, ProcessSpec) else get_process(process)
+    _refuse_bound_params(spec, params)
     metric = _resolve_metric(spec, metric)
     if metric == "hit":
         if target is None:
@@ -527,6 +550,7 @@ def run_batch(
         One summary over the metric values of all trials.
     """
     spec = process if isinstance(process, ProcessSpec) else get_process(process)
+    _refuse_bound_params(spec, params)
     metric = _resolve_metric(spec, metric)
     if trials < 1:
         raise ValueError("need at least one trial")

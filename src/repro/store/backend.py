@@ -43,6 +43,7 @@ import urllib.request
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
+from ..obs.trace import current_tracer
 from .locking import append_line as _locked_append
 from .locking import locked
 
@@ -64,6 +65,12 @@ _CAS_MAX_RETRIES = 10_000
 #: key parts that make ``realpath`` move a path (``""`` also marks an
 #: absolute key)
 _SPECIAL_PARTS = frozenset(("", ".", ".."))
+
+#: seconds a file's newest timestamp must lie in the past before
+#: :meth:`LocalBackend.read_blob` remembers its bytes — the racy-git
+#: rule: a later write then always moves the mtime or ctime, even on a
+#: filesystem that keeps timestamps to 1–2 s
+_SETTLE_S = 2.0
 
 
 class BackendError(RuntimeError):
@@ -124,6 +131,11 @@ def _content_etag(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _signature(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    """What must stay equal for a file to still hold the bytes last read."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 class LocalBackend:
     """The shared-filesystem backend: one directory, advisory ``flock``.
 
@@ -140,6 +152,14 @@ class LocalBackend:
     (``locked`` creates empty files as a side effect of lock
     acquisition).
 
+    A read of a file whose mtime and ctime are both at least
+    :data:`_SETTLE_S` old (on ``current_tracer().walltime()``) is
+    remembered with the file's ``(st_dev, st_ino, st_size,
+    st_mtime_ns, st_ctime_ns)``.  The next read of that key is one
+    ``lstat``: the same signature on a regular file returns the
+    remembered bytes and ETag with no open, read or hash; anything
+    else — a write, a replace, a symlink — reads the file again.
+
     The root is resolved once, at construction: every read and write
     goes to that directory even if the process changes its working
     directory afterwards.
@@ -155,6 +175,8 @@ class LocalBackend:
         self._real_root = os.path.realpath(self.root)
         self._real_prefix = os.path.join(self._real_root, "")
         self._base = Path(self._real_root)
+        # key -> (signature, (bytes, etag)) of its last settled read
+        self._settled: dict[str, tuple[tuple[int, ...], tuple[bytes, str]]] = {}
 
     def _path(self, key: str) -> Path:
         # containment on the real path, so ``..``, absolute keys and
@@ -184,19 +206,43 @@ class LocalBackend:
         return True
 
     def read_blob(self, key: str) -> tuple[bytes, str] | None:
-        """The file's bytes + content ETag (``None`` if absent/empty)."""
+        """The file's bytes + content ETag (``None`` if absent/empty).
+
+        An unchanged settled file costs one ``lstat`` (see the class
+        docstring); every other read opens, reads and hashes the file.
+        """
+        remembered = self._settled.get(key)
+        if remembered is not None:
+            try:
+                st = os.lstat(os.path.join(self._real_root, key))
+            except OSError:
+                pass
+            else:
+                if stat.S_ISREG(st.st_mode) and _signature(st) == remembered[0]:
+                    return remembered[1]
         path = self._path(key)
+        self._settled.pop(key, None)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as handle:
+                st = os.fstat(handle.fileno())
+                data = handle.read()
         except (FileNotFoundError, IsADirectoryError):
             return None
         if not data:
             return None
-        return data, _content_etag(data)
+        blob = data, _content_etag(data)
+        newest = max(st.st_mtime_ns, st.st_ctime_ns) / 1e9
+        if (
+            st.st_size == len(data)
+            and newest <= current_tracer().walltime() - _SETTLE_S
+        ):
+            self._settled[key] = _signature(st), blob
+        return blob
 
     def append_line(self, key: str, line: str) -> None:
         """One whole-line append under the file's exclusive ``flock``."""
         _locked_append(self._path(key), line)
+        self._settled.pop(key, None)
 
     def list_prefix(self, prefix: str) -> list[str]:
         """Sorted relative keys of non-empty files under *prefix*.
@@ -245,6 +291,7 @@ class LocalBackend:
         hash.
         """
         path = self._path(key)
+        self._settled.pop(key, None)
         with locked(path) as handle:
             handle.seek(0)
             current = handle.read()

@@ -28,7 +28,8 @@ workers coordinate through:
 
 Every request is instrumented through :mod:`repro.obs` spans when the
 service carries a tracer (``sweep serve --trace``): one ``kind="http"``
-span per request, annotated with route and status (``/frame`` also
+span per request, annotated with route and status (``(unrouted)`` for
+a path no route serves; ``/frame`` also
 with ``rows_scanned``, the store rows before filtering, and
 ``bytes_hashed``, the body length behind its ETag).  See
 ``docs/service.md``.
@@ -105,19 +106,18 @@ class SweepService:
             with contextlib.suppress(RuntimeError):
                 self.tracer.annotate(**attrs)
 
-    @staticmethod
     def _json_response(
-        status: int, payload: Any, *, etag: str | None = None
+        self, status: int, payload: Any, *, etag: str | None = None
     ) -> tuple[int, dict[str, str], bytes]:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if etag is not None:
             headers["ETag"] = f'"{etag}"'
+        self._annotate(status=status)
         return status, headers, body
 
-    @staticmethod
-    def _error(status: int, message: str) -> tuple[int, dict[str, str], bytes]:
-        return SweepService._json_response(status, {"error": message})
+    def _error(self, status: int, message: str) -> tuple[int, dict[str, str], bytes]:
+        return self._json_response(status, {"error": message})
 
     @staticmethod
     def _revalidates(if_none_match: str | None, etag: str) -> bool:
@@ -150,9 +150,7 @@ class SweepService:
             self.store.refresh()
             record = self.store.get(h)
             if record is None:
-                self._annotate(status=404)
                 return self._error(404, f"no record for cell {h}")
-            self._annotate(status=200)
             return self._json_response(200, record, etag=h)
 
     def frame(
@@ -205,6 +203,7 @@ class SweepService:
             if blob is None:
                 return self._error(404, f"no blob {key!r}")
             data, etag = blob
+            self._annotate(status=200)
             return (
                 200,
                 {
@@ -234,8 +233,8 @@ class SweepService:
             except BackendError as exc:
                 return self._error(400, str(exc))
             if new_etag is None:
-                self._annotate(status=412)
                 return self._error(412, "precondition failed")
+            self._annotate(status=200)
             return 200, {"ETag": f'"{new_etag}"'}, b""
 
     def blob_list(self, query: str) -> tuple[int, dict[str, str], bytes]:
@@ -299,8 +298,10 @@ class SweepService:
                     if_match=headers.get("if-match"),
                     if_none_match=inm,
                 )
-            return self._error(405, f"cannot PUT {route}")
-        return self._error(404, f"no route {method} {route}")
+        with self._span("(unrouted)"):
+            if method == "PUT":
+                return self._error(405, f"cannot PUT {route}")
+            return self._error(404, f"no route {method} {route}")
 
 
 class _Handler(BaseHTTPRequestHandler):

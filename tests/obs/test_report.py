@@ -88,6 +88,35 @@ class TestBuildReport:
         store, _ = traced_store
         assert len(build_report(store).cells) == 4
 
+    def test_service_section_from_http_spans(self, traced_store, tmp_path):
+        from repro.store.service import SweepService
+
+        store, spec = traced_store
+        assert build_report(store).service == []
+        service = SweepService(
+            ResultStore(tmp_path), tracer=tracer_for_store(tmp_path, worker="srv")
+        )
+        h = spec.expand()[0].hash
+        _, headers, _ = service.handle("GET", "/frame?groupby=g_n")
+        service.handle(
+            "GET", "/frame?groupby=g_n", headers={"If-None-Match": headers["ETag"]}
+        )
+        service.handle("GET", "/frame?g_n=6&g_n=8")  # 400
+        service.handle("GET", "/frame")
+        service.handle("GET", f"/cell/{h}")
+        service.handle("GET", "/cell/00ff")  # 404
+        service.handle("GET", "/nowhere")  # 404, no route
+        report = build_report(store)
+        rows = {row["route"]: row for row in report.service}
+        assert sorted(rows) == ["(unrouted)", "/cell", "/frame"]
+        frame = rows["/frame"]
+        assert frame["requests"] == 4 and frame["rate_304"] == 0.25
+        assert (frame["4xx"], frame["5xx"]) == (1, 0)
+        assert 0 <= frame["p50_ms"] <= frame["p95_ms"] <= frame["max_ms"]
+        assert (rows["/cell"]["requests"], rows["/cell"]["4xx"]) == (2, 1)
+        assert rows["(unrouted)"]["4xx"] == 1
+        assert "service requests by route" in report.render()
+
 
 class TestLedgerStats:
     def test_drain_fills_ledger_health(self, tmp_path):

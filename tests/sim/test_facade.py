@@ -296,6 +296,45 @@ def _bad_start_cases():
                 yield pytest.param(name, metric, strategy, id=f"{name}/{metric}/{strategy}")
 
 
+def _bound_keyword_cases():
+    """``(process, keyword)`` for every keyword a registered spec binds
+    with ``functools.partial`` in its factory or batched engines."""
+    from functools import partial
+
+    for name in process_names():
+        spec = get_process(name)
+        bound = set()
+        for fn in (spec.factory, spec.batch_cover, spec.batch_hit):
+            if isinstance(fn, partial):
+                bound.update(fn.keywords)
+        for keyword in sorted(bound):
+            yield pytest.param(name, keyword, id=f"{name}/{keyword}")
+
+
+class TestBoundParams:
+    """A keyword the spec fixes cannot be overridden per call: ``push``
+    with ``pull=True`` would otherwise run another process by name."""
+
+    def test_every_spec_with_bound_keywords_is_covered(self):
+        names = {case.values[0] for case in _bound_keyword_cases()}
+        assert names == {"push", "pull", "push_pull", "simple", "lazy"}
+
+    @pytest.mark.parametrize("strategy", ["vectorized", "serial"])
+    @pytest.mark.parametrize("name, keyword", list(_bound_keyword_cases()))
+    def test_run_batch_refuses(self, g, name, keyword, strategy):
+        with pytest.raises(TypeError, match=keyword):
+            run_batch(g, name, trials=2, seed=1, strategy=strategy, **{keyword: False})
+
+    @pytest.mark.parametrize("name, keyword", list(_bound_keyword_cases()))
+    def test_simulate_refuses(self, g, name, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            simulate(g, name, seed=1, **{keyword: True})
+
+    def test_push_with_pull_is_not_pull(self):
+        with pytest.raises(TypeError, match="fixes pull, push"):
+            run_batch(grid(6, 2), "push", trials=8, seed=1, push=False, pull=True)
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("past_end", [False, True], ids=["start=-1", "start=n"])
     @pytest.mark.parametrize("name, metric, strategy", list(_bad_start_cases()))

@@ -14,11 +14,17 @@ Three pillars:
   on both backends afterward.
 """
 
+import builtins
 import contextlib
+import hashlib
 import json
+import os
+import sys
 import threading
 
 import pytest
+
+from repro.obs.trace import Tracer, activate
 
 from repro.store import (
     BackendError,
@@ -272,6 +278,164 @@ class TestLocalRootAfterChdir:
         store = tmp_path / "home" / "store"
         assert (store / "shards" / "ab.jsonl").read_bytes() == b"new\n"
         assert not (elsewhere / "store").exists()
+
+
+class TestLocalRevalidation:
+    """A settled blob is served again after one ``lstat``; any change to
+    the file — or to what the key names — reads it again."""
+
+    KEY = "shards/ab.jsonl"
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        backend = LocalBackend(tmp_path / "store")
+        backend.append_line(self.KEY, "row")
+        return backend, tmp_path / "store" / self.KEY
+
+    @pytest.fixture()
+    def opens(self, monkeypatch):
+        """Paths passed to ``open`` while the test runs."""
+        seen = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            seen.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        return seen
+
+    @staticmethod
+    def _settled_clock(path, after=60.0):
+        """A tracer whose "now" lies *after* seconds past the file's
+        newest timestamp."""
+        st = os.stat(path)
+        newest = max(st.st_mtime_ns, st.st_ctime_ns) / 1e9
+        return activate(Tracer(walltime=lambda: newest + after, worker="t"))
+
+    def test_second_read_opens_no_file(self, store, opens):
+        backend, path = store
+        with self._settled_clock(path):
+            first = backend.read_blob(self.KEY)
+            assert len(opens) == 1
+            second = backend.read_blob(self.KEY)
+        assert len(opens) == 1
+        assert second == first == (b"row\n", hashlib.sha256(b"row\n").hexdigest())
+
+    def _append(self, path):
+        with open(path, "ab") as handle:
+            handle.write(b"more\n")
+        return b"row\nmore\n"
+
+    def _truncate(self, path):
+        os.truncate(path, 0)
+
+    def _delete(self, path):
+        os.unlink(path)
+
+    def _replace(self, path):
+        fresh = path.with_name("fresh.tmp")
+        fresh.write_bytes(b"new\n")  # same size, new inode
+        os.replace(fresh, path)
+        return b"new\n"
+
+    def _rewrite(self, path):
+        st = os.stat(path)
+        with open(path, "r+b") as handle:
+            handle.write(b"wow\n")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 5_000_000_000))
+        return b"wow\n"
+
+    @pytest.mark.parametrize(
+        "change", ["_append", "_truncate", "_delete", "_replace", "_rewrite"]
+    )
+    def test_the_next_read_sees_a_change(self, store, opens, change):
+        backend, path = store
+        with self._settled_clock(path):
+            backend.read_blob(self.KEY)
+            backend.read_blob(self.KEY)
+            assert len(opens) == 1  # remembered
+            want = getattr(self, change)(path)
+            got = backend.read_blob(self.KEY)
+        if want is None:
+            assert got is None
+        else:
+            assert got == (want, hashlib.sha256(want).hexdigest())
+
+    @pytest.mark.parametrize(("after", "reads"), [(1.9, 3), (2.1, 1)])
+    def test_a_blob_inside_the_settle_window_is_read_every_time(
+        self, store, opens, after, reads
+    ):
+        backend, path = store
+        with self._settled_clock(path, after=after):
+            for _ in range(3):
+                assert backend.read_blob(self.KEY)[0] == b"row\n"
+        assert len(opens) == reads
+
+    def test_a_symlink_out_of_the_root_is_still_refused(self, store, tmp_path):
+        backend, path = store
+        secret = tmp_path / "secret.jsonl"
+        secret.write_bytes(b"row\n")
+        with self._settled_clock(path):
+            assert backend.read_blob(self.KEY)[0] == b"row\n"
+            path.unlink()
+            path.symlink_to(secret)
+            with pytest.raises(BackendError, match="escapes the store root"):
+                backend.read_blob(self.KEY)
+
+    def test_own_writes_are_seen(self, store):
+        backend, path = store
+        with self._settled_clock(path):
+            _, etag = backend.read_blob(self.KEY)
+            backend.append_line(self.KEY, "two")
+            assert backend.read_blob(self.KEY)[0] == b"row\ntwo\n"
+            _, etag = backend.read_blob(self.KEY)
+            assert backend.compare_and_swap(self.KEY, b"swapped\n", etag)
+            assert backend.read_blob(self.KEY)[0] == b"swapped\n"
+
+    def test_concurrent_readers_see_whole_current_blobs(self, store):
+        backend, path = store
+        writer = LocalBackend(path.parent.parent)  # another handle
+        lines = 200
+        written = [1]  # lines on disk once the last append returned
+        errors = []
+
+        def read_loop():
+            while written[0] < lines:
+                floor = written[0]
+                try:
+                    data, etag = backend.read_blob(self.KEY)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append((floor, exc))
+                    return
+                got = data.decode().splitlines()
+                if not (
+                    data.endswith(b"\n")
+                    and etag == hashlib.sha256(data).hexdigest()
+                    and got == ["row"] + [str(i) for i in range(1, len(got))]
+                    and len(got) >= floor
+                ):
+                    errors.append((floor, data))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with activate(Tracer(walltime=lambda: 1e12, worker="t")):
+                readers = [threading.Thread(target=read_loop) for _ in range(4)]
+                for thread in readers:
+                    thread.start()
+                for i in range(1, lines):
+                    writer.append_line(self.KEY, str(i))
+                    written[0] = i + 1
+                for thread in readers:
+                    thread.join(timeout=60)
+                final = backend.read_blob(self.KEY)[0].decode().splitlines()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert final == ["row"] + [str(i) for i in range(1, lines)]
 
 
 class _SpyHandle:

@@ -15,6 +15,8 @@ import urllib.request
 
 import pytest
 
+from repro.obs.trace import Tracer, activate
+
 from repro.store import (
     Campaign,
     FRAME_SCHEMA,
@@ -165,6 +167,29 @@ class TestFrameRoute:
         assert second["ETag"] != first["ETag"]
         assert len(Frame.from_json(body.decode("utf-8"))) == 4
 
+    def test_old_etag_after_another_handle_commits(self, tmp_path):
+        # the reader's backend remembers every settled shard; a cell
+        # another handle appends must still reach the next /frame
+        root = tmp_path / "s"
+        spec = _spec()
+        writer = ResultStore(root)
+        drain(spec, writer, owner="w0", max_cells=2)
+        service = SweepService(ResultStore(root))
+        with activate(Tracer(walltime=lambda: 1e12, worker="t")):
+            _, first, _ = service.handle("GET", "/frame")
+            assert service.handle(
+                "GET", "/frame", headers={"If-None-Match": first["ETag"]}
+            )[0] == 304
+            drain(spec, writer, owner="w0")
+            status, second, body = service.handle(
+                "GET", "/frame", headers={"If-None-Match": first["ETag"]}
+            )
+        assert status == 200
+        assert second["ETag"] != first["ETag"]
+        assert sorted(Frame.from_json(body.decode("utf-8")).column("hash")) == sorted(
+            cell.hash for cell in spec.expand()
+        )
+
     def test_duplicate_parameter_is_400(self, served):
         service, _, _ = served
         status, _, body = service.handle("GET", "/frame?g_n=6&g_n=8")
@@ -177,6 +202,36 @@ class TestFrameRoute:
             "GET", "/frame?groupby=g_n&aggregate=warp"
         )
         assert status == 400
+
+
+class TestLongLivedStore:
+    """A long-lived store answers every request byte for byte as a
+    store opened cold for that one request."""
+
+    def test_read_plan_is_byte_identical_to_a_cold_store(self, tmp_path):
+        root = tmp_path / "s"
+        spec = _spec(graph_grid={"n": [5, 6, 7, 8], "d": [2]})
+        drain(spec, ResultStore(root), owner="w0")
+        warm = SweepService(ResultStore(root))
+        hashes = [cell.hash for cell in spec.expand()]
+        plan = [(f"/cell/{h}", {}) for h in hashes[:3]]
+        plan += [(f"/cell/{hashes[0]}", {"If-None-Match": f'"{hashes[0]}"'})]
+        plan += [
+            (f"/frame?{query}", {})
+            for query in (
+                "", "g_n=6", "k=2&graph=grid", "process=cobra&g_n=99",
+                "groupby=g_n&aggregate=mean", "groupby=k&column=median&aggregate=max",
+            )
+        ]
+        plan.append(("/frame?groupby=g_n", {"If-None-Match": "*"}))
+        plan.append(("/frame?groupby=g_n", {"If-None-Match": '"stale"'}))
+        with activate(Tracer(walltime=lambda: 1e12, worker="t")):
+            for _ in range(3):  # the later passes are served from settled blobs
+                for path, headers in plan:
+                    cold = SweepService(ResultStore(root))
+                    assert warm.handle("GET", path, headers=headers) == cold.handle(
+                        "GET", path, headers=headers
+                    ), path
 
 
 class TestBlobRoutes:

@@ -99,6 +99,16 @@ class TestServiceSmoke:
         assert "stopped on signal" in source
         assert "serve: stopped" in source
 
+    def test_smoke_pins_disk_backed_freshness(self):
+        """A disk-backed serve must see a cell another process commits
+        after its shards settled: a stale ETag answers 200, the new one
+        304."""
+        source = (REPO / "ci" / "smoke_service.py").read_text(encoding="utf-8")
+        assert "disk_backed_freshness(cells)" in source
+        assert '"serve", "--store", root' in source
+        assert "time.sleep(_SETTLE_S" in source
+        assert "disk-backed /frame with a stale ETag answered" in source
+
 
 class TestBenchEmit:
     def test_writes_schema_stamped_json(self, tmp_path):
