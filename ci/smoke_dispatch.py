@@ -20,7 +20,9 @@ launched concurrently against one store.  Afterward:
   exactly cells × phases phase records, every one attributed to one of
   the two workers, and every stored cell's provenance names the worker
   that computed it;
-* ``sweep report`` renders a straggler table attributing every cell;
+* ``sweep report`` renders a straggler table attributing every cell,
+  and its double-computed and torn-event counts equal ``fsck``'s
+  duplicates and torn event lines (one shard scan, one line reader);
 * ``sweep compact`` prunes the claim ledger and the store stays clean.
 
 Runnable locally and testable (``tests/test_ci_smokes.py``).  Exits
@@ -177,6 +179,16 @@ def main(store_dir: str) -> int:
     )
     assert "worker attribution" in report_out, report_out
     assert "smoke-w" in report_out, report_out
+    from repro.obs import build_report
+
+    store_report = build_report(ResultStore(store_dir))
+    health = fsck(ResultStore(store_dir))
+    assert store_report.ledger["double_computed"] == len(health.duplicates), (
+        store_report.ledger, health.duplicates
+    )
+    assert store_report.events["torn"] == health.events_corrupt, (
+        store_report.events, health.events_corrupt
+    )
 
     # compaction prunes the ledger and the store stays clean
     _wait(_sweep_cli("compact", "--store", store_dir), "compact")

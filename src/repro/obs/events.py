@@ -39,6 +39,14 @@ __all__ = ["EVENTS_FILE", "EventLog", "load_events", "tracer_for_store"]
 EVENTS_FILE = "events.jsonl"
 
 
+def _event(line: str) -> dict[str, Any]:
+    """One event line; ``ValueError`` when torn or not a JSON object."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("event line is not a JSON object")
+    return record
+
+
 class EventLog:
     """The append-only event log of one store.
 
@@ -109,25 +117,10 @@ class EventLog:
         return Frame(self.records())
 
     def _scan(self) -> tuple[list[dict[str, Any]], int]:
-        records: list[dict[str, Any]] = []
-        torn = 0
+        from ..store.store import scan_lines
+
         blob = self.backend.read_blob(EVENTS_FILE)
-        if blob is None:
-            return records, torn
-        for line in blob[0].decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                torn += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                torn += 1
-        return records, torn
+        return ([], 0) if blob is None else scan_lines(blob[0], _event)
 
 
 def load_events(root: "str | Path | StorageBackend") -> "Frame":

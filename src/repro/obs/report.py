@@ -169,10 +169,9 @@ def _sweep_frame(store: "ResultStore", specs: Sequence["SweepSpec"] | None) -> "
 
 
 def _ledger_stats(backend: Any, *, now: float) -> dict[str, int]:
-    from ..store.dispatch import ClaimLedger
+    from ..store.dispatch import ClaimLedger, Lease
 
-    ledger = ClaimLedger(backend)
-    records = ledger.records()
+    records = ClaimLedger(backend).records()
     if not records:
         return {}
     claim_counts: dict[str, int] = {}
@@ -184,7 +183,8 @@ def _ledger_stats(backend: Any, *, now: float) -> dict[str, int]:
             done += 1
         else:
             abandoned += 1
-    leases = ledger.leases()
+    leases: dict[str, Lease] = {}
+    ClaimLedger._apply(leases, records)
     stale = sum(1 for lease in leases.values() if lease.expired(now))
     return {
         "claims": sum(claim_counts.values()),
@@ -232,21 +232,10 @@ def _service_rows(records: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
 
 def _double_computed(store: "ResultStore") -> int:
     """Cells stored more than once (lease-expiry recomputes)."""
-    from ..store.store import parse_record
-
     counts: dict[str, int] = {}
-    for shard_key in store.shard_keys():
-        blob = store.backend.read_blob(shard_key)
-        if blob is None:
-            continue
-        for line in blob[0].decode("utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                h = parse_record(line)["hash"]
-            except ValueError:
-                continue
-            counts[h] = counts.get(h, 0) + 1
+    for _, records, _ in store.scan_shards():
+        for record in records:
+            counts[record["hash"]] = counts.get(record["hash"], 0) + 1
     return sum(1 for c in counts.values() if c > 1)
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -99,8 +100,19 @@ class Span:
         return 0.0 if self.t1 is None else self.t1 - self.t0
 
 
+class _SpanStack(threading.local):
+    """The open spans of one thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
+
+
 class Tracer:
-    """A span stack with injected clocks and an optional event sink.
+    """Per-thread span stacks with injected clocks and an optional event sink.
+
+    Each thread that opens spans on a tracer gets its own stack, so the
+    handler threads of ``sweep serve --trace`` share one tracer while
+    counters and annotations land on the calling thread's own span.
 
     Parameters
     ----------
@@ -114,8 +126,9 @@ class Tracer:
     sink : callable, optional
         ``sink(record)`` called with one flat JSON-safe dict per
         finished span (what :func:`repro.obs.events.tracer_for_store`
-        wires to the ``events.jsonl`` appender).  ``None`` keeps spans
-        in memory only.
+        wires to the ``events.jsonl`` appender).  ``None`` keeps the
+        finished spans in :attr:`spans` instead; a tracer with a sink
+        holds none, so a long-lived one does not grow.
     worker : str, optional
         Worker id stamped on every emitted record (default
         :func:`default_worker_id`).
@@ -146,20 +159,23 @@ class Tracer:
         self.worker = worker if worker is not None else default_worker_id()
         self.lease = lease
         self.spans: list[Span] = []
-        self._stack: list[Span] = []
+        self._local = _SpanStack()
         self._seq = 0
 
     # -- spans ----------------------------------------------------------
     @contextmanager
     def _span_cm(self, span: Span) -> Iterator[Span]:
-        self._stack.append(span)
+        stack = self._local.spans
+        stack.append(span)
         try:
             yield span
         finally:
             span.t1 = self.clock()
-            self._stack.pop()
-            self.spans.append(span)
-            self._emit(span)
+            stack.pop()
+            if self.sink is None:
+                self.spans.append(span)
+            else:
+                self._emit(span)
 
     def span(self, name: str, kind: str = "phase", **attrs: Any):
         """Open a span; a context manager closing it on exit.
@@ -190,25 +206,27 @@ class Tracer:
         A no-op when no span is open (engines may run outside any
         cell), so instrumented code never has to care.
         """
-        if self._stack:
-            counters = self._stack[-1].counters
+        stack = self._local.spans
+        if stack:
+            counters = stack[-1].counters
             counters[name] = counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Record the max of *value* seen for *name* on the open span."""
-        if self._stack:
-            counters = self._stack[-1].counters
+        stack = self._local.spans
+        if stack:
+            counters = stack[-1].counters
             counters[name] = max(counters.get(name, value), value)
 
     def annotate(self, **attrs: Any) -> None:
         """Merge *attrs* into the innermost open span's attributes."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
+        stack = self._local.spans
+        if stack:
+            stack[-1].attrs.update(attrs)
 
     # -- emission -------------------------------------------------------
     def _emit(self, span: Span) -> None:
-        if self.sink is None:
-            return
+        assert self.sink is not None
         record: dict[str, Any] = {
             "kind": span.kind,
             "name": span.name,

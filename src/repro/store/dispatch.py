@@ -60,7 +60,7 @@ from ..obs.trace import Tracer
 from .backend import StorageBackend, resolve_backend
 from .campaign import run_cell
 from .spec import RunKey, SweepSpec, canonical_json
-from .store import ResultStore, parse_record
+from .store import ResultStore, _shard_key, _shard_prefix, scan_lines
 
 __all__ = [
     "DEFAULT_TTL",
@@ -88,6 +88,32 @@ SWEEPS_FILE = "sweeps.jsonl"
 DEFAULT_TTL = 900.0
 
 _CLAIM_OPS = ("claim", "done", "abandon")
+
+
+def _claim_record(line: str) -> dict[str, Any]:
+    """One ledger line; ``ValueError`` when torn or not a claim/release."""
+    record = json.loads(line)
+    if not (
+        isinstance(record, dict)
+        and record.get("op") in _CLAIM_OPS
+        and isinstance(record.get("hash"), str)
+        and isinstance(record.get("owner"), str)
+    ):
+        raise ValueError("not a claim-ledger record")
+    return record
+
+
+def _sweep_record(line: str) -> dict[str, Any]:
+    """One registry line; ``ValueError`` when torn or not a declaration."""
+    record = json.loads(line)
+    if not (
+        isinstance(record, dict)
+        and isinstance(record.get("name"), str)
+        and isinstance(record.get("scale"), str)
+        and isinstance(record.get("seed"), int)
+    ):
+        raise ValueError("not a sweep declaration")
+    return record
 
 
 def default_owner() -> str:
@@ -177,24 +203,8 @@ class ClaimLedger:
 
     # -- replay ---------------------------------------------------------
     @staticmethod
-    def _parse(text: str) -> list[dict[str, Any]]:
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail — same tolerance as shards
-            if (
-                isinstance(record, dict)
-                and record.get("op") in _CLAIM_OPS
-                and isinstance(record.get("hash"), str)
-                and isinstance(record.get("owner"), str)
-            ):
-                records.append(record)
-        return records
+    def _parse(data: bytes | str) -> list[dict[str, Any]]:
+        return scan_lines(data, _claim_record)[0]  # torn lines are skipped
 
     def records(self) -> list[dict[str, Any]]:
         """All valid ledger records, in append order (torn lines skipped).
@@ -205,9 +215,7 @@ class ClaimLedger:
             ``{"op", "hash", "owner", "expires_unix", "ts"}`` records.
         """
         blob = self.backend.read_blob(CLAIMS_FILE)
-        if blob is None:
-            return []
-        return self._parse(blob[0].decode("utf-8"))
+        return [] if blob is None else self._parse(blob[0])
 
     @staticmethod
     def _apply(
@@ -217,6 +225,8 @@ class ClaimLedger:
     ) -> None:
         """Replay *records* onto *state*: claims set, releases clear.
 
+        The one ledger replay: incremental reads, :meth:`leases`,
+        ``sweep report`` and compaction's pruning all go through it.
         Hashes released ``done`` are added to *done* when it is given.
         """
         for record in records:
@@ -233,13 +243,6 @@ class ClaimLedger:
                 if done is not None and record["op"] == "done":
                     done.add(h)
 
-    @staticmethod
-    def _replay(records: Iterable[Mapping[str, Any]]) -> dict[str, Lease]:
-        """Final lease state per hash: claims set, releases clear."""
-        state: dict[str, Lease] = {}
-        ClaimLedger._apply(state, records)
-        return state
-
     def _read(self) -> tuple[bytes, str | None, dict[str, Lease]]:
         """The ledger blob, its ETag, and the lease state it replays to.
 
@@ -254,10 +257,10 @@ class ClaimLedger:
             self._replayed, self._leases, self._done = b"", {}, set()
         cut = data.rfind(b"\n") + 1
         if cut > len(self._replayed):
-            fresh = data[len(self._replayed):cut].decode("utf-8")
-            self._apply(self._leases, self._parse(fresh), self._done)
+            fresh = self._parse(data[len(self._replayed):cut])
+            self._apply(self._leases, fresh, self._done)
             self._replayed = data[:cut]
-        tail = self._parse(data[cut:].decode("utf-8")) if cut < len(data) else []
+        tail = self._parse(data[cut:]) if cut < len(data) else []
         if not tail:
             return data, etag, self._leases
         state = dict(self._leases)
@@ -273,30 +276,10 @@ class ClaimLedger:
             hash → :class:`Lease` for every claim without a later
             release — **including** expired ones (fsck wants those;
             claim acquisition filters them itself via
-            :meth:`Lease.expired`).
+            :meth:`Lease.expired`).  A copy of the state the
+            incremental replay holds for the current blob.
         """
-        return self._replay(self.records())
-
-    def active(self, now: float | None = None) -> dict[str, Lease]:
-        """Live (unexpired, unreleased) leases.
-
-        Parameters
-        ----------
-        now : float, optional
-            Clock override (tests); defaults to ``time.time()``.
-
-        Returns
-        -------
-        dict
-            hash → :class:`Lease` for every lease still excluding
-            other workers.
-        """
-        now = time.time() if now is None else now
-        return {
-            h: lease
-            for h, lease in self.leases().items()
-            if not lease.expired(now)
-        }
+        return dict(self._read()[2])
 
     # -- mutation -------------------------------------------------------
     def try_claim(
@@ -848,19 +831,10 @@ def fsck(store: ResultStore, *, now: float | None = None) -> FsckReport:
     now = time.time() if now is None else now
     report = FsckReport()
     counts: dict[str, int] = {}
-    for shard_key in store.shard_keys():
-        prefix = shard_key.rsplit("/", 1)[-1].removesuffix(".jsonl")
-        blob = store.backend.read_blob(shard_key)
-        if blob is None:
-            continue
-        for line in blob[0].decode("utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = parse_record(line)
-            except ValueError:
-                report.corrupt_lines[prefix] = report.corrupt_lines.get(prefix, 0) + 1
-                continue
+    for prefix, records, torn in store.scan_shards():
+        if torn:
+            report.corrupt_lines[prefix] = torn
+        for record in records:
             h = record["hash"]
             report.records += 1
             counts[h] = counts.get(h, 0) + 1
@@ -880,9 +854,8 @@ def fsck(store: ResultStore, *, now: float | None = None) -> FsckReport:
             report.live_leases.append(lease)
     from ..obs.events import EventLog
 
-    events = EventLog(store.backend)
-    report.events_records = len(events.records())
-    report.events_corrupt = events.torn_lines()
+    events, report.events_corrupt = EventLog(store.backend)._scan()
+    report.events_records = len(events)
     return report
 
 
@@ -1034,37 +1007,28 @@ def compact(
     # that actually landed, so lost races never double-count.
     strays: dict[str, str] = {}
     kept_total = 0
-    for shard_key in store.shard_keys():
-        prefix = shard_key.rsplit("/", 1)[-1].removesuffix(".jsonl")
+    for key in store.shard_keys():
 
-        def dedup(text: str, prefix: str = prefix) -> tuple[str, dict[str, Any]]:
-            stats: dict[str, Any] = {
-                "records_in": 0, "corrupt": 0, "dups": 0, "strays": {},
-            }
+        def dedup(
+            text: str, prefix: str = _shard_prefix(key)
+        ) -> tuple[str, dict[str, Any]]:
+            records, torn = scan_lines(text)
             keep: dict[str, str] = {}
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    record = parse_record(line)
-                except ValueError:
-                    stats["corrupt"] += 1
-                    continue
-                stats["records_in"] += 1
+            elsewhere: dict[str, str] = {}
+            dups = 0
+            for record in records:
                 h = record["hash"]
-                serialised = json.dumps(record, sort_keys=True)
-                if h.startswith(prefix):
-                    if h in keep:
-                        stats["dups"] += 1
-                    keep[h] = serialised
-                else:
-                    if h in stats["strays"]:
-                        stats["dups"] += 1
-                    stats["strays"][h] = serialised
-            stats["kept"] = len(keep)
+                filed = keep if h.startswith(prefix) else elsewhere
+                if h in filed:
+                    dups += 1
+                filed[h] = json.dumps(record, sort_keys=True)
+            stats: dict[str, Any] = {
+                "records_in": len(records), "corrupt": torn, "dups": dups,
+                "strays": elsewhere, "kept": len(keep),
+            }
             return "".join(keep[h] + "\n" for h in sorted(keep)), stats
 
-        stats = _cas_rewrite(store.backend, shard_key, dedup)
+        stats = _cas_rewrite(store.backend, key, dedup)
         report.records_in += stats["records_in"]
         report.corrupt_dropped += stats["corrupt"]
         report.duplicates_dropped += stats["dups"]
@@ -1081,20 +1045,13 @@ def compact(
     # value-irrelevant either way, duplicate records of a cell carry
     # identical values (content-derived seeds)
     for h in sorted(strays):
-        target_key = f"shards/{h[:2]}.jsonl"
 
         def refile(text: str, h: str = h) -> tuple[str, bool]:
-            present = False
-            for line in text.splitlines():
-                try:
-                    present = present or parse_record(line)["hash"] == h
-                except ValueError:
-                    continue
-            if present:
+            if any(record["hash"] == h for record in scan_lines(text)[0]):
                 return text, False
             return text + strays[h] + "\n", True
 
-        if _cas_rewrite(store.backend, target_key, refile):
+        if _cas_rewrite(store.backend, _shard_key(h[:2]), refile):
             kept_total += 1
         else:
             report.duplicates_dropped += 1
@@ -1104,7 +1061,8 @@ def compact(
     # phase 3 — prune the ledger down to live leases, one CAS rewrite
     def prune(text: str) -> tuple[str, int]:
         records = ledger._parse(text)
-        state = ledger._replay(records)
+        state: dict[str, Lease] = {}
+        ledger._apply(state, records)
         keep_lines = [
             json.dumps(r, sort_keys=True)
             for r in records
@@ -1202,21 +1160,7 @@ def declared_sweeps(
         return []
     out: list[dict[str, Any]] = []
     seen: set[tuple[str, str, int]] = set()
-    for line in blob[0].decode("utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not (
-            isinstance(record, dict)
-            and isinstance(record.get("name"), str)
-            and isinstance(record.get("scale"), str)
-            and isinstance(record.get("seed"), int)
-        ):
-            continue
+    for record in scan_lines(blob[0], _sweep_record)[0]:
         ident = (record["name"], record["scale"], record["seed"])
         if ident in seen:
             continue

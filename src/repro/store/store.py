@@ -47,7 +47,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -58,7 +58,9 @@ from .spec import STORE_SCHEMA_VERSION, RunKey, canonical_json
 if TYPE_CHECKING:
     from ..sim.montecarlo import TrialSummary
 
-__all__ = ["ResultStore", "Frame", "FRAME_SCHEMA", "record_row", "parse_record"]
+__all__ = [
+    "ResultStore", "Frame", "FRAME_SCHEMA", "record_row", "parse_record", "scan_lines",
+]
 
 #: schema tag stamped on every serialized Frame — the one canonical
 #: wire format shared by ``Frame.to_json``, ``sweep show --json`` and
@@ -71,9 +73,10 @@ _RESULT_FIELDS = ("values", "mean", "std", "median", "ci95_half_width", "failure
 def parse_record(line: str) -> dict[str, Any]:
     """Parse and validate one shard line, raising on anything torn.
 
-    The one definition of "a valid record" — shared by the load path
-    (which skips invalid lines with a warning) and by ``sweep fsck``
-    (which reports them).
+    The one definition of "a valid record": :func:`scan_lines` checks
+    every shard line with it, for the load path (which skips invalid
+    lines with a warning), ``sweep fsck`` (which reports them) and
+    ``sweep compact`` (which drops them).
 
     Parameters
     ----------
@@ -105,6 +108,53 @@ def parse_record(line: str) -> dict[str, Any]:
     ):
         raise ValueError("missing result fields")
     return record
+
+
+def scan_lines(
+    data: bytes | str, parse: Callable[[str], Any] = parse_record
+) -> tuple[list[Any], int]:
+    """Parse a JSONL blob line by line, counting torn lines.
+
+    The one line reader of every store file: the shards (with the
+    default *parse*), the claim ledger, the event log and the sweep
+    registry (each with its own record check).  Blank lines are
+    skipped; a line *parse* rejects counts as torn.
+
+    Parameters
+    ----------
+    data : bytes or str
+        The blob (UTF-8) or its text.
+    parse : callable
+        Turns one stripped line into a record, raising ``ValueError``
+        (``json.JSONDecodeError`` is one) on a torn or malformed line.
+
+    Returns
+    -------
+    (list, int)
+        The records in line order, and the torn-line count.
+    """
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    records = []
+    torn = 0
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(parse(line))
+        except ValueError:
+            torn += 1
+    return records, torn
+
+
+def _shard_key(prefix: str) -> str:
+    """The blob key of the shard filing the hashes that start *prefix*."""
+    return f"shards/{prefix}.jsonl"
+
+
+def _shard_prefix(key: str) -> str:
+    """The hash prefix a shard key files (inverse of :func:`_shard_key`)."""
+    return key.rsplit("/", 1)[-1].removesuffix(".jsonl")
 
 
 def _summary_payload(summary: TrialSummary) -> dict[str, Any]:
@@ -555,10 +605,6 @@ class ResultStore:
             raise ValueError("expected a RunKey or a hex cell hash")
         return h
 
-    @staticmethod
-    def _shard_key(prefix: str) -> str:
-        return f"shards/{prefix}.jsonl"
-
     def _load_shard(self, prefix: str) -> None:
         if self.backend is None:
             return
@@ -566,25 +612,17 @@ class ResultStore:
             if prefix in self._loaded_shards:
                 return
             self._loaded_shards.add(prefix)
-            blob = self.backend.read_blob(self._shard_key(prefix))
+            blob = self.backend.read_blob(_shard_key(prefix))
             # a changed version is re-parsed in full: last write wins
             if blob is None or self._shard_etags.get(prefix) == blob[1]:
                 return
-            bad = 0
-            for line in blob[0].decode("utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = parse_record(line)
-                except ValueError:
-                    bad += 1
-                    continue
+            records, bad = scan_lines(blob[0])
+            for record in records:
                 self._cache[record["hash"]] = record
             self._shard_etags[prefix] = blob[1]
         if bad:
             warnings.warn(
-                f"store shard {self._shard_key(prefix)} had {bad} corrupt "
+                f"store shard {_shard_key(prefix)} had {bad} corrupt "
                 "record(s); the affected cells will re-run",
                 stacklevel=2,
             )
@@ -595,7 +633,7 @@ class ResultStore:
         self._all_loaded = True
         assert self.backend is not None
         for key in self.shard_keys():
-            self._load_shard(key.rsplit("/", 1)[-1].removesuffix(".jsonl"))
+            self._load_shard(_shard_prefix(key))
 
     # ------------------------------------------------------------------
     # the store API
@@ -667,7 +705,7 @@ class ResultStore:
             # merge-safe append: one whole record per backend append, so
             # any number of worker processes can commit concurrently
             self.backend.append_line(
-                self._shard_key(key.hash[:2]), json.dumps(record, sort_keys=True)
+                _shard_key(key.hash[:2]), json.dumps(record, sort_keys=True)
             )
         self._cache[key.hash] = record
         return record
@@ -729,22 +767,22 @@ class ResultStore:
             if key.endswith(".jsonl")
         ]
 
-    def shard_paths(self) -> list[Path]:
-        """Existing shard files, sorted by name (``[]`` off-filesystem).
+    def scan_shards(self) -> Iterator[tuple[str, list[dict[str, Any]], int]]:
+        """Every shard's records as stored, read past the cache.
 
-        Returns
-        -------
-        list of Path
-            One path per ``shards/*.jsonl`` file — kept for
-            filesystem-side tooling; backend-agnostic code should use
-            :meth:`shard_keys`.
+        Yields
+        ------
+        (str, list of dict, int)
+            Per shard, in key order: its hash prefix, its valid records
+            in line order (duplicates and misplaced records included),
+            and its torn-line count — what ``sweep fsck`` and
+            ``sweep report`` check and count.
         """
-        if self.root is None:
-            return []
-        shard_dir = self.root / "shards"
-        if not shard_dir.is_dir():
-            return []
-        return sorted(shard_dir.glob("*.jsonl"))
+        for key in self.shard_keys():
+            assert self.backend is not None  # memory stores list no shards
+            blob = self.backend.read_blob(key)
+            if blob is not None:
+                yield (_shard_prefix(key), *scan_lines(blob[0]))
 
     def __len__(self) -> int:
         self._load_all()

@@ -5,10 +5,22 @@ report must attribute every cell to a worker, group percentiles
 correctly, and read ledger/event health from the store directory.
 """
 
+import re
+import warnings
+
 import pytest
 
 from repro.obs import build_report, live_top, render_top, tracer_for_store
-from repro.store import Campaign, ResultStore, SeedPolicy, SweepSpec, drain
+from repro.store import (
+    Campaign,
+    ClaimLedger,
+    ResultStore,
+    SeedPolicy,
+    SweepSpec,
+    compact,
+    drain,
+    fsck,
+)
 
 
 def make_spec(**over):
@@ -116,6 +128,71 @@ class TestBuildReport:
         assert (rows["/cell"]["requests"], rows["/cell"]["4xx"]) == (2, 1)
         assert rows["(unrouted)"]["4xx"] == 1
         assert "service requests by route" in report.render()
+
+
+def damage(store, spec):
+    """Give a traced store one of each fault its readers must count: a
+    duplicated cell, a misplaced record, a torn shard line, and a torn
+    line in ``claims.jsonl`` and ``events.jsonl``."""
+    root = store.root
+    first, second, third, fourth = (key.hash for key in spec.expand())
+    assert len({first[:2], second[:2], third[:2]}) == 3
+
+    def shard(h):
+        return root / "shards" / f"{h[:2]}.jsonl"
+
+    def append(path, text):
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(text)
+
+    (line,) = shard(first).read_text(encoding="utf-8").splitlines()
+    append(shard(first), line + "\n")  # the cell stored twice
+    (moved,) = shard(second).read_text(encoding="utf-8").splitlines()
+    shard(second).write_text("", encoding="utf-8")
+    append(shard(third), moved + "\n")  # filed under the wrong prefix
+    append(shard(third), '{"hash": "ab", "key": {torn\n')
+    ledger = ClaimLedger(root)
+    ledger.try_claim([fourth], owner="w", ttl=10.0, now=1000.0)
+    ledger.release(fourth, owner="w")
+    append(root / "claims.jsonl", '{"op": "claim", "hash": torn\n')
+    append(root / "events.jsonl", '{"kind": "phase", torn\n')
+    return third[:2]
+
+
+class TestReadersAgree:
+    def test_every_reader_counts_the_same_faults(self, traced_store):
+        torn_prefix = damage(*traced_store)
+        root = traced_store[0].root
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(ResultStore(root)) == 4
+        load_torn = sum(
+            int(m.group(1))
+            for w in caught
+            if (m := re.search(r"had (\d+) corrupt", str(w.message)))
+        )
+        health = fsck(ResultStore(root), now=2000.0)
+        with pytest.warns(UserWarning, match=f"had {load_torn} corrupt"):
+            report = build_report(ResultStore(root), now=2000.0)
+        compacted = compact(ResultStore(root), now=2000.0)
+
+        assert load_torn == 1
+        assert health.corrupt_lines == {torn_prefix: load_torn}
+        assert compacted.corrupt_dropped == load_torn
+        assert len(health.duplicates) == 1
+        assert report.ledger["double_computed"] == len(health.duplicates)
+        assert compacted.duplicates_dropped == len(health.duplicates)
+        assert len(health.misplaced) == 1
+        assert compacted.relocated == len(health.misplaced)
+        assert health.events_corrupt == 1
+        assert report.events["torn"] == health.events_corrupt
+        assert report.events["records"] == health.events_records == 21
+        # the torn claim line replays to nothing on either reader
+        assert (report.ledger["claims"], report.ledger["done"]) == (1, 1)
+        assert compacted.claims_dropped == 2
+        after = fsck(ResultStore(root), now=2000.0)
+        assert after.corrupt_lines == {} and after.misplaced == []
+        assert after.duplicates == {} and after.cells == 4
 
 
 class TestLedgerStats:

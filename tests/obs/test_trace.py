@@ -5,6 +5,8 @@ timestamps are exact — the property RPL150 enforces for the
 instrumented production code too.
 """
 
+import threading
+
 import pytest
 
 from repro.obs import (
@@ -130,6 +132,47 @@ class TestEmission:
         with tr.span("a", cell="x"):
             tr.count("cell", 3)  # counter named like an attribute
         assert records[0]["cell"] == "x" and records[0]["c_cell"] == 3
+
+    def test_a_tracer_with_a_sink_keeps_no_spans(self):
+        records = []
+        tr = Tracer(clock=FakeClock(), sink=records.append, worker="w")
+        for _ in range(1000):
+            with tr.span("serve", kind="http"):
+                pass
+        assert len(records) == 1000
+        assert tr.spans == []
+
+
+class TestThreads:
+    def test_each_thread_annotates_its_own_span(self):
+        """Two handler threads on one tracer, interleaved: A opens, B
+        opens, A annotates and closes, then B annotates and closes."""
+        records = []
+        tr = Tracer(clock=FakeClock(), sink=records.append, worker="w")
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+
+        def handler_a():
+            with tr.span("serve", kind="http", route="/frame"):
+                a_open.set()
+                assert b_open.wait(10)
+                tr.annotate(status=200)
+            a_closed.set()
+
+        def handler_b():
+            assert a_open.wait(10)
+            with tr.span("serve", kind="http", route="/cell"):
+                b_open.set()
+                assert a_closed.wait(10)
+                tr.annotate(status=404)
+
+        threads = [threading.Thread(target=f) for f in (handler_a, handler_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [(r["route"], r.get("status")) for r in records] == [
+            ("/frame", 200), ("/cell", 404),
+        ]
 
 
 class TestNullTracer:

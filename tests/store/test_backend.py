@@ -643,7 +643,8 @@ class TestLostCASRace:
         # the rival holding h1 and claimed only h2
         assert racing.cas_calls == 2
         assert won == ["h2"]
-        leases = ledger.active(now=1.0)
+        leases = ledger.leases()
+        assert not any(lease.expired(1.0) for lease in leases.values())
         assert leases["h1"].owner == "rival"
         assert leases["h2"].owner == "loser"
         # exactly one claim line per hash: nothing double-appended

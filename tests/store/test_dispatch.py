@@ -41,6 +41,19 @@ def make_spec(**over):
     return SweepSpec(**base)
 
 
+def live_leases(ledger):
+    """The ledger's leases that have not expired by now."""
+    now = time.time()
+    return {h: ls for h, ls in ledger.leases().items() if not ls.expired(now)}
+
+
+def full_replay(ledger):
+    """The lease state of every record in the ledger, replayed at once."""
+    state = {}
+    ClaimLedger._apply(state, ledger.records())
+    return state
+
+
 @pytest.fixture()
 def reference():
     """Uninterrupted single-worker values for the 2x2 spec."""
@@ -73,14 +86,14 @@ class TestClaimLedger:
         # a second worker (separate handle) cannot win a live lease
         assert b.try_claim(["h1"], owner="B") == []
         assert b.try_claim(["h1", "h2"], owner="B") == ["h2"]
-        leases = a.active()
+        leases = live_leases(a)
         assert leases["h1"].owner == "A" and leases["h2"].owner == "B"
 
     def test_release_clears_the_lease(self, tmp_path):
         ledger = ClaimLedger(tmp_path)
         ledger.try_claim(["h1"], owner="A")
         ledger.release("h1", owner="A")
-        assert ledger.active() == {}
+        assert live_leases(ledger) == {}
         # and the cell is claimable again
         assert ledger.try_claim(["h1"], owner="B") == ["h1"]
 
@@ -114,7 +127,7 @@ class TestClaimLedger:
         assert a.try_claim(["h2"], owner="A") == ["h2"]
         # the claim starts its own line instead of gluing onto the tail
         assert b.try_claim(["h2"], owner="B") == []
-        assert set(b.active()) == {"h1", "h2"}
+        assert set(live_leases(b)) == {"h1", "h2"}
 
     def test_release_after_a_torn_tail_is_seen(self, tmp_path):
         ledger = ClaimLedger(tmp_path)
@@ -122,7 +135,7 @@ class TestClaimLedger:
         with ledger.path.open("a", encoding="utf-8") as fh:
             fh.write('{"op": "claim", "hash": "h9", torn')
         ledger.release("h1", owner="A")
-        assert ClaimLedger(tmp_path).active() == {}
+        assert live_leases(ClaimLedger(tmp_path)) == {}
 
     def test_release_validates_op(self, tmp_path):
         with pytest.raises(ValueError, match="done/abandon"):
@@ -198,7 +211,7 @@ def test_incremental_replay_equals_full_replay(steps):
                 assert seen[h].owner == f"w{worker}"
         for each in ledgers:
             _, _, state = each._read()
-            assert state == ClaimLedger._replay(each.records())
+            assert state == full_replay(each)
 
 
 class _CommitBeforeClaimRead:
@@ -289,7 +302,7 @@ class TestDrain:
         assert len(report.ran) == 1 and len(report.deferred) == 3
         assert not report.complete
         # the claim ledger holds no leases for the deferred cells
-        assert ClaimLedger(tmp_path / "s").active() == {}
+        assert live_leases(ClaimLedger(tmp_path / "s")) == {}
 
     def test_cells_leased_elsewhere_are_deferred_not_stolen(self, tmp_path):
         spec = make_spec()
@@ -300,7 +313,7 @@ class TestDrain:
         report = drain(spec, store, owner="w1")
         assert len(report.ran) == 3
         assert report.deferred == [cells[0].hash]
-        assert ledger.active()[cells[0].hash].owner == "other"
+        assert live_leases(ledger)[cells[0].hash].owner == "other"
 
     def test_expired_foreign_lease_is_reclaimed(self, tmp_path, reference):
         # a worker "crashed" mid-cell: its lease expired without release
@@ -459,7 +472,7 @@ class TestFsck:
         spec = make_spec()
         store = ResultStore(tmp_path / "s")
         drain(spec, store, owner="w1")
-        shard = store.shard_paths()[0]
+        shard = store.root / store.shard_keys()[0]
         with shard.open("a", encoding="utf-8") as fh:
             fh.write('{"hash": "abc", "key": {torn')
         report = fsck(store)
@@ -603,7 +616,7 @@ class TestCompact:
         report = compact(store, force=True)
         assert report.records_out == 4
         # the live lease survives the forced compaction
-        assert set(ClaimLedger(store.root).active()) == {"h"}
+        assert set(live_leases(ClaimLedger(store.root))) == {"h"}
 
     def test_memory_store_is_rejected(self):
         with pytest.raises(ValueError, match="disk-backed"):

@@ -74,6 +74,16 @@ class TestDispatchSmoke:
         assert "raw_lines == len(records)" in source
         assert 'ops == ["claim", "done"]' in source
 
+    def test_smoke_pins_report_and_fsck_agreement(self):
+        """After the drain, ``sweep report`` and ``sweep fsck`` must
+        count the same double-computed cells and torn event lines."""
+        source = (REPO / "ci" / "smoke_dispatch.py").read_text(encoding="utf-8")
+        assert (
+            'store_report.ledger["double_computed"] == len(health.duplicates)'
+            in source
+        )
+        assert 'store_report.events["torn"] == health.events_corrupt' in source
+
 
 class TestServiceSmoke:
     def test_serve_declare_loop_drain_passes(self):
