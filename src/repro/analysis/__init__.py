@@ -6,7 +6,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".scaling", (
         "PowerLawFit",
         "ShapeFit",
-        "doubling_ratios",
         "fit_constant_to_shape",
         "fit_power_law",
         "fit_power_law_rows",

@@ -17,7 +17,6 @@ __all__ = [
     "PowerLawFit",
     "fit_power_law",
     "fit_power_law_rows",
-    "doubling_ratios",
     "ShapeFit",
     "fit_constant_to_shape",
 ]
@@ -85,17 +84,6 @@ def fit_power_law_rows(rows: Sequence[dict], *, x: str, y: str = "mean") -> Powe
     ys = [row.get(y) for row in rows]
     to_f = lambda v: float("nan") if v is None else float(v)  # noqa: E731
     return fit_power_law([to_f(v) for v in xs], [to_f(v) for v in ys])
-
-
-def doubling_ratios(x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    """``log2(y_{i+1}/y_i) / log2(x_{i+1}/x_i)`` — local exponents
-    between consecutive ladder rungs (useful to spot non-power-law
-    curvature a single global fit would hide)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need two equal-length arrays of >= 2 points")
-    return np.log2(y[1:] / y[:-1]) / np.log2(x[1:] / x[:-1])
 
 
 @dataclass(frozen=True)

@@ -40,18 +40,12 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "stochastic_dominance_fraction",
         "walt_dominates_cobra_report",
     )),
-    (".extensions", (
-        "DegreeProportionalBranching",
-        "GeneralizedCobraWalk",
-        "RandomBranching",
-        "generalized_cobra_cover_time",
-    )),
     (".grid_walk", (
         "PessimisticGridWalk",
         "grid_chain_hitting_time",
         "lemma4_drift_bounds",
     )),
-    (".hitting", ("max_hitting_time_estimate", "pair_hitting_matrix")),
+    (".hitting", ("max_hitting_time_estimate",)),
     (".matthews", ("MatthewsCheck", "matthews_check")),
     (".walt", (
         "WaltProcess",

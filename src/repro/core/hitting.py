@@ -16,7 +16,6 @@ from ..sim.rng import SeedLike, resolve_rng, spawn_seeds
 
 __all__ = [
     "max_hitting_time_estimate",
-    "pair_hitting_matrix",
 ]
 
 
@@ -101,40 +100,3 @@ def max_hitting_time_estimate(
             stacklevel=2,
         )
     return hmax
-
-
-def pair_hitting_matrix(
-    graph: Graph,
-    *,
-    k: int = 2,
-    trials: int = 5,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Full ``n × n`` matrix of estimated cobra hitting times (small
-    graphs only: quadratic × trials cost).  Diagonal is zero; an entry
-    whose every trial exhausted the budget is ``nan`` (no RuntimeWarning
-    is emitted — the caller sees the nan directly)."""
-    from ..sim.facade import run_batch
-
-    n = graph.n
-    if n > 60:
-        raise ValueError(f"pair_hitting_matrix is quadratic; n={n} too large")
-    out = np.zeros((n, n))
-    seeds = spawn_seeds(seed, n * n)
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            out[u, v] = run_batch(
-                graph,
-                "cobra",
-                metric="hit",
-                trials=trials,
-                start=u,
-                target=v,
-                seed=seeds[u * n + v],
-                max_steps=max_steps,
-                k=k,
-            ).mean
-    return out

@@ -7,7 +7,7 @@ from .grid import grid as grid
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".base", ("Graph", "sample_uniform_neighbors")),
-    (".builders", ("from_adjacency", "from_dense", "from_edge_list", "from_networkx")),
+    (".builders", ("from_edge_list", "from_networkx")),
     (".checks", (
         "bfs_distances",
         "connected_components",
@@ -23,20 +23,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "complete_bipartite",
         "complete_graph",
         "cycle_graph",
-        "double_star",
         "lollipop",
         "path_graph",
         "star_graph",
-        "wheel_graph",
     )),
-    (".expanders", (
-        "chordal_cycle",
-        "circulant",
-        "hypercube",
-        "is_prime",
-        "margulis",
-        "random_regular",
-    )),
+    (".expanders", ("circulant", "hypercube", "random_regular")),
     (".grid", ("grid", "grid_coords", "grid_manhattan", "grid_vertex", "torus")),
     (".implicit", (
         "IMPLICIT_TOPOLOGIES",
@@ -54,28 +45,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "to_csr",
         "torus_oracle",
     )),
-    (".named", ("de_bruijn_undirected", "kneser_graph", "petersen", "ring_of_cliques")),
+    (".named", ("kneser_graph", "petersen")),
     (".product", (
         "WaltPairChain",
         "cartesian_product",
         "tensor_product",
         "walt_pair_chain",
     )),
-    (".random_graphs", (
-        "barabasi_albert",
-        "chung_lu_powerlaw",
-        "erdos_renyi",
-        "gnm_random",
-        "largest_component",
-        "random_geometric",
-        "watts_strogatz",
-    )),
-    (".trees", (
-        "balanced_binary_tree",
-        "caterpillar",
-        "kary_tree",
-        "kary_tree_depth",
-        "random_tree",
-        "spider",
-    )),
+    (".random_graphs", ("chung_lu_powerlaw", "largest_component", "random_geometric")),
+    (".trees", ("balanced_binary_tree", "kary_tree", "kary_tree_depth")),
 ))

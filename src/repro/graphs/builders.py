@@ -8,7 +8,7 @@ these slow paths.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -16,9 +16,7 @@ from .base import Graph
 
 __all__ = [
     "from_edge_list",
-    "from_adjacency",
     "from_networkx",
-    "from_dense",
     "csr_from_sorted_edges",
 ]
 
@@ -73,33 +71,6 @@ def from_edge_list(
     return csr_from_sorted_edges(n, src, dst, name=name, meta=meta)
 
 
-def from_adjacency(
-    adjacency: Mapping[int, Sequence[int]] | Sequence[Sequence[int]],
-    *,
-    n: int | None = None,
-    name: str = "graph",
-    meta: Mapping | None = None,
-) -> Graph:
-    """Build a graph from adjacency lists.
-
-    ``adjacency`` may be a mapping ``{u: [v, ...]}`` or a sequence whose
-    index is the vertex id.  Edges need only be listed in one direction;
-    the result is symmetrised.
-    """
-    if isinstance(adjacency, Mapping):
-        items = adjacency.items()
-        max_v = max((max([u, *vs], default=u) for u, vs in items), default=-1)
-    else:
-        items = enumerate(adjacency)
-        max_v = len(adjacency) - 1
-        for u, vs in enumerate(adjacency):
-            for v in vs:
-                max_v = max(max_v, v)
-    count = (max_v + 1) if n is None else n
-    edges = [(u, v) for u, vs in (adjacency.items() if isinstance(adjacency, Mapping) else enumerate(adjacency)) for v in vs]
-    return from_edge_list(count, edges, name=name, meta=meta)
-
-
 def from_networkx(g, *, name: str | None = None) -> Graph:
     """Convert a :class:`networkx.Graph`.
 
@@ -118,17 +89,3 @@ def from_networkx(g, *, name: str | None = None) -> Graph:
     index = {u: i for i, u in enumerate(nodes)}
     edges = [(index[u], index[v]) for u, v in g.edges() if u != v]
     return from_edge_list(len(nodes), edges, name=name or "networkx")
-
-
-def from_dense(matrix: np.ndarray, *, name: str = "dense", meta: Mapping | None = None) -> Graph:
-    """Build a graph from a symmetric 0/1 adjacency matrix."""
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency matrix must be symmetric")
-    if np.any(np.diag(a) != 0):
-        raise ValueError("adjacency matrix must have an empty diagonal")
-    src, dst = np.nonzero(a)
-    keep = src < dst
-    return from_edge_list(a.shape[0], np.column_stack([src[keep], dst[keep]]), name=name, meta=meta)

@@ -21,8 +21,6 @@ __all__ = [
     "complete_bipartite",
     "lollipop",
     "barbell",
-    "wheel_graph",
-    "double_star",
 ]
 
 
@@ -119,24 +117,3 @@ def barbell(n: int) -> Graph:
     chain = [c - 1, *range(c, hi), hi]
     edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     return from_edge_list(n, edges, name=f"barbell({n})", meta={"clique": c, "path": path_len})
-
-
-def wheel_graph(n: int) -> Graph:
-    """Wheel: hub 0 joined to an ``n - 1``-cycle."""
-    if n < 4:
-        raise ValueError("wheel needs at least 4 vertices")
-    rim = np.arange(1, n, dtype=np.int64)
-    edges = [(0, int(v)) for v in rim]
-    edges += [(int(rim[i]), int(rim[(i + 1) % (n - 1)])) for i in range(n - 1)]
-    return from_edge_list(n, edges, name=f"wheel({n})")
-
-
-def double_star(a: int, b: int) -> Graph:
-    """Two adjacent hubs with ``a`` and ``b`` leaves respectively."""
-    if a < 0 or b < 0:
-        raise ValueError("leaf counts must be non-negative")
-    n = a + b + 2
-    edges = [(0, 1)]
-    edges += [(0, 2 + i) for i in range(a)]
-    edges += [(1, 2 + a + i) for i in range(b)]
-    return from_edge_list(n, edges, name=f"double_star({a},{b})")

@@ -2,9 +2,8 @@
 
 Theorem 8 / Corollary 9 are exercised on regular graphs whose
 conductance we can either compute or control: hypercubes, random
-regular graphs (configuration model with switching repairs), the
-Margulis–Gabber–Galil construction, chordal-cycle (inverse-map)
-expanders, and circulants.
+regular graphs (configuration model with switching repairs), and
+circulants.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from ..sim.rng import SeedLike, resolve_rng
 __all__ = [
     "hypercube",
     "random_regular",
-    "margulis",
-    "chordal_cycle",
     "circulant",
-    "is_prime",
 ]
 
 
@@ -102,91 +98,6 @@ def _pair_and_repair(n: int, d: int, rng: np.random.Generator) -> np.ndarray | N
                 continue
             src[i], dst[i], src[j], dst[j] = a, e, c, b
     return None
-
-
-def margulis(m: int) -> Graph:
-    """Margulis–Gabber–Galil expander on ``Z_m × Z_m`` (simplified).
-
-    Vertex ``(x, y)`` is joined to ``(x ± y, y)``, ``(x ± y + 1, y)``? —
-    we use the standard 8-map variant ``(x ± y, y)``, ``(x ± (y+1), y)``,
-    ``(x, y ± x)``, ``(x, y ± (x+1))`` (arithmetic mod ``m``).  The
-    textbook object is an 8-regular multigraph with constant spectral
-    gap; we return its *simplification* (loops dropped, parallels
-    merged), which keeps the expansion but makes degrees vary in
-    ``{4..8}``.  ``meta['regular'] = False`` records this substitution.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    n = m * m
-    ids = np.arange(n, dtype=np.int64)
-    x, y = ids % m, ids // m
-
-    def enc(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        return (yy % m) * m + (xx % m)
-
-    targets = [
-        enc(x + y, y),
-        enc(x - y, y),
-        enc(x + y + 1, y),
-        enc(x - y - 1, y),
-        enc(x, y + x),
-        enc(x, y - x),
-        enc(x, y + x + 1),
-        enc(x, y - x - 1),
-    ]
-    src = np.tile(ids, len(targets))
-    dst = np.concatenate(targets)
-    keep = src != dst
-    return from_edge_list(
-        n,
-        np.column_stack([src[keep], dst[keep]]),
-        name=f"margulis({m})",
-        meta={"m": m, "regular": False},
-    )
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller–Rabin for 64-bit integers."""
-    if p < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p % small == 0:
-            return p == small
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def chordal_cycle(p: int) -> Graph:
-    """Chordal-cycle expander on ``Z_p`` (``p`` prime): ``x ~ x ± 1`` and
-    ``x ~ x^{-1} (mod p)``; vertex 0 gets only the cycle edges.
-
-    A classic 3-regular-ish expander (Lubotzky); after simplification
-    (fixed points of inversion, the 0 vertex) a handful of vertices
-    have degree 2.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p={p} must be prime")
-    x = np.arange(p, dtype=np.int64)
-    nxt = (x + 1) % p
-    edges = [np.column_stack([x, nxt])]
-    xs = np.arange(1, p, dtype=np.int64)
-    inv = np.array([pow(int(v), p - 2, p) for v in xs], dtype=np.int64)
-    keep = inv != xs
-    edges.append(np.column_stack([xs[keep], inv[keep]]))
-    return from_edge_list(p, np.concatenate(edges), name=f"chordal_cycle({p})")
 
 
 def circulant(n: int, offsets: list[int]) -> Graph:

@@ -1,18 +1,12 @@
-"""Named graphs and structured families used across the experiments.
+"""Named graphs used across the experiments.
 
-* :func:`petersen` / :func:`kneser_graph` — classic 3-regular
-  non-bipartite expander-ish graphs, ideal Lemma 11 bases;
-* :func:`de_bruijn_undirected` — the undirected de Bruijn graph, the
-  classical P2P overlay topology (the dissemination motivation);
-* :func:`ring_of_cliques` — a tunable low-conductance regular-ish
-  family (cliques on a cycle) for conductance sweeps.
+:func:`petersen` / :func:`kneser_graph` are classic 3-regular
+non-bipartite expander-ish graphs, ideal Lemma 11 bases.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from .base import Graph
 from .builders import from_edge_list
@@ -20,8 +14,6 @@ from .builders import from_edge_list
 __all__ = [
     "petersen",
     "kneser_graph",
-    "de_bruijn_undirected",
-    "ring_of_cliques",
 ]
 
 
@@ -46,62 +38,4 @@ def petersen() -> Graph:
     g = kneser_graph(5, 2)
     return from_edge_list(
         g.n, g.edges(), name="petersen", meta={"conductance_exact": 1 / 3}
-    )
-
-
-def de_bruijn_undirected(symbols: int, length: int) -> Graph:
-    """Undirected de Bruijn graph ``B(symbols, length)``.
-
-    Vertices are strings of the given *length* over *symbols* letters;
-    ``u ~ v`` iff one is a left- or right-shift of the other.  The
-    classical constant-degree overlay with logarithmic diameter (a
-    natural testbed for the paper's message-passing story).  Self-loops
-    (constant strings) are dropped, so degrees vary in
-    ``{2(symbols)-2 .. 2·symbols}``.
-    """
-    if symbols < 2 or length < 1:
-        raise ValueError("need symbols >= 2 and length >= 1")
-    n = symbols**length
-    if n > 2_000_000:
-        raise ValueError("de Bruijn graph too large")
-    ids = np.arange(n, dtype=np.int64)
-    base = symbols ** (length - 1)
-    edges = []
-    for s in range(symbols):
-        # right shift: append symbol s -> (v mod base) * symbols + s
-        targets = (ids % base) * symbols + s
-        keep = targets != ids
-        edges.append(np.column_stack([ids[keep], targets[keep]]))
-    return from_edge_list(
-        n, np.concatenate(edges), name=f"debruijn({symbols},{length})"
-    )
-
-
-def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:
-    """``num_cliques`` copies of ``K_{clique_size}`` arranged in a cycle,
-    consecutive cliques joined by one bridge edge.
-
-    Conductance is ``Θ(1 / (num_cliques · clique_size²))`` — a tunable
-    bottleneck family for Theorem 8 sweeps, with cliques as the
-    "well-mixed islands" and bridges as the bottleneck.
-    """
-    if num_cliques < 3 or clique_size < 2:
-        raise ValueError("need >= 3 cliques of size >= 2")
-    n = num_cliques * clique_size
-    edges = []
-    for c in range(num_cliques):
-        base = c * clique_size
-        edges += [
-            (base + i, base + j)
-            for i in range(clique_size)
-            for j in range(i + 1, clique_size)
-        ]
-        nxt = ((c + 1) % num_cliques) * clique_size
-        # bridge: last vertex of this clique to first of the next
-        edges.append((base + clique_size - 1, nxt))
-    return from_edge_list(
-        n,
-        edges,
-        name=f"ring_of_cliques({num_cliques},{clique_size})",
-        meta={"num_cliques": num_cliques, "clique_size": clique_size},
     )

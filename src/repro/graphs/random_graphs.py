@@ -2,10 +2,8 @@
 
 Theorem 8's discussion names power-law graphs and random geometric
 graphs as families with useful conductance; these generators supply
-them, along with Erdős–Rényi, Barabási–Albert and Watts–Strogatz
-controls.  All are seeded and implemented from scratch (skip-sampling
-for sparse G(n, p), Miller–Hagberg style weight sampling for Chung–Lu,
-cell lists for geometric graphs).
+them.  Both are seeded and implemented from scratch (Miller–Hagberg
+style weight sampling for Chung–Lu, cell lists for geometric graphs).
 """
 
 from __future__ import annotations
@@ -17,88 +15,10 @@ from .builders import from_edge_list
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
-    "erdos_renyi",
-    "gnm_random",
-    "barabasi_albert",
     "chung_lu_powerlaw",
     "random_geometric",
-    "watts_strogatz",
     "largest_component",
 ]
-
-
-def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
-    """G(n, p) via geometric skip-sampling over the ``n·(n-1)/2`` pairs
-    (O(m) expected work, no dense mask)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    rng = resolve_rng(seed)
-    if p == 0.0 or n < 2:
-        return from_edge_list(max(n, 0), [], name=f"gnp({n},{p})")
-    if p == 1.0:
-        from .classic import complete_graph
-
-        return complete_graph(n)
-    total = n * (n - 1) // 2
-    edges = []
-    pos = -1
-    log1mp = np.log1p(-p)
-    while True:
-        # skip ~ Geometric(p): number of misses before the next edge
-        skip = int(np.floor(np.log(1.0 - rng.random()) / log1mp))
-        pos += skip + 1
-        if pos >= total:
-            break
-        # decode linear pair index -> (u, v), u < v (row-major upper triangle)
-        u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * pos)) // 2)
-        v = int(pos - u * (2 * n - u - 1) // 2 + u + 1)
-        edges.append((u, v))
-    return from_edge_list(n, edges, name=f"gnp({n},{p})")
-
-
-def gnm_random(n: int, m: int, seed: SeedLike = None) -> Graph:
-    """G(n, m): exactly ``m`` distinct uniform edges."""
-    total = n * (n - 1) // 2
-    if m > total:
-        raise ValueError(f"m={m} exceeds the {total} possible edges")
-    rng = resolve_rng(seed)
-    chosen: set[int] = set()
-    while len(chosen) < m:
-        need = m - len(chosen)
-        draw = rng.integers(0, total, size=2 * need + 8)
-        for t in draw:
-            chosen.add(int(t))
-            if len(chosen) == m:
-                break
-    edges = []
-    for pos in chosen:
-        u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * pos)) // 2)
-        v = int(pos - u * (2 * n - u - 1) // 2 + u + 1)
-        edges.append((u, v))
-    return from_edge_list(n, edges, name=f"gnm({n},{m})")
-
-
-def barabasi_albert(n: int, m: int, seed: SeedLike = None) -> Graph:
-    """Preferential attachment: each arriving vertex attaches to ``m``
-    distinct existing vertices chosen ∝ degree (repeated-targets list)."""
-    if m < 1 or m >= n:
-        raise ValueError("need 1 <= m < n")
-    rng = resolve_rng(seed)
-    targets = list(range(m))  # start from an m-clique-ish seed star
-    repeated: list[int] = []
-    edges = []
-    for v in range(m, n):
-        chosen = set()
-        while len(chosen) < m:
-            if repeated and rng.random() > 1.0 / (len(repeated) + 1):
-                cand = repeated[int(rng.integers(0, len(repeated)))]
-            else:
-                cand = int(rng.integers(0, v))
-            chosen.add(cand)
-        for u in chosen:
-            edges.append((u, v))
-            repeated.extend([u, v])
-    return from_edge_list(n, edges, name=f"ba({n},{m})")
 
 
 def chung_lu_powerlaw(
@@ -182,33 +102,6 @@ def random_geometric(n: int, radius: float, seed: SeedLike = None) -> Graph:
                         if (dx == 0 and dy == 0 and a < b) or (dx, dy) != (0, 0):
                             edges.append((int(a), int(b)))
     return from_edge_list(n, edges, name=f"rgg({n},r={radius:.3f})", meta={"points": pts})
-
-
-def watts_strogatz(n: int, k: int, beta: float, seed: SeedLike = None) -> Graph:
-    """Watts–Strogatz small world: ring lattice with ``k`` nearest
-    neighbors per side, each edge rewired with probability *beta*."""
-    if k < 1 or 2 * k >= n:
-        raise ValueError("need 1 <= k and 2k < n")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
-    rng = resolve_rng(seed)
-    present: set[tuple[int, int]] = set()
-    for u in range(n):
-        for s in range(1, k + 1):
-            v = (u + s) % n
-            present.add((min(u, v), max(u, v)))
-    edges = list(present)
-    for idx, (u, v) in enumerate(edges):
-        if rng.random() < beta:
-            for _ in range(32):
-                w = int(rng.integers(0, n))
-                cand = (min(u, w), max(u, w))
-                if w != u and cand not in present:
-                    present.discard((u, v))
-                    present.add(cand)
-                    edges[idx] = cand
-                    break
-    return from_edge_list(n, list(present), name=f"ws({n},{k},{beta})")
 
 
 def largest_component(graph: Graph) -> Graph:

@@ -4,7 +4,7 @@ The paper remarks (Section 3) that the two-step case analysis of
 Lemma 2 shows 2-cobra walks on ``k``-ary trees cover in time
 proportional to the diameter for ``k ∈ {2, 3}`` and conjectures the
 same for every constant ``k`` — the ``TREES_kary`` experiment probes
-this.  Random trees come from uniform Prüfer sequences.
+this.
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ import numpy as np
 
 from .base import Graph
 from .builders import from_edge_list
-from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
     "kary_tree",
     "balanced_binary_tree",
-    "spider",
-    "caterpillar",
-    "random_tree",
     "kary_tree_depth",
 ]
 
@@ -61,61 +57,3 @@ def kary_tree_depth(k: int, n_min: int) -> int:
         depth += 1
         n = (k ** (depth + 1) - 1) // (k - 1)
     return depth
-
-
-def spider(legs: int, leg_length: int) -> Graph:
-    """A hub with *legs* paths of *leg_length* vertices each."""
-    if legs < 1 or leg_length < 1:
-        raise ValueError("legs and leg_length must be >= 1")
-    n = 1 + legs * leg_length
-    edges = []
-    for leg in range(legs):
-        first = 1 + leg * leg_length
-        edges.append((0, first))
-        edges += [(first + i, first + i + 1) for i in range(leg_length - 1)]
-    return from_edge_list(n, edges, name=f"spider({legs},{leg_length})")
-
-
-def caterpillar(spine: int, legs_per_vertex: int) -> Graph:
-    """A path of *spine* vertices, each with *legs_per_vertex* pendant leaves."""
-    if spine < 2:
-        raise ValueError("spine must have >= 2 vertices")
-    if legs_per_vertex < 0:
-        raise ValueError("legs_per_vertex must be >= 0")
-    n = spine * (1 + legs_per_vertex)
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for s in range(spine):
-        for _ in range(legs_per_vertex):
-            edges.append((s, nxt))
-            nxt += 1
-    return from_edge_list(n, edges, name=f"caterpillar({spine},{legs_per_vertex})")
-
-
-def random_tree(n: int, seed: SeedLike = None) -> Graph:
-    """Uniformly random labelled tree on ``n`` vertices via Prüfer decode."""
-    if n < 1:
-        raise ValueError("tree needs at least 1 vertex")
-    if n == 1:
-        return from_edge_list(1, [], name="random_tree(1)")
-    if n == 2:
-        return from_edge_list(2, [(0, 1)], name="random_tree(2)")
-    rng = resolve_rng(seed)
-    prufer = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
-    np.add.at(degree, prufer, 1)
-    edges = []
-    # classic O(n log n) decode with a heap of current leaves
-    import heapq
-
-    leaves = [int(v) for v in np.flatnonzero(degree == 1)]
-    heapq.heapify(leaves)
-    for code in prufer:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(code)))
-        degree[code] -= 1
-        if degree[code] == 1:
-            heapq.heappush(leaves, int(code))
-    last = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((int(last[0]), int(last[1])))
-    return from_edge_list(n, edges, name=f"random_tree({n})")

@@ -4,9 +4,11 @@ The AST rules in :mod:`repro.lint.rules` see files one at a time; this
 module loads the actual registries and verifies the cross-cutting
 contracts static text cannot:
 
-* **RPL200** — every registered sweep builds and expands to a
-  non-empty cell list at both scales (a sweep that raises on
-  ``expand()`` is dead weight the CLI will trip over);
+* **RPL200** — every registered sweep builds, names a graph builder
+  :func:`~repro.store.spec.resolve_graph_builder` finds, and expands
+  to a non-empty cell list at both scales (a sweep that raises on
+  ``expand()`` or cannot build its graphs is dead weight the CLI will
+  trip over);
 * **RPL201** — every ``ProcessSpec`` batch engine and factory accepts
   the keyword protocol ``run_batch`` drives it with (``trials``,
   ``start``, ``seed``, ``max_steps``, plus ``target`` for hit
@@ -185,12 +187,17 @@ def _finding(rule: str, where: str, message: str) -> Finding:
 def audit_sweeps() -> list[Finding]:
     """RPL200: every registered sweep expands at quick and full scale.
 
+    ``SweepSpec.expand`` never looks the graph builder up, so each
+    spec's ``graph`` is also resolved here, by the same rule as
+    ``RunKey.build_graph``.
+
     Returns
     -------
     list of Finding
-        One finding per sweep spec that fails to build or expands to
-        an empty cell list.
+        One finding per sweep spec that fails to build, names an
+        unknown graph builder, or expands to an empty cell list.
     """
+    from ..store.spec import resolve_graph_builder
     from ..store.sweeps import build_sweep, sweep_names
 
     findings: list[Finding] = []
@@ -199,6 +206,16 @@ def audit_sweeps() -> list[Finding]:
             try:
                 specs = build_sweep(name, scale=scale, seed=0)
                 for spec in specs:
+                    try:
+                        resolve_graph_builder(spec.graph)
+                    except ValueError as exc:
+                        findings.append(
+                            _finding(
+                                "RPL200",
+                                f"sweep:{name}",
+                                f"spec {spec.name!r} at scale={scale!r}: {exc}",
+                            )
+                        )
                     if not spec.expand():
                         findings.append(
                             _finding(
@@ -348,25 +365,24 @@ def audit_implicit_oracles() -> list[Finding]:
         One finding per broken topology.
     """
     from ..graphs.implicit import IMPLICIT_TOPOLOGIES, NeighborOracle
-    from ..store.spec import RunKey
+    from ..store.spec import RunKey, resolve_graph_builder
 
     findings: list[Finding] = []
     for name, (builder_name, params) in sorted(IMPLICIT_TOPOLOGIES.items()):
         where = f"implicit:{name}"
         try:
-            import repro.graphs as graphs_mod
-
-            builder = getattr(graphs_mod, builder_name, None)
-            if builder is None or not callable(builder):
-                findings.append(
-                    _finding(
-                        "RPL203",
-                        where,
-                        f"builder {builder_name!r} is not exported by "
-                        "repro.graphs (RunKey.build_graph cannot resolve it)",
-                    )
+            builder = resolve_graph_builder(builder_name)
+        except ValueError:
+            findings.append(
+                _finding(
+                    "RPL203",
+                    where,
+                    f"builder {builder_name!r} is not exported by "
+                    "repro.graphs (RunKey.build_graph cannot resolve it)",
                 )
-                continue
+            )
+            continue
+        try:
             oracle = builder(**params)
             if not isinstance(oracle, NeighborOracle):
                 findings.append(

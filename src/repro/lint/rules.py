@@ -1001,7 +1001,8 @@ register_rule(
         severity=ERROR,
         title="registered sweep fails to build/expand (contract audit)",
         invariant=(
-            "Every sweep in repro.store.sweeps builds and expands to a "
+            "Every sweep in repro.store.sweeps builds, names a graph "
+            "builder repro.graphs exports, and expands to a "
             "non-empty RunKey list at quick and full scale. The CLI, the "
             "dispatch workers, and the CI smokes all call expand() "
             "unconditionally; a sweep that raises there is a landmine in "

@@ -1,12 +1,11 @@
-"""Simulation harness: RNG streams, stepping engine, the process
-registry, the ``simulate``/``run_batch`` facade, and Monte-Carlo
-trials."""
+"""Simulation harness: RNG streams, the process registry, the
+``simulate``/``run_batch`` facade, and Monte-Carlo trials."""
 
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, (
-    (".engine", ("SteppingProcess", "run_process")),
     (".processes", (
+        "SteppingProcess",
         "ProcessSpec",
         "register_process",
         "get_process",
@@ -40,7 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".record", ("CoverageCurve", "coverage_curve", "time_to_cover_fraction")),
     (".rng", (
         "SeedLike",
-        "random_choice_weighted",
         "resolve_rng",
         "resolve_seed_sequence",
         "spawn_rngs",

@@ -4,7 +4,7 @@ Mirrors :mod:`repro.experiments.registry` for the *processes* the paper
 compares — cobra walks, Walt, simple/lazy/parallel random walks,
 branching, coalescing, gossip push/pull, and biased walks.  Each
 :class:`ProcessSpec` bundles a factory returning a
-:class:`~repro.sim.engine.SteppingProcess` together with declared
+:class:`SteppingProcess` together with declared
 capabilities (which metrics make sense) and the process's default step
 budget, so the :mod:`repro.sim.facade` can drive any of them through
 one ``simulate()`` / ``run_batch()`` entry point.
@@ -41,18 +41,31 @@ import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import Any, Protocol, runtime_checkable
 
 from ..graphs.base import Graph
-from .engine import SteppingProcess
 
 __all__ = [
+    "SteppingProcess",
     "ProcessSpec",
     "register_process",
     "get_process",
     "all_processes",
     "process_names",
 ]
+
+
+@runtime_checkable
+class SteppingProcess(Protocol):
+    """Structural interface of a steppable process: every process class
+    (cobra, Walt, random walks, branching, coalescing) exposes ``step()``
+    and a monotone step counter ``t``."""
+
+    t: int
+
+    def step(self) -> object:  # pragma: no cover - protocol
+        """Advance the process by one step."""
+
 
 #: the metric vocabulary understood by the facade
 METRICS = ("cover", "hit", "spread", "coalesce", "min")

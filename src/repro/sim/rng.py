@@ -26,7 +26,6 @@ __all__ = [
     "resolve_seed_sequence",
     "spawn_seeds",
     "spawn_rngs",
-    "random_choice_weighted",
 ]
 
 #: Anything accepted by the ``seed=`` parameter of repro's stochastic APIs.
@@ -76,27 +75,3 @@ def spawn_seeds(seed: SeedLike, n: int) -> list[np.random.SeedSequence]:
 def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     """Derive *n* independent generators from *seed* (see :func:`spawn_seeds`)."""
     return [np.random.default_rng(s) for s in spawn_seeds(seed, n)]
-
-
-def random_choice_weighted(
-    rng: np.random.Generator, weights: np.ndarray, size: int | None = None
-) -> np.ndarray | int:
-    """Sample indices proportionally to *weights* (need not be normalised).
-
-    A thin, allocation-conscious wrapper over inverse-CDF sampling used by
-    the directed-walk simulators, where per-row ``Generator.choice`` calls
-    would dominate the profile.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ValueError("weights must be a non-empty 1-D array")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    cdf = np.cumsum(weights)
-    total = cdf[-1]
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    if size is None:
-        return int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    u = rng.random(size) * total
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)

@@ -36,7 +36,6 @@ from .mixing import (
     pointwise_mixing_bound_steps,
     theorem8_epoch_length,
 )
-from .resistance import commute_time, effective_resistance, resistance_matrix
 from .stationary import (
     chi_square_distance,
     evolve,
@@ -72,9 +71,6 @@ __all__ = [
     "mixing_time_tv",
     "pointwise_mixing_bound_steps",
     "theorem8_epoch_length",
-    "commute_time",
-    "effective_resistance",
-    "resistance_matrix",
     "chi_square_distance",
     "evolve",
     "stationary_distribution",

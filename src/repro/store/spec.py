@@ -33,7 +33,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "RunKey",
     "SweepSpec",
     "canonical_json",
+    "resolve_graph_builder",
 ]
 
 #: bumping this invalidates every stored cell (it is hashed into keys)
@@ -115,6 +116,36 @@ def _normalise_graph_value(axis: str, value: Any) -> Any:
     # scalar path: same validation (and numpy-scalar normalisation) as
     # process parameters
     return _check_scalar_params({axis: value}, "graph_grid")[axis]
+
+
+def resolve_graph_builder(name: str) -> Callable[..., Graph | NeighborOracle]:
+    """The :mod:`repro.graphs` constructor a sweep or a cell names.
+
+    Parameters
+    ----------
+    name : str
+        A graph builder name (``"grid"``, ``"hypercube_oracle"``, …).
+
+    Returns
+    -------
+    callable
+        ``repro.graphs.<name>``.
+
+    Raises
+    ------
+    ValueError
+        When *name* is not a callable exported by :mod:`repro.graphs`
+        (for example a builder that has since been deleted).
+    """
+    import repro.graphs as graphs_mod
+
+    builder = getattr(graphs_mod, name, None)
+    if builder is None or not callable(builder):
+        raise ValueError(
+            f"unknown graph builder {name!r} "
+            "(must name a constructor in repro.graphs)"
+        )
+    return builder
 
 
 @dataclass(frozen=True)
@@ -242,14 +273,7 @@ class RunKey:
             graph, or an implicit :class:`NeighborOracle` when the
             builder is one of the ``*_oracle`` constructors.
         """
-        import repro.graphs as graphs_mod
-
-        builder = getattr(graphs_mod, self.graph_builder, None)
-        if builder is None or not callable(builder):
-            raise ValueError(
-                f"unknown graph builder {self.graph_builder!r} "
-                "(must name a constructor in repro.graphs)"
-            )
+        builder = resolve_graph_builder(self.graph_builder)
         kwargs = {
             name: list(value) if isinstance(value, tuple) else value
             for name, value in self.graph_params

@@ -463,8 +463,9 @@ SCALE_ARMS = {
     },
 }
 SCALE_TRIALS = {"quick": 3, "full": 2}
-#: at full scale coverage cannot complete inside the budget — the cells
-#: measure throughput/footprint and legitimately summarise to NaN
+#: at full scale the 256-step budget caps the cost of each cell: the
+#: 2^20 hypercube arm covers inside it (in about 40 steps), while the
+#: 10^6 torus arm cannot and legitimately summarises to NaN
 SCALE_MAX_STEPS = {"quick": None, "full": 256}
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     Table,
     bootstrap_ci,
-    doubling_ratios,
     fit_constant_to_shape,
     fit_power_law,
     summarize,
@@ -48,24 +47,6 @@ class TestPowerLawFit:
         y = np.log(x) ** 2
         fit = fit_power_law(x, y)
         assert 0 < fit.exponent < 0.5
-
-
-class TestDoublingRatios:
-    def test_exact_quadratic(self):
-        x = np.array([1, 2, 4, 8], dtype=float)
-        r = doubling_ratios(x, x**2)
-        assert np.allclose(r, 2.0)
-
-    def test_mixed_regimes_detected(self):
-        x = np.array([1, 2, 4, 8, 16], dtype=float)
-        y = np.array([1, 2, 4, 16, 64], dtype=float)  # slope 1 then 2
-        r = doubling_ratios(x, y)
-        assert r[0] == pytest.approx(1.0)
-        assert r[-1] == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            doubling_ratios([1], [1])
 
 
 class TestShapeFit:

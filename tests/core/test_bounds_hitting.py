@@ -9,7 +9,6 @@ from repro.core import (
     matthews_check,
     matthews_cover_bound,
     max_hitting_time_estimate,
-    pair_hitting_matrix,
     push_gossip_cover,
     rw_worst_case_cover,
     star_cobra_lower_bound,
@@ -153,28 +152,6 @@ class TestTrialEstimators:
             warnings.simplefilter("error")
             hmax = max_hitting_time_estimate(g, trials=3, pairs=5, seed=4)
         assert hmax >= 1.0
-
-    def test_pair_matrix_small(self):
-        g = cycle_graph(8)
-        m = pair_hitting_matrix(g, trials=2, seed=5)
-        assert m.shape == (8, 8)
-        assert (np.diag(m) == 0).all()
-        assert m[0, 4] >= 4
-
-    def test_pair_matrix_guard(self):
-        with pytest.raises(ValueError):
-            pair_hitting_matrix(cycle_graph(100))
-
-    def test_pair_matrix_exhausted_entries_nan_without_warning(self):
-        import warnings
-
-        g = cycle_graph(12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any RuntimeWarning -> failure
-            m = pair_hitting_matrix(g, trials=2, seed=5, max_steps=1)
-        # only direct neighbors can be hit in one step
-        assert np.isnan(m[0, 6])
-        assert np.isfinite(m[0, 1])
 
 
 class TestMatthews:

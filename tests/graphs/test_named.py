@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    de_bruijn_undirected,
     diameter,
     is_bipartite,
-    is_connected,
     kneser_graph,
     petersen,
-    ring_of_cliques,
 )
 from repro.spectral import conductance_exact
 
@@ -60,63 +57,3 @@ class TestKneser:
     def test_validation(self):
         with pytest.raises(ValueError):
             kneser_graph(3, 2)
-
-
-class TestDeBruijn:
-    def test_size_and_connectivity(self):
-        g = de_bruijn_undirected(2, 5)
-        assert g.n == 32
-        assert is_connected(g)
-
-    def test_logarithmic_diameter(self):
-        # diameter of B(2, L) is L (shift in L steps)
-        for L in (3, 4, 5):
-            assert diameter(de_bruijn_undirected(2, L)) == L
-
-    def test_shift_adjacency(self):
-        g = de_bruijn_undirected(2, 3)
-        # 011 (=6 with our digit order) ~ right shifts of it
-        # vertex v ~ (v mod 4)*2 and (v mod 4)*2 + 1
-        for v in range(8):
-            for s in (0, 1):
-                t = (v % 4) * 2 + s
-                if t != v:
-                    assert g.has_edge(v, t)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            de_bruijn_undirected(1, 3)
-
-
-class TestRingOfCliques:
-    def test_structure(self):
-        g = ring_of_cliques(6, 5)
-        assert g.n == 30
-        assert is_connected(g)
-        # bridge endpoints have degree clique_size, interior clique_size-1
-        assert g.max_degree == 5
-        assert g.min_degree == 4
-
-    def test_edge_count(self):
-        q, c = 6, 5
-        g = ring_of_cliques(q, c)
-        assert g.m == q * (c * (c - 1) // 2) + q
-
-    def test_low_conductance(self):
-        # the canonical bottleneck cut (half the ring of cliques) has
-        # conductance falling with the number of cliques
-        from repro.spectral import set_conductance
-
-        def half_ring_phi(q, c):
-            g = ring_of_cliques(q, c)
-            half = list(range((q // 2) * c))
-            return set_conductance(g, half)
-
-        assert half_ring_phi(8, 3) < half_ring_phi(4, 3)
-        # and the exact conductance of the small instance is below the
-        # clique-internal value 1/(c-1)
-        assert conductance_exact(ring_of_cliques(4, 3), max_n=12) < 1 / 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ring_of_cliques(2, 4)

@@ -13,7 +13,6 @@ from repro.graphs import (
     grid_vertex,
     is_connected,
     kary_tree,
-    random_tree,
     sample_uniform_neighbors,
 )
 
@@ -108,14 +107,6 @@ def test_kary_tree_is_tree(k, depth):
     if k**(depth + 1) > 2000:
         return
     g = kary_tree(k, depth)
-    assert g.m == g.n - 1
-    assert is_connected(g)
-
-
-@given(st.integers(min_value=3, max_value=120))
-@settings(max_examples=30, deadline=None)
-def test_random_tree_is_spanning_tree(n):
-    g = random_tree(n, seed=n)
     assert g.m == g.n - 1
     assert is_connected(g)
 

@@ -17,7 +17,7 @@ import repro.sim.builtin_processes as builtin_processes
 from repro.lint import ERROR, WARNING, all_rules, get_rule, lint_source
 
 # paths inside / outside the scopes the rules key on
-ENGINE = "src/repro/sim/engine.py"
+ENGINE = "src/repro/sim/batch.py"
 STORE = "src/repro/store/store.py"
 LOCKING = "src/repro/store/locking.py"
 BACKEND = "src/repro/store/backend.py"

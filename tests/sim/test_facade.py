@@ -3,7 +3,7 @@
 Three pillars:
 
 * every registered :class:`ProcessSpec` yields a stepping process
-  satisfying :class:`repro.sim.engine.SteppingProcess`;
+  satisfying :class:`repro.sim.SteppingProcess`;
 * ``simulate()`` reproduces the process classes' own runners
   seed-for-seed for every registered process;
 * ``run_batch``'s serial strategy is bit-exact with per-trial class

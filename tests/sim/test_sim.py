@@ -1,4 +1,4 @@
-"""Tests for the simulation harness (rng, engine, montecarlo, record)."""
+"""Tests for the simulation harness (rng, montecarlo, record)."""
 
 import math
 import warnings
@@ -8,13 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import CobraWalk
-from repro.graphs import cycle_graph, grid
+from repro.graphs import grid
 from repro.sim import (
     coverage_curve,
-    random_choice_weighted,
     resolve_rng,
     resolve_seed_sequence,
-    run_process,
     run_trials,
     spawn_rngs,
     spawn_seeds,
@@ -55,51 +53,6 @@ class TestRng:
     def test_spawn_negative(self):
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
-
-    def test_weighted_choice_distribution(self):
-        rng = resolve_rng(1)
-        picks = random_choice_weighted(rng, np.array([1.0, 3.0]), size=8000)
-        assert abs((picks == 1).mean() - 0.75) < 0.03
-
-    def test_weighted_choice_scalar(self):
-        rng = resolve_rng(2)
-        assert random_choice_weighted(rng, np.array([0.0, 1.0])) == 1
-
-    def test_weighted_choice_validation(self):
-        rng = resolve_rng(3)
-        with pytest.raises(ValueError):
-            random_choice_weighted(rng, np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            random_choice_weighted(rng, np.array([-1.0, 2.0]))
-
-
-class TestEngine:
-    def test_runs_until_predicate(self):
-        g = grid(6, 2)
-        w = CobraWalk(g, seed=4)
-        fired = run_process(w, max_steps=100_000, until=lambda p: p.num_covered >= 20)
-        assert fired and w.num_covered >= 20
-
-    def test_budget_stops(self):
-        w = CobraWalk(cycle_graph(200), seed=5)
-        fired = run_process(w, max_steps=10, until=lambda p: p.all_covered)
-        assert not fired and w.t == 10
-
-    def test_on_step_callback(self):
-        w = CobraWalk(cycle_graph(20), seed=6)
-        sizes = []
-        run_process(w, max_steps=15, on_step=lambda p: sizes.append(p.active.size))
-        assert len(sizes) == 15
-
-    def test_immediate_predicate(self):
-        w = CobraWalk(cycle_graph(20), seed=7)
-        assert run_process(w, max_steps=100, until=lambda p: True)
-        assert w.t == 0
-
-    def test_negative_budget(self):
-        w = CobraWalk(cycle_graph(20), seed=8)
-        with pytest.raises(ValueError):
-            run_process(w, max_steps=-1)
 
 
 def _trial_mean_of_uniform(seed, scale):

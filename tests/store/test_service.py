@@ -13,6 +13,7 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.obs.trace import Tracer, activate
@@ -202,6 +203,42 @@ class TestFrameRoute:
             "GET", "/frame?groupby=g_n&aggregate=warp"
         )
         assert status == 400
+
+
+class TestCellsOfDeletedBuilders:
+    """A stored cell whose graph builder left repro.graphs stays readable."""
+
+    def test_rows_are_served_but_the_graph_does_not_rebuild(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.store.sweeps as sweeps
+        from repro.experiments.cli import main
+        from repro.sim.montecarlo import summarize_trials
+
+        spec = _spec(
+            name="OLD_gnp",
+            graph="erdos_renyi",
+            graph_grid={"n": [150], "p": [0.05], "seed": [1]},
+            params_grid={},
+        )
+        (key,) = spec.expand()
+        root = tmp_path / "s"
+        ResultStore(root).put(key, summarize_trials(np.array([31.0, 35.0, 33.0])))
+        with pytest.raises(ValueError, match="unknown graph builder 'erdos_renyi'"):
+            key.build_graph()
+
+        store = ResultStore(root)
+        assert store.frame(g_n=150).column("hash") == [key.hash]
+        service = SweepService(store)
+        status, _, body = service.handle("GET", f"/cell/{key.hash}")
+        assert status == 200 and json.loads(body) == store.get(key)
+        status, _, body = service.handle("GET", "/frame?g_n=150")
+        assert status == 200
+        assert Frame.from_json(body.decode("utf-8")).column("hash") == [key.hash]
+
+        monkeypatch.setitem(sweeps._SWEEPS, "OLD_gnp", lambda scale, seed: [spec])
+        assert main(["sweep", "show", "OLD_gnp", "--store", str(root), "--json"]) == 0
+        assert Frame.from_json(capsys.readouterr().out).column("hash") == [key.hash]
 
 
 class TestLongLivedStore:

@@ -159,12 +159,14 @@ class TestRunKey:
             bad.resolve_target(g)
 
     def test_unknown_builder(self):
-        key = RunKey(
-            process="cobra", metric="cover", graph_builder="not_a_builder",
-            graph_params=(),
-        )
-        with pytest.raises(ValueError, match="builder"):
-            key.build_graph()
+        # deleted builders (old stores may still name them) fail the same way
+        for name in ("not_a_builder", "erdos_renyi", "margulis", "random_tree"):
+            key = RunKey(
+                process="cobra", metric="cover", graph_builder=name,
+                graph_params=(),
+            )
+            with pytest.raises(ValueError, match=f"unknown graph builder {name!r}"):
+                key.build_graph()
 
     def test_farthest_target_rule(self):
         # on a cycle the BFS-farthest vertex from 0 is the antipode

@@ -10,18 +10,12 @@ from repro.core import (
     walt_cover_time,
 )
 from repro.graphs import (
-    barabasi_albert,
-    chordal_cycle,
     chung_lu_powerlaw,
-    erdos_renyi,
     grid,
     hypercube,
     largest_component,
-    margulis,
     random_geometric,
     random_regular,
-    random_tree,
-    watts_strogatz,
 )
 from repro.sim import coverage_curve, run_batch, run_trials
 from repro.spectral import conductance_estimate, theorem8_epoch_length
@@ -60,16 +54,10 @@ class TestEveryFamilySupportsCobra:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: largest_component(erdos_renyi(150, 0.05, seed=1)),
-            lambda: barabasi_albert(150, 2, seed=2),
             lambda: largest_component(chung_lu_powerlaw(200, 2.5, seed=3)),
             lambda: largest_component(random_geometric(150, 0.15, seed=4)),
-            lambda: watts_strogatz(120, 2, 0.2, seed=5),
-            lambda: chordal_cycle(101),
-            lambda: margulis(7),
-            lambda: random_tree(100, seed=6),
         ],
-        ids=["gnp", "ba", "chung-lu", "rgg", "ws", "chordal", "margulis", "rtree"],
+        ids=["chung-lu", "rgg"],
     )
     def test_cover_completes(self, make):
         g = make()
