@@ -29,19 +29,26 @@ from repro.sim import coverage_curve
 
 
 def epidemic_report(graph, k: int, seed: int, max_rounds: int = 200_000):
-    """Run one SIS outbreak from patient zero (vertex 0)."""
+    """Run one SIS outbreak from patient zero (vertex 0).
+
+    Returns the walk (its ``first_activation`` is each agent's first
+    exposure), the round everyone had been exposed by (``None`` if
+    *max_rounds* ran out first), and the endemic prevalence.
+    """
     walk = CobraWalk(graph, k=k, start=0, seed=seed, record_history=True)
-    result = walk.run_until_cover(max_rounds)
-    history = result.active_size_history
+    while not walk.all_covered and walk.t < max_rounds:
+        walk.step()
+    cover_time = int(walk.first_activation.max()) if walk.all_covered else None
     # endemic prevalence: average infected fraction over the last
     # quarter of the outbreak (after the growth phase)
+    history = walk.history
     tail = history[-max(1, history.size // 4):]
     prevalence = float(tail.mean()) / graph.n
-    return result, prevalence
+    return walk, cover_time, prevalence
 
 
-def exposure_milestones(result, n: int) -> dict[float, int | None]:
-    curve = coverage_curve(result.first_activation, n)
+def exposure_milestones(walk, n: int) -> dict[float, int | None]:
+    curve = coverage_curve(walk.first_activation, n)
     return {f: curve.time_to_fraction(f) for f in (0.5, 0.9, 0.99, 1.0)}
 
 
@@ -62,10 +69,10 @@ def main() -> None:
              "endemic prevalence"],
         )
         for k in (1, 2, 3, 4):
-            result, prevalence = epidemic_report(g, k, seed=100 + k)
-            ms = exposure_milestones(result, g.n)
+            walk, cover_time, prevalence = epidemic_report(g, k, seed=100 + k)
+            ms = exposure_milestones(walk, g.n)
             table.add_row(
-                [k, result.cover_time, ms[0.5], ms[0.9], f"{prevalence:.1%}"]
+                [k, cover_time, ms[0.5], ms[0.9], f"{prevalence:.1%}"]
             )
         print(table.render())
         print(

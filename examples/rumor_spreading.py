@@ -34,9 +34,13 @@ from repro.sim import spawn_seeds
 
 def cobra_rounds_and_messages(graph, seed) -> tuple[int, int]:
     walk = CobraWalk(graph, k=2, start=0, seed=seed, record_history=True)
-    result = walk.run_until_cover(10 * graph.n * 20)
-    messages = int(2 * result.active_size_history[:-1].sum())
-    return result.cover_time, messages
+    while not walk.all_covered and walk.t < 10 * graph.n * 20:
+        walk.step()
+    if not walk.all_covered:
+        raise RuntimeError("cobra forwarding did not finish")
+    # every active vertex forwards k = 2 copies in each round but the last
+    messages = int(2 * walk.history[:-1].sum())
+    return int(walk.first_activation.max()), messages
 
 
 def push_rounds_and_messages(graph, seed) -> tuple[int, int]:

@@ -60,7 +60,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "process_names",
     )),
     (".store", ("SweepSpec", "ResultStore", "Campaign")),
-    (".core", ("CobraRunResult", "CobraWalk", "WaltProcess", "walt_cover_time")),
+    (".core", ("CobraWalk", "WaltProcess")),
     (".graphs", (
         "Graph",
         "grid",

@@ -10,7 +10,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "fit_power_law",
         "fit_power_law_rows",
     )),
-    (".stats", ("SummaryStats", "bootstrap_ci", "summarize")),
+    (".stats", ("bootstrap_ci", "summarize")),
     (".tables", ("Table",)),
     (".plot", ("ascii_loglog", "ascii_plot")),
 ))

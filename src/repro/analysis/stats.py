@@ -2,8 +2,8 @@
 
 The summary type is :class:`repro.sim.montecarlo.TrialSummary` — one
 schema for Monte-Carlo harness output, facade batches, and analysis
-tables.  ``SummaryStats`` remains as an alias of it; :func:`summarize`
-delegates to :func:`repro.sim.montecarlo.summarize_trials`.
+tables; :func:`summarize` delegates to
+:func:`repro.sim.montecarlo.summarize_trials`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ import numpy as np
 from ..sim.montecarlo import TrialSummary, summarize_trials
 from ..sim.rng import SeedLike, resolve_rng
 
-__all__ = ["SummaryStats", "summarize", "bootstrap_ci"]
-
-#: historical name for the unified trial-summary type
-SummaryStats = TrialSummary
+__all__ = ["summarize", "bootstrap_ci"]
 
 
 def summarize(values) -> TrialSummary:

@@ -14,7 +14,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "return_time_bound_cor17",
         "sigma_hat_exact",
         "sigma_hat_lemma18_bound",
-        "simulate_biased_hit",
         "stationary_lower_bound_thm13",
         "toward_target_controller",
     )),
@@ -34,7 +33,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "thm20_general_hitting",
         "walt_epoch_count",
     )),
-    (".cobra", ("CobraRunResult", "CobraWalk", "cobra_step", "cobra_step_reference")),
+    (".cobra", ("CobraWalk", "cobra_step", "cobra_step_reference")),
     (".coupling", (
         "DominanceReport",
         "stochastic_dominance_fraction",
@@ -49,8 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".matthews", ("MatthewsCheck", "matthews_check")),
     (".walt", (
         "WaltProcess",
-        "WaltRunResult",
-        "walt_cover_time",
         "walt_start_positions",
         "walt_step_positions",
     )),

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..graphs.base import Graph
 from ..graphs.checks import bfs_distances
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "toward_target_controller",
     "epsilon_biased_transition",
     "inverse_degree_biased_transition",
-    "simulate_biased_hit",
     "exact_hitting_times",
     "exact_return_time",
     "stationary_lower_bound_thm13",
@@ -103,14 +103,13 @@ def inverse_degree_biased_transition(
     return p
 
 
-class BiasedWalk:
+class BiasedWalk(CoverageLedger):
     """Stepping ε-/inverse-degree-biased walk steering toward *target*.
 
     ``eps=None`` selects the inverse-degree bias ``1/d(v)``; a float
     selects the constant ε-bias.  The default controller is the
     toward-target BFS table.  Registered as ``"biased"`` in
-    :mod:`repro.sim.processes`; :func:`simulate_biased_hit` keeps the
-    historical signature and drives it.
+    :mod:`repro.sim.processes`.
     """
 
     def __init__(
@@ -138,17 +137,7 @@ class BiasedWalk:
         self.controller = controller
         self.position = int(start)
         self.t = 0
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[start] = 0
-        self._num_covered = 1
-
-    @property
-    def num_covered(self) -> int:
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
+        super().__init__(graph.n, self.position)
 
     def step(self) -> int:
         """One biased move; returns the new position."""
@@ -162,35 +151,8 @@ class BiasedWalk:
             nbrs = self.graph.neighbors(v)
             v = int(nbrs[int(self.rng.random() * d)])
         self.position = v
-        if self.first_visit[v] < 0:
-            self.first_visit[v] = self.t
-            self._num_covered += 1
+        self.mark(self.t, v)
         return v
-
-
-def simulate_biased_hit(
-    graph: Graph,
-    target: int,
-    *,
-    start: int = 0,
-    eps: float | None = None,
-    controller: np.ndarray | None = None,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> int | None:
-    """Simulate one biased walk until it hits *target*.
-
-    Returns the hitting step or ``None`` on budget exhaustion.
-    """
-    walk = BiasedWalk(
-        graph, target, start=start, eps=eps, controller=controller, seed=seed
-    )
-    if max_steps is None:
-        max_steps = _budget(graph.n)
-    while walk.first_visit[target] < 0 and walk.t < max_steps:
-        walk.step()
-    hit = walk.first_visit[target]
-    return int(hit) if hit >= 0 else None
 
 
 def exact_hitting_times(p: np.ndarray, target: int) -> np.ndarray:
@@ -269,6 +231,8 @@ def sigma_hat_lemma18_bound(graph: Graph, target: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+
+
 class MetropolisChain:
     """Lemma 16's construction.
 

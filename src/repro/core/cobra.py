@@ -13,25 +13,23 @@ Two implementations:
 * :func:`cobra_step_reference` — a dict/set reference used by the test
   suite to pin the kernel's distribution.
 
-:class:`CobraWalk` wraps the kernel with coverage tracking and
-stopping rules; ``simulate(graph, "cobra", ...)`` and ``run_batch``
-in :mod:`repro.sim.facade` run complete cover/hitting experiments.
+:class:`CobraWalk` wraps the kernel with coverage tracking;
+``simulate(graph, "cobra", ...)`` and ``run_batch`` in
+:mod:`repro.sim.facade` run complete cover/hitting experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
     "cobra_step",
     "cobra_step_reference",
     "CobraWalk",
-    "CobraRunResult",
 ]
 
 #: frontier density above which boolean-scatter coalescing beats sorting
@@ -87,33 +85,7 @@ def cobra_step_reference(
     return nxt
 
 
-@dataclass
-class CobraRunResult:
-    """Outcome of a cobra-walk run.
-
-    Attributes
-    ----------
-    covered:
-        Whether every vertex was activated within the step budget.
-    steps:
-        Steps executed (equals the cover time when ``covered``).
-    cover_time:
-        Step at which the last vertex was first activated, or ``None``.
-    first_activation:
-        ``int64[n]``; step at which each vertex first became active
-        (``0`` for the start vertex, ``-1`` if never).
-    active_size_history:
-        ``|S_t|`` per step, when history recording was enabled.
-    """
-
-    covered: bool
-    steps: int
-    cover_time: int | None
-    first_activation: np.ndarray
-    active_size_history: np.ndarray | None = None
-
-
-class CobraWalk:
+class CobraWalk(CoverageLedger):
     """Stateful k-cobra walk on *graph* with coverage tracking.
 
     Parameters
@@ -153,16 +125,9 @@ class CobraWalk:
             raise ValueError("start vertex out of range")
         self.active = np.unique(start_arr)
         self.t = 0
-        self.first_activation = np.full(graph.n, -1, dtype=np.int64)
-        self.first_activation[self.active] = 0
-        self._num_covered = int(self.active.size)
+        super().__init__(graph.n, self.active)
         self._scratch = np.zeros(graph.n, dtype=bool)
         self._history: list[int] | None = [self.active.size] if record_history else None
-
-    @property
-    def num_covered(self) -> int:
-        """Number of vertices activated so far."""
-        return self._num_covered
 
     @property
     def history(self) -> np.ndarray | None:
@@ -171,51 +136,16 @@ class CobraWalk:
             return None
         return np.asarray(self._history, dtype=np.int64)
 
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
-
     def step(self) -> np.ndarray:
         """Advance one step; returns the new active set."""
         self.active = cobra_step(
             self.graph, self.active, self.k, self.rng, scratch=self._scratch
         )
         self.t += 1
-        fresh = self.active[self.first_activation[self.active] < 0]
-        if fresh.size:
-            self.first_activation[fresh] = self.t
-            self._num_covered += int(fresh.size)
+        self.mark(self.t, self.active)
         if self._history is not None:
             self._history.append(int(self.active.size))
         return self.active
-
-    def run_until_cover(self, max_steps: int) -> CobraRunResult:
-        """Step until all vertices are covered or *max_steps* elapse."""
-        while not self.all_covered and self.t < max_steps:
-            self.step()
-        return self._result()
-
-    def run_until_hit(self, target: int, max_steps: int) -> int | None:
-        """Step until *target* is activated; returns the hitting step or
-        ``None`` on budget exhaustion."""
-        if not (0 <= target < self.graph.n):
-            raise ValueError("target out of range")
-        while self.first_activation[target] < 0 and self.t < max_steps:
-            self.step()
-        hit = self.first_activation[target]
-        return int(hit) if hit >= 0 else None
-
-    def _result(self) -> CobraRunResult:
-        covered = self.all_covered
-        return CobraRunResult(
-            covered=covered,
-            steps=self.t,
-            cover_time=int(self.first_activation.max()) if covered else None,
-            first_activation=self.first_activation.copy(),
-            active_size_history=(
-                np.asarray(self._history, dtype=np.int64) if self._history is not None else None
-            ),
-        )
 
 
 def _default_budget(n: int) -> int:

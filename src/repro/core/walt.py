@@ -19,17 +19,14 @@ analysis proxy — and what the ``L10_walt`` experiment verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
     "WaltProcess",
-    "WaltRunResult",
-    "walt_cover_time",
     "walt_start_positions",
     "walt_step_positions",
 ]
@@ -75,17 +72,7 @@ def walt_step_positions(
     return out
 
 
-@dataclass
-class WaltRunResult:
-    """Outcome of a Walt run (mirrors :class:`CobraRunResult`)."""
-
-    covered: bool
-    steps: int
-    cover_time: int | None
-    first_visit: np.ndarray
-
-
-class WaltProcess:
+class WaltProcess(CoverageLedger):
     """Stateful Walt process.
 
     Parameters
@@ -120,21 +107,11 @@ class WaltProcess:
         self.lazy = bool(lazy)
         self.rng = resolve_rng(seed)
         self.t = 0
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[np.unique(self.positions)] = 0
-        self._num_covered = int((self.first_visit >= 0).sum())
+        super().__init__(graph.n, self.positions)
 
     @property
     def num_pebbles(self) -> int:
         return int(self.positions.size)
-
-    @property
-    def num_covered(self) -> int:
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
 
     def step(self) -> np.ndarray:
         """Advance one (possibly lazy) step; returns current positions."""
@@ -142,23 +119,8 @@ class WaltProcess:
         if self.lazy and self.rng.random() < 0.5:
             return self.positions
         self.positions = walt_step_positions(self.graph, self.positions, self.rng)
-        occupied = np.unique(self.positions)
-        fresh = occupied[self.first_visit[occupied] < 0]
-        if fresh.size:
-            self.first_visit[fresh] = self.t
-            self._num_covered += int(fresh.size)
+        self.mark(self.t, self.positions)
         return self.positions
-
-    def run_until_cover(self, max_steps: int) -> WaltRunResult:
-        while not self.all_covered and self.t < max_steps:
-            self.step()
-        covered = self.all_covered
-        return WaltRunResult(
-            covered=covered,
-            steps=self.t,
-            cover_time=int(self.first_visit.max()) if covered else None,
-            first_visit=self.first_visit.copy(),
-        )
 
 
 def walt_start_positions(
@@ -180,25 +142,6 @@ def walt_start_positions(
         return rng.integers(0, graph.n, size=num)
     start_arr = np.atleast_1d(np.asarray(start, dtype=np.int64))
     return np.resize(start_arr, num)
-
-
-def walt_cover_time(
-    graph: Graph,
-    *,
-    delta: float = 0.5,
-    start: int | np.ndarray | None = 0,
-    lazy: bool = True,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> WaltRunResult:
-    """Run Walt to coverage (pebble placement per
-    :func:`walt_start_positions`)."""
-    rng = resolve_rng(seed)
-    positions = walt_start_positions(graph, delta, start, rng)
-    if max_steps is None:
-        max_steps = _budget(graph.n)
-    proc = WaltProcess(graph, positions, lazy=lazy, seed=rng)
-    return proc.run_until_cover(max_steps)
 
 
 def _budget(n: int) -> int:

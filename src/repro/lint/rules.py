@@ -1002,7 +1002,7 @@ register_rule(
         title="registered sweep fails to build/expand (contract audit)",
         invariant=(
             "Every sweep in repro.store.sweeps builds, names a graph "
-            "builder repro.graphs exports, and expands to a "
+            "builder in repro.graphs.GRAPH_BUILDERS, and expands to a "
             "non-empty RunKey list at quick and full scale. The CLI, the "
             "dispatch workers, and the CI smokes all call expand() "
             "unconditionally; a sweep that raises there is a landmine in "

@@ -6,6 +6,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".processes", (
         "SteppingProcess",
+        "CoverageLedger",
         "ProcessSpec",
         "register_process",
         "get_process",

@@ -1060,7 +1060,7 @@ def batched_gossip_hit_trials(
     :func:`batched_gossip_spread_trials` — same boundary-tracked
     push/pull draws, same compaction — but a trial finishes the round
     *target* first becomes informed instead of the round the rumor
-    saturates, matching ``GossipSpread.first_visit[target]`` of the
+    saturates, matching ``GossipSpread.first_activation[target]`` of the
     serial process distributionally.  No per-trial informed *count* is
     kept: the only completion test is target membership in each
     round's freshly informed set.

@@ -5,10 +5,10 @@ the registry (never at ``repro.sim`` import time) because the
 factories live in :mod:`repro.core` and :mod:`repro.walks`, which
 themselves import :mod:`repro.sim`.
 
-Every factory builds the process class exactly as its own runners do,
-so ``simulate(graph, process=p, seed=s)`` reproduces
-``CobraWalk(...).run_until_cover`` / ``walt_cover_time`` / … seed for
-seed — the parity suite in ``tests/sim/test_facade.py`` pins this.
+Each factory only builds a process class; the classes define
+``step()`` and no run loop of their own.  :func:`repro.sim.simulate`
+is the one serial loop that steps them to a stop, and the serial rows
+of ``tests/golden/streams.json`` pin what it returns seed for seed.
 
 The ``batch_cover`` / ``batch_hit`` hooks are the public engines of
 :mod:`repro.sim.batch` and :mod:`repro.walks.simple` themselves (the

@@ -10,8 +10,9 @@
     print(summary.mean, summary.ci95_half_width)
 
 ``simulate`` drives any :class:`~repro.sim.processes.ProcessSpec` to a
-single :class:`RunResult`; seed-for-seed it reproduces the process
-class's own runner for the same ``(process, metric, seed)``.
+single :class:`RunResult`.  It is the one loop that steps a serial
+process to a stop: the process classes only define ``step()``, and the
+serial rows of ``tests/golden/streams.json`` pin what it returns.
 ``run_batch`` fans out over the vectorized batched engine when the
 process has one for the metric (cover/spread: every cover-capable
 registered process; hit: cobra, simple, lazy, walt, push, pull,
@@ -25,6 +26,7 @@ identical (see ``docs/architecture.md``).
 from __future__ import annotations
 
 import inspect
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -35,7 +37,7 @@ from ..graphs.base import Graph
 from ..graphs.implicit import NeighborOracle
 from ..obs.trace import current_tracer
 from .montecarlo import TrialSummary, run_trials, summarize_trials
-from .processes import ProcessSpec, get_process
+from .processes import CoverageLedger, ProcessSpec, get_process
 from .rng import SeedLike
 
 __all__ = [
@@ -172,24 +174,8 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# uniform views over the heterogeneous process classes
+# what a run stops on and what it reports
 # ----------------------------------------------------------------------
-def _first_activation(proc) -> np.ndarray | None:
-    """First-activation array under either historical attribute name."""
-    for attr in ("first_activation", "first_visit"):
-        arr = getattr(proc, attr, None)
-        if arr is not None:
-            return arr
-    return None
-
-
-def _all_covered(proc) -> bool:
-    flag = getattr(proc, "all_covered", None)
-    if flag is None:
-        raise TypeError(f"{type(proc).__name__} does not track coverage")
-    return bool(flag)
-
-
 def _collect_extras(proc) -> dict[str, Any]:
     extras: dict[str, Any] = {}
     for attr, cast in (
@@ -202,6 +188,37 @@ def _collect_extras(proc) -> dict[str, Any]:
         if value is not None:
             extras[attr] = cast(value)
     return extras
+
+
+#: per metric, whether a run has reached its stop (``min`` runs the
+#: whole budget, a fixed horizon of generations)
+_STOP: dict[str, Callable[[Any, int | None], bool]] = {
+    "cover": lambda proc, target: proc.all_covered,
+    "spread": lambda proc, target: proc.all_covered,
+    "hit": lambda proc, target: proc.first_activation[target] >= 0,
+    "coalesce": lambda proc, target: proc.num_walkers <= 1,
+    "min": lambda proc, target: False,
+}
+
+
+def _metric_extras(proc, metric: str, target: int | None) -> dict[str, Any]:
+    """The metric's own outcome scalars of a finished run."""
+    if metric == "hit":
+        hit = int(proc.first_activation[target])
+        return {"hit_time": hit if hit >= 0 else None}
+    if metric == "min":
+        return {
+            "min_position": int(proc.min_position),
+            "max_position": int(proc.max_position),
+        }
+    if metric == "coalesce":
+        coalesced = proc.num_walkers == 1
+        return {
+            "coalesced": coalesced,
+            "walkers_left": int(proc.num_walkers),
+            "coalescence_time": int(proc.t) if coalesced else None,
+        }
+    return {}
 
 
 def _resolve_metric(spec: ProcessSpec, metric: str | None) -> str:
@@ -362,85 +379,22 @@ def simulate(
     if max_steps is None:
         max_steps = spec.default_budget(graph, params)
     proc = spec.factory(graph, start=start, seed=seed, target=target, **params)
-
-    if metric in ("cover", "spread"):
-        while not _all_covered(proc) and proc.t < max_steps:
-            proc.step()
-        covered = _all_covered(proc)
-        fa = _first_activation(proc)
-        cover_time = None
-        if covered:
-            cover_time = int(fa.max()) if fa is not None else int(proc.t)
-        return RunResult(
-            process=spec.name,
-            metric=metric,
-            covered=covered,
-            steps=int(proc.t),
-            cover_time=cover_time,
-            first_activation=fa.copy() if fa is not None else None,
-            extras=_collect_extras(proc),
-        )
-
-    if metric == "hit":
-        while _first_activation(proc)[target] < 0 and proc.t < max_steps:
-            proc.step()
-        fa = _first_activation(proc)
-        hit = int(fa[target]) if fa[target] >= 0 else None
-        extras = _collect_extras(proc)
-        extras["hit_time"] = hit
-        covered = bool(getattr(proc, "all_covered", False))
-        return RunResult(
-            process=spec.name,
-            metric=metric,
-            covered=covered,
-            steps=int(proc.t),
-            cover_time=None,
-            first_activation=fa.copy(),
-            extras=extras,
-        )
-
-    if metric == "min":
-        if not hasattr(proc, "min_position"):
-            raise TypeError(
-                f"{type(proc).__name__} does not track a minimum position"
-            )
-        while proc.t < max_steps:
-            proc.step()
-        extras = _collect_extras(proc)
-        extras["min_position"] = int(proc.min_position)
-        max_pos = getattr(proc, "max_position", None)
-        if max_pos is not None:
-            extras["max_position"] = int(max_pos)
-        return RunResult(
-            process=spec.name,
-            metric=metric,
-            covered=bool(getattr(proc, "all_covered", False)),
-            steps=int(proc.t),
-            cover_time=None,
-            first_activation=None,
-            extras=extras,
-        )
-
-    if metric == "coalesce":
-        while proc.num_walkers > 1 and proc.t < max_steps:
-            proc.step()
-        coalesced = proc.num_walkers == 1
-        fa = _first_activation(proc)
-        extras = _collect_extras(proc)
-        extras["coalesced"] = coalesced
-        extras["walkers_left"] = int(proc.num_walkers)
-        extras["coalescence_time"] = int(proc.t) if coalesced else None
-        return RunResult(
-            process=spec.name,
-            metric=metric,
-            covered=bool(getattr(proc, "all_covered", False)),
-            steps=int(proc.t),
-            cover_time=None,
-            first_activation=fa.copy() if fa is not None else None,
-            extras=extras,
-        )
-
-    raise ValueError(f"unknown metric {metric!r}")
+    stop = _STOP[metric]
+    while not stop(proc, target) and proc.t < max_steps:
+        proc.step()
+    fa = proc.first_activation if isinstance(proc, CoverageLedger) else None
+    covered = fa is not None and proc.all_covered
+    extras = _collect_extras(proc)
+    extras.update(_metric_extras(proc, metric, target))
+    return RunResult(
+        process=spec.name,
+        metric=metric,
+        covered=covered,
+        steps=int(proc.t),
+        cover_time=int(fa.max()) if covered and metric in ("cover", "spread") else None,
+        first_activation=None if fa is None else fa.copy(),
+        extras=extras,
+    )
 
 
 def _batch_trial(

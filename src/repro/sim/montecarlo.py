@@ -31,10 +31,9 @@ class TrialSummary:
     ``0.0`` would present a point estimate as a zero-width interval.
 
     This is the single summary type for the whole repo:
-    :func:`repro.analysis.stats.summarize` returns it too (its
-    historical ``SummaryStats`` name is an alias), so facade batches,
-    Monte-Carlo harness output, and analysis tables all speak one
-    schema.
+    :func:`repro.analysis.stats.summarize` returns it too, so facade
+    batches, Monte-Carlo harness output, and analysis tables all speak
+    one schema.
     """
 
     values: np.ndarray
@@ -57,11 +56,6 @@ class TrialSummary:
     def n(self) -> int:
         """Number of successful (non-NaN) trials."""
         return int(self.values.size) - self.failures
-
-    @property
-    def nan_count(self) -> int:
-        """Alias of :attr:`failures` (historical ``SummaryStats`` name)."""
-        return self.failures
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:

@@ -43,10 +43,13 @@ from types import MappingProxyType
 from collections.abc import Callable, Mapping
 from typing import Any, Protocol, runtime_checkable
 
+import numpy as np
+
 from ..graphs.base import Graph
 
 __all__ = [
     "SteppingProcess",
+    "CoverageLedger",
     "ProcessSpec",
     "register_process",
     "get_process",
@@ -57,14 +60,68 @@ __all__ = [
 
 @runtime_checkable
 class SteppingProcess(Protocol):
-    """Structural interface of a steppable process: every process class
-    (cobra, Walt, random walks, branching, coalescing) exposes ``step()``
-    and a monotone step counter ``t``."""
+    """Structural interface of a steppable process.
+
+    Every serial process class exposes ``step()`` and a monotone step
+    counter ``t``; ``step()`` is the process law, drawing from the
+    process's RNG in a fixed order that the batched engines and the
+    serial rows of ``tests/golden/streams.json`` are checked against.
+    A class that can cover or hit also is a :class:`CoverageLedger`:
+    ``step()`` advances ``t`` and then hands the vertices it reached to
+    :meth:`CoverageLedger.mark`.  The classes have no run loop of their
+    own: :func:`repro.sim.facade.simulate` is the one place a serial
+    process is stepped to a stop.
+    """
 
     t: int
 
     def step(self) -> object:  # pragma: no cover - protocol
         """Advance the process by one step."""
+
+
+class CoverageLedger:
+    """First-activation bookkeeping shared by the serial process classes.
+
+    Parameters
+    ----------
+    n : int
+        Number of vertices.
+    start : int or numpy.ndarray
+        The vertices active at step 0.
+
+    Attributes
+    ----------
+    first_activation : numpy.ndarray
+        ``int64[n]``; the step at which each vertex was first reached
+        (``0`` for the start vertices, ``-1`` while never reached).
+    num_covered : int
+        How many vertices have been reached.
+    """
+
+    def __init__(self, n: int, start: int | np.ndarray) -> None:
+        self.first_activation = np.full(n, -1, dtype=np.int64)
+        self.num_covered = 0
+        self.mark(0, start)
+
+    @property
+    def all_covered(self) -> bool:
+        """Whether every vertex has been reached."""
+        return self.num_covered == self.first_activation.size
+
+    def mark(self, t: int, vertices: int | np.ndarray) -> None:
+        """Record step *t* as the first activation of every vertex in
+        *vertices* (one vertex, or an array that may repeat vertices)
+        that was never reached before."""
+        fa = self.first_activation
+        if isinstance(vertices, (int, np.integer)):
+            if fa[vertices] < 0:
+                fa[vertices] = t
+                self.num_covered += 1
+            return
+        fresh = vertices[fa[vertices] < 0]
+        if fresh.size:
+            fa[fresh] = t
+            self.num_covered += int(np.unique(fresh).size)
 
 
 #: the metric vocabulary understood by the facade

@@ -52,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = ["SweepService", "make_server"]
 
-#: query parameters of ``/frame`` that are operators, not filters
-_FRAME_RESERVED = ("groupby", "aggregate", "column")
-
-
 def _coerce(text: str) -> Any:
     """A query-string value as the JSON type the rows carry.
 

@@ -134,18 +134,18 @@ def resolve_graph_builder(name: str) -> Callable[..., Graph | NeighborOracle]:
     Raises
     ------
     ValueError
-        When *name* is not a callable exported by :mod:`repro.graphs`
-        (for example a builder that has since been deleted).
+        When *name* is not in :data:`repro.graphs.GRAPH_BUILDERS` (a
+        builder that has since been deleted, or a helper such as
+        ``diameter`` that does not build a graph).
     """
     import repro.graphs as graphs_mod
 
-    builder = getattr(graphs_mod, name, None)
-    if builder is None or not callable(builder):
+    if name not in graphs_mod.GRAPH_BUILDERS:
         raise ValueError(
             f"unknown graph builder {name!r} "
-            "(must name a constructor in repro.graphs)"
+            "(must name a constructor in repro.graphs.GRAPH_BUILDERS)"
         )
-    return builder
+    return getattr(graphs_mod, name)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, (
-    (".branching", ("BranchingRunResult", "BranchingWalk")),
+    (".branching", ("BranchingWalk",)),
     (".coalescing", ("CoalescingWalks", "coalescing_start_positions")),
     (".gossip", ("GossipSpread",)),
     (".parallel", ("ParallelWalks",)),

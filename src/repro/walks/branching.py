@@ -13,28 +13,16 @@ cap; runs that hit the cap report it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graphs.base import Graph
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
-__all__ = ["BranchingWalk", "BranchingRunResult"]
+__all__ = ["BranchingWalk"]
 
 
-@dataclass
-class BranchingRunResult:
-    """Outcome of a branching-walk run."""
-
-    covered: bool
-    steps: int
-    cover_time: int | None
-    population: int
-    hit_cap: bool
-
-
-class BranchingWalk:
+class BranchingWalk(CoverageLedger):
     """k-branching walk with per-vertex particle counts."""
 
     def __init__(
@@ -58,17 +46,11 @@ class BranchingWalk:
         self.t = 0
         self.cap = int(population_cap)
         self.hit_cap = False
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[start] = 0
-        self._num_covered = 1
+        super().__init__(graph.n, start)
 
     @property
     def population(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
 
     def step(self) -> None:
         """Every particle emits k children to uniform neighbors.
@@ -97,21 +79,7 @@ class BranchingWalk:
                 (self.counts * scale).astype(np.int64),
                 (self.counts > 0).astype(np.int64),
             )
-        fresh = np.flatnonzero((self.counts > 0) & (self.first_visit < 0))
-        if fresh.size:
-            self.first_visit[fresh] = self.t
-            self._num_covered += fresh.size
-
-    def run_until_cover(self, max_steps: int) -> BranchingRunResult:
-        while not self.all_covered and self.t < max_steps:
-            self.step()
-        return BranchingRunResult(
-            covered=self.all_covered,
-            steps=self.t,
-            cover_time=int(self.first_visit.max()) if self.all_covered else None,
-            population=self.population,
-            hit_cap=self.hit_cap,
-        )
+        self.mark(self.t, np.flatnonzero(self.counts))
 
 
 def _budget(n: int) -> int:

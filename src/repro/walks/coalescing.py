@@ -9,27 +9,16 @@ time until a single walker remains — and coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = ["CoalescingWalks", "coalescing_start_positions"]
 
 
-@dataclass
-class CoalescingRunResult:
-    """Outcome of a coalescing run."""
-
-    coalesced: bool
-    steps: int
-    walkers_left: int
-    first_visit: np.ndarray
-
-
-class CoalescingWalks:
+class CoalescingWalks(CoverageLedger):
     """Independent walkers that merge on meeting."""
 
     def __init__(
@@ -48,43 +37,19 @@ class CoalescingWalks:
         self.positions = positions
         self.rng = resolve_rng(seed)
         self.t = 0
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[positions] = 0
-        self._num_covered = int(positions.size)
+        super().__init__(graph.n, positions)
 
     @property
     def num_walkers(self) -> int:
         return int(self.positions.size)
-
-    @property
-    def num_covered(self) -> int:
-        """Number of vertices some walker has visited."""
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
 
     def step(self) -> np.ndarray:
         """All walkers move; co-located walkers merge."""
         self.t += 1
         moved = sample_uniform_neighbors(self.graph, self.positions, self.rng)
         self.positions = np.unique(moved)
-        fresh = self.positions[self.first_visit[self.positions] < 0]
-        if fresh.size:
-            self.first_visit[fresh] = self.t
-            self._num_covered += int(fresh.size)
+        self.mark(self.t, self.positions)
         return self.positions
-
-    def run_until_coalesced(self, max_steps: int) -> CoalescingRunResult:
-        while self.num_walkers > 1 and self.t < max_steps:
-            self.step()
-        return CoalescingRunResult(
-            coalesced=self.num_walkers == 1,
-            steps=self.t,
-            walkers_left=self.num_walkers,
-            first_visit=self.first_visit.copy(),
-        )
 
 
 def _walker_positions(start) -> np.ndarray | None:

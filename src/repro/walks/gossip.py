@@ -17,12 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = ["GossipSpread"]
 
 
-class GossipSpread:
+class GossipSpread(CoverageLedger):
     """Push and/or pull rumor spreading as a stepping process.
 
     Per round: every informed vertex pushes to one uniform neighbor
@@ -49,41 +50,25 @@ class GossipSpread:
         self.pull = bool(pull)
         self.rng = resolve_rng(seed)
         self.t = 0
-        self.informed = np.zeros(graph.n, dtype=bool)
-        self.informed[start] = True
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[start] = 0
-        self._num_covered = 1
-        self._all_vertices = np.arange(graph.n, dtype=np.int64)
-
-    @property
-    def num_covered(self) -> int:
-        """Number of informed vertices."""
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
+        super().__init__(graph.n, start)
 
     def step(self) -> np.ndarray:
         """One gossip round; returns the informed mask."""
         self.t += 1
+        informed = self.first_activation >= 0
         fresh_mask = np.zeros(self.graph.n, dtype=bool)
         if self.push:
-            senders = self._all_vertices[self.informed]
+            senders = np.flatnonzero(informed)
             targets = sample_uniform_neighbors(self.graph, senders, self.rng)
             fresh_mask[targets] = True
         if self.pull:
-            askers = self._all_vertices[~self.informed]
+            askers = np.flatnonzero(~informed)
             if askers.size:
                 sources = sample_uniform_neighbors(self.graph, askers, self.rng)
-                fresh_mask[askers[self.informed[sources]]] = True
-        fresh_mask &= ~self.informed
-        if fresh_mask.any():
-            self.informed |= fresh_mask
-            self.first_visit[fresh_mask] = self.t
-            self._num_covered = int(self.informed.sum())
-        return self.informed
+                fresh_mask[askers[informed[sources]]] = True
+        fresh_mask &= ~informed
+        self.mark(self.t, np.flatnonzero(fresh_mask))
+        return informed | fresh_mask
 
 
 def _budget(n: int) -> int:

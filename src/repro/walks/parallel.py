@@ -14,12 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.base import Graph, sample_uniform_neighbors
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = ["ParallelWalks"]
 
 
-class ParallelWalks:
+class ParallelWalks(CoverageLedger):
     """``walkers`` independent simple walks advanced in lock-step.
 
     ``start`` may be one vertex (all walkers there — the setting of
@@ -40,30 +41,17 @@ class ParallelWalks:
         self.positions = pos.copy()
         self.rng = resolve_rng(seed)
         self.t = 0
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[np.unique(pos)] = 0
-        self._num_covered = int((self.first_visit >= 0).sum())
+        super().__init__(graph.n, pos)
 
     @property
     def num_walkers(self) -> int:
         return int(self.positions.size)
 
-    @property
-    def num_covered(self) -> int:
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        return self._num_covered == self.graph.n
-
     def step(self) -> np.ndarray:
         """Move every walker to a uniform neighbor; returns positions."""
         self.t += 1
         self.positions = sample_uniform_neighbors(self.graph, self.positions, self.rng)
-        fresh = self.positions[self.first_visit[self.positions] < 0]
-        if fresh.size:
-            self.first_visit[fresh] = self.t
-            self._num_covered += int(np.unique(fresh).size)
+        self.mark(self.t, self.positions)
         return self.positions
 
 

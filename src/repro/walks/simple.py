@@ -23,6 +23,7 @@ from ..graphs.implicit import NeighborOracle, as_oracle
 from ..obs.trace import current_tracer
 from ..sim.batch import _check_vertex, _scalar_start
 from ..sim.bitmask import BitMask, DenseMask, sorted_unique, visited_mask
+from ..sim.processes import CoverageLedger
 from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-class RandomWalk:
+class RandomWalk(CoverageLedger):
     """A single simple random walk with coverage tracking."""
 
     def __init__(
@@ -51,19 +52,7 @@ class RandomWalk:
         self.lazy = bool(lazy)
         self.rng = resolve_rng(seed)
         self.t = 0
-        self.first_visit = np.full(graph.n, -1, dtype=np.int64)
-        self.first_visit[start] = 0
-        self._num_covered = 1
-
-    @property
-    def num_covered(self) -> int:
-        """Vertices visited so far."""
-        return self._num_covered
-
-    @property
-    def all_covered(self) -> bool:
-        """Whether every vertex has been visited."""
-        return self._num_covered == self.graph.n
+        super().__init__(graph.n, self.position)
 
     def step(self) -> int:
         """Advance one step (a held step when the lazy coin says so);
@@ -73,27 +62,8 @@ class RandomWalk:
             return self.position
         nbrs = self.graph.neighbors(self.position)
         self.position = int(nbrs[int(self.rng.random() * nbrs.size)])
-        if self.first_visit[self.position] < 0:
-            self.first_visit[self.position] = self.t
-            self._num_covered += 1
+        self.mark(self.t, self.position)
         return self.position
-
-    def run_until_cover(self, max_steps: int) -> int | None:
-        """Step until every vertex is visited; the cover time, or
-        ``None`` if *max_steps* ran out first."""
-        while not self.all_covered and self.t < max_steps:
-            self.step()
-        return int(self.first_visit.max()) if self.all_covered else None
-
-    def run_until_hit(self, target: int, max_steps: int) -> int | None:
-        """Step until *target* is visited; its hitting time, or ``None``
-        if *max_steps* ran out first."""
-        if not (0 <= target < self.graph.n):
-            raise ValueError("target out of range")
-        while self.first_visit[target] < 0 and self.t < max_steps:
-            self.step()
-        hit = self.first_visit[target]
-        return int(hit) if hit >= 0 else None
 
 
 def rw_cover_trials(

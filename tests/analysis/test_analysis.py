@@ -73,7 +73,7 @@ class TestStats:
         s = summarize([1, 2, 3, 4, np.nan])
         assert s.n == 4
         assert s.mean == pytest.approx(2.5)
-        assert s.nan_count == 1
+        assert s.failures == 1
         assert s.minimum == 1 and s.maximum == 4
 
     def test_summarize_empty(self):

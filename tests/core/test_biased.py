@@ -12,7 +12,6 @@ from repro.core import (
     return_time_bound_cor17,
     sigma_hat_exact,
     sigma_hat_lemma18_bound,
-    simulate_biased_hit,
     stationary_lower_bound_thm13,
     toward_target_controller,
 )
@@ -25,6 +24,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.sim import simulate
 from repro.spectral import stationary_of_chain
 from repro.walks import rw_exact_hitting_times
 
@@ -106,7 +106,8 @@ class TestHittingAlgebra:
         p = inverse_degree_biased_transition(g, 0)
         h = exact_hitting_times(p, 0)
         times = [
-            simulate_biased_hit(g, 0, start=6, seed=s, max_steps=100_000)
+            simulate(g, "biased", metric="hit", target=0, start=6, seed=s,
+                     max_steps=100_000).extras["hit_time"]
             for s in range(300)
         ]
         assert abs(np.mean(times) - h[6]) < 0.15 * h[6]

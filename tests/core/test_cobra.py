@@ -1,4 +1,4 @@
-"""Tests for the cobra-walk kernel and runner."""
+"""Tests for the cobra-walk kernel and stepping class."""
 
 import numpy as np
 import pytest
@@ -113,8 +113,7 @@ class TestCobraWalk:
             prev = w.num_covered
 
     def test_first_activation_consistency(self, small_hypercube):
-        w = CobraWalk(small_hypercube, seed=2)
-        res = w.run_until_cover(10_000)
+        res = simulate(small_hypercube, "cobra", seed=2, max_steps=10_000)
         assert res.covered
         fa = res.first_activation
         assert fa.min() == 0
@@ -123,21 +122,22 @@ class TestCobraWalk:
 
     def test_history_recording(self, small_cycle):
         w = CobraWalk(small_cycle, seed=3, record_history=True)
-        res = w.run_until_cover(10_000)
-        assert res.active_size_history is not None
-        assert res.active_size_history.size == res.steps + 1
-        assert res.active_size_history[0] == 1
-        assert (res.active_size_history >= 1).all()
+        while not w.all_covered and w.t < 10_000:
+            w.step()
+        assert w.history is not None
+        assert w.history.size == w.t + 1
+        assert w.history[0] == 1
+        assert (w.history >= 1).all()
+        assert CobraWalk(small_cycle, seed=3).history is None
 
-    def test_run_until_hit(self, small_cycle):
-        w = CobraWalk(small_cycle, start=0, seed=4)
-        t = w.run_until_hit(6, 10_000)
+    def test_hit_needs_distance_steps(self, small_cycle):
+        res = simulate(small_cycle, "cobra", metric="hit", target=6, seed=4,
+                       max_steps=10_000)
+        t = res.extras["hit_time"]
         assert t is not None and t >= 6  # distance 6 needs >= 6 steps
 
     def test_budget_exhaustion(self):
-        g = path_graph(200)
-        w = CobraWalk(g, seed=5)
-        res = w.run_until_cover(3)
+        res = simulate(path_graph(200), "cobra", seed=5, max_steps=3)
         assert not res.covered
         assert res.cover_time is None
         assert res.steps == 3
@@ -181,6 +181,5 @@ class TestCoverHitHelpers:
         assert res.extras["hit_time"] == 0
 
     def test_invalid_target(self, small_cycle):
-        w = CobraWalk(small_cycle, seed=0)
         with pytest.raises(ValueError):
-            w.run_until_hit(-1, 10)
+            simulate(small_cycle, "cobra", metric="hit", target=-1, max_steps=10)

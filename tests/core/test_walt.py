@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import WaltProcess, walt_cover_time, walt_step_positions
+from repro.core import WaltProcess, walt_step_positions
 from repro.graphs import complete_graph, cycle_graph, random_regular
+from repro.sim import simulate
 
 
 class TestWaltStep:
@@ -84,25 +85,25 @@ class TestWaltProcess:
         assert not np.array_equal(before, proc.positions)
 
     def test_cover_run(self, small_hypercube):
-        res = walt_cover_time(small_hypercube, delta=0.5, start=0, seed=3)
+        res = simulate(small_hypercube, "walt", delta=0.5, start=0, seed=3)
         assert res.covered
         assert res.cover_time is not None and res.cover_time > 0
 
-    def test_first_visit_consistency(self, small_grid):
-        res = walt_cover_time(small_grid, delta=0.3, start=0, seed=4)
+    def test_first_activation_consistency(self, small_grid):
+        res = simulate(small_grid, "walt", delta=0.3, start=0, seed=4)
         assert res.covered
-        assert res.first_visit.min() == 0
-        assert res.cover_time == res.first_visit.max()
+        assert res.first_activation.min() == 0
+        assert res.cover_time == res.first_activation.max()
 
     def test_uniform_start(self, small_grid):
-        res = walt_cover_time(small_grid, delta=0.5, start=None, seed=5)
+        res = simulate(small_grid, "walt", delta=0.5, start=None, seed=5)
         assert res.covered
 
     def test_delta_validation(self, small_grid):
         with pytest.raises(ValueError):
-            walt_cover_time(small_grid, delta=0.0)
+            simulate(small_grid, "walt", delta=0.0)
         with pytest.raises(ValueError):
-            walt_cover_time(small_grid, delta=1.5)
+            simulate(small_grid, "walt", delta=1.5)
 
     def test_position_validation(self, small_cycle):
         with pytest.raises(ValueError):
@@ -112,6 +113,6 @@ class TestWaltProcess:
 
     def test_determinism(self):
         g = random_regular(40, 4, seed=6)
-        a = walt_cover_time(g, seed=7)
-        b = walt_cover_time(g, seed=7)
+        a = simulate(g, "walt", seed=7)
+        b = simulate(g, "walt", seed=7)
         assert a.cover_time == b.cover_time

@@ -104,30 +104,32 @@ class TestDocsAuditNegative:
 
 
 class TestSweepAuditNegative:
-    """A registered sweep whose graph builder is gone is an RPL200 finding."""
+    """A registered sweep whose graph builder is gone, or names a
+    ``repro.graphs`` helper that builds no graph, is an RPL200 finding."""
 
     def test_unknown_graph_builder_is_flagged(self, monkeypatch):
         import repro.store.sweeps as sweeps
         from repro.store import SweepSpec
 
-        def gone(scale, seed):
-            return [
-                SweepSpec(
-                    name="GONE/cobra",
-                    process="cobra",
-                    graph="erdos_renyi_gone",
-                    graph_grid={"n": [16], "p": [0.5]},
-                )
-            ]
+        for graph in ("erdos_renyi_gone", "diameter"):
 
-        monkeypatch.setitem(sweeps._SWEEPS, "GONE", gone)
-        findings = [f for f in audit_sweeps() if f.path == "sweep:GONE"]
-        assert [f.rule for f in findings] == ["RPL200", "RPL200"]
-        assert all(
-            "unknown graph builder 'erdos_renyi_gone'" in f.message
-            for f in findings
-        )
-        assert [("scale='quick'" in f.message) for f in findings] == [True, False]
+            def gone(scale, seed, graph=graph):
+                return [
+                    SweepSpec(
+                        name="GONE/cobra",
+                        process="cobra",
+                        graph=graph,
+                        graph_grid={"n": [16], "p": [0.5]},
+                    )
+                ]
+
+            monkeypatch.setitem(sweeps._SWEEPS, "GONE", gone)
+            findings = [f for f in audit_sweeps() if f.path == "sweep:GONE"]
+            assert [f.rule for f in findings] == ["RPL200", "RPL200"], graph
+            assert all(
+                f"unknown graph builder {graph!r}" in f.message for f in findings
+            )
+            assert [("scale='quick'" in f.message) for f in findings] == [True, False]
 
 
 class TestImplicitAuditNegative:

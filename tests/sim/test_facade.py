@@ -3,9 +3,10 @@
 Three pillars:
 
 * every registered :class:`ProcessSpec` yields a stepping process
-  satisfying :class:`repro.sim.SteppingProcess`;
-* ``simulate()`` reproduces the process classes' own runners
-  seed-for-seed for every registered process;
+  satisfying :class:`repro.sim.SteppingProcess`, and every
+  coverage-capable one keeps the shared :class:`repro.sim.CoverageLedger`;
+* ``simulate()`` reproduces, seed for seed, the process class built
+  directly and stepped until its stop rule holds;
 * ``run_batch``'s serial strategy is bit-exact with per-trial class
   runs over spawned seeds, and its vectorized strategy matches serial
   distributionally.
@@ -22,11 +23,13 @@ import pytest
 
 import repro
 
-from repro.core import CobraWalk, simulate_biased_hit, walt_cover_time
+from repro.core import BiasedWalk, CobraWalk, WaltProcess, walt_start_positions
 from repro.sim import (
+    CoverageLedger,
     ProcessSpec,
     RunResult,
     SteppingProcess,
+    all_processes,
     batched_cobra_cover_trials,
     get_default_processes,
     get_process,
@@ -57,6 +60,13 @@ from repro.walks import (
 
 #: generous budget for the class-level reference runs
 BUDGET = 10**6
+
+#: every registered process that can cover or hit, so keeps a ledger
+COVERAGE_PROCESSES = sorted(
+    spec.name
+    for spec in all_processes()
+    if spec.capabilities & {"cover", "spread", "hit"}
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,17 +163,31 @@ class TestRegistry:
 class TestConformance:
     """Every registered spec yields a SteppingProcess."""
 
-    @pytest.mark.parametrize("name", sorted(
-        ["cobra", "walt", "simple", "lazy", "parallel", "branching",
-         "coalescing", "push", "pull", "push_pull", "biased"]
-    ))
+    @pytest.mark.parametrize("name", COVERAGE_PROCESSES)
     def test_factory_yields_stepping_process(self, g, name):
+        """The shared contract: ``first_activation`` is ``int64[n]`` with
+        the start vertices at 0, and each ``step()`` marks the vertices
+        it first reaches with the new ``t`` and keeps ``num_covered`` and
+        ``all_covered`` in line with it."""
         spec = get_process(name)
         proc = spec.factory(g, start=0, seed=np.random.SeedSequence(1), target=g.n - 1)
         assert isinstance(proc, SteppingProcess)
+        assert isinstance(proc, CoverageLedger)
         assert proc.t == 0
-        proc.step()
-        assert proc.t == 1
+        initial = proc.first_activation.copy()
+        assert initial.dtype == np.int64 and initial.shape == (g.n,)
+        assert initial[0] == 0 and set(np.unique(initial).tolist()) <= {-1, 0}
+        assert proc.num_covered == int((initial >= 0).sum())
+        for step in range(1, 21):
+            before = proc.first_activation.copy()
+            proc.step()
+            fa = proc.first_activation
+            assert proc.t == step
+            assert np.array_equal(fa[before >= 0], before[before >= 0])
+            assert (fa[(before < 0) & (fa >= 0)] == step).all()
+            assert proc.num_covered == int((fa >= 0).sum())
+            assert proc.all_covered == (proc.num_covered == g.n)
+        assert proc.all_covered or proc.num_covered > int((initial >= 0).sum())
 
     @pytest.mark.parametrize("name", sorted(
         ["cobra", "walt", "simple", "lazy", "parallel", "branching",
@@ -176,33 +200,46 @@ class TestConformance:
         assert res.steps <= 50
 
 
+def _step_until(proc, done) -> int | None:
+    """Step a process class directly until *done(proc)*; its step count,
+    or ``None`` when :data:`BUDGET` runs out first."""
+    while not done(proc) and proc.t < BUDGET:
+        proc.step()
+    return proc.t if done(proc) else None
+
+
 def _steps_to_cover(proc) -> int | None:
     """Step a process class to coverage; its step count when covered."""
-    while not proc.all_covered and proc.t < BUDGET:
-        proc.step()
-    return proc.t if proc.all_covered else None
+    return _step_until(proc, lambda p: p.all_covered)
+
+
+def _walt(graph, seed, delta=0.5, lazy=True) -> WaltProcess:
+    """Walt with the registered factory's placement: ``⌊δn⌋`` pebbles at 0."""
+    rng = resolve_rng(seed)
+    positions = walt_start_positions(graph, delta, 0, rng)
+    return WaltProcess(graph, positions, lazy=lazy, seed=rng)
 
 
 def _coalescence_steps(graph, seed) -> int | None:
     """Default walker placement, then step until one walker is left."""
     rng = resolve_rng(seed)
     positions = coalescing_start_positions(graph, None, rng)
-    res = CoalescingWalks(graph, positions, seed=rng).run_until_coalesced(BUDGET)
-    return res.steps if res.coalesced else None
+    walks = CoalescingWalks(graph, positions, seed=rng)
+    return _step_until(walks, lambda p: p.num_walkers == 1)
 
 
-# (process, params, metric, class-level runner returning the scalar to match)
+# (process, params, metric, class-level reference returning the scalar to match)
 PARITY_CASES = [
-    ("simple", {}, "cover", lambda g, s: RandomWalk(g, seed=s).run_until_cover(BUDGET)),
+    ("simple", {}, "cover", lambda g, s: _steps_to_cover(RandomWalk(g, seed=s))),
     ("lazy", {}, "cover",
-     lambda g, s: RandomWalk(g, lazy=True, seed=s).run_until_cover(BUDGET)),
-    ("walt", {}, "cover", lambda g, s: walt_cover_time(g, seed=s).cover_time),
+     lambda g, s: _steps_to_cover(RandomWalk(g, lazy=True, seed=s))),
+    ("walt", {}, "cover", lambda g, s: _steps_to_cover(_walt(g, s))),
     ("walt", {"delta": 0.25, "lazy": False}, "cover",
-     lambda g, s: walt_cover_time(g, seed=s, delta=0.25, lazy=False).cover_time),
+     lambda g, s: _steps_to_cover(_walt(g, s, delta=0.25, lazy=False))),
     ("parallel", {"walkers": 3}, "cover",
      lambda g, s: _steps_to_cover(ParallelWalks(g, walkers=3, seed=s))),
     ("branching", {}, "cover",
-     lambda g, s: BranchingWalk(g, seed=s).run_until_cover(BUDGET).cover_time),
+     lambda g, s: _steps_to_cover(BranchingWalk(g, seed=s))),
     ("push", {}, "spread",
      lambda g, s: _steps_to_cover(GossipSpread(g, push=True, pull=False, seed=s))),
     ("pull", {}, "spread",
@@ -226,16 +263,18 @@ class TestSeedForSeedParity:
     def test_cobra_matches_class_runner(self, g):
         for seed in (0, 7, 123):
             res = simulate(g, "cobra", seed=seed)
-            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_cover(BUDGET)
-            assert res.cover_time == ref.cover_time
+            ref = CobraWalk(g, k=2, start=0, seed=seed)
+            assert _steps_to_cover(ref) is not None
+            assert res.cover_time == ref.first_activation.max()
             assert np.array_equal(res.first_activation, ref.first_activation)
 
     def test_cobra_hit_matches_class_runner(self, g):
         target = g.n - 1
         for seed in (1, 9):
             res = simulate(g, "cobra", metric="hit", target=target, seed=seed)
-            ref = CobraWalk(g, k=2, start=0, seed=seed).run_until_hit(target, BUDGET)
-            assert res.extras["hit_time"] == ref
+            ref = CobraWalk(g, k=2, start=0, seed=seed)
+            hit = _step_until(ref, lambda p: p.first_activation[target] >= 0)
+            assert res.extras["hit_time"] == hit
 
     def test_coalescing_matches_legacy(self):
         # odd cycle: even cycles are bipartite and never fully coalesce
@@ -250,7 +289,9 @@ class TestSeedForSeedParity:
         target = g.n - 1
         for seed in (2, 13):
             res = simulate(g, "biased", metric="hit", target=target, seed=seed)
-            assert res.extras["hit_time"] == simulate_biased_hit(g, target, seed=seed)
+            ref = BiasedWalk(g, target, seed=seed)
+            hit = _step_until(ref, lambda p: p.first_activation[target] >= 0)
+            assert res.extras["hit_time"] == hit
 
 
 #: run_batch's message for a pool width below 1 (set_default_processes's too)
@@ -353,7 +394,7 @@ class TestRunBatch:
     def test_serial_matches_per_trial_class_runs(self, g):
         s = run_batch(g, "cobra", trials=6, seed=42, strategy="serial")
         ref = [
-            CobraWalk(g, k=2, start=0, seed=sd).run_until_cover(10**6).cover_time
+            _steps_to_cover(CobraWalk(g, k=2, start=0, seed=sd))
             for sd in spawn_seeds(42, 6)
         ]
         assert np.array_equal(s.values, np.array(ref, dtype=np.float64))

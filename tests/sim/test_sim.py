@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import CobraWalk
 from repro.graphs import grid
 from repro.sim import (
     coverage_curve,
     resolve_rng,
     resolve_seed_sequence,
     run_trials,
+    simulate,
     spawn_rngs,
     spawn_seeds,
     summarize_trials,
@@ -124,13 +124,12 @@ class TestUnifiedSummary:
     """One TrialSummary type across sim and analysis (satellite)."""
 
     def test_analysis_summarize_is_trial_summary(self):
-        from repro.analysis import SummaryStats, summarize
+        from repro.analysis import summarize
         from repro.sim import TrialSummary
 
-        assert SummaryStats is TrialSummary
         s = summarize([1.0, 2.0, 3.0, np.nan])
         assert isinstance(s, TrialSummary)
-        assert s.n == 3 and s.nan_count == 1 and s.failures == 1
+        assert s.n == 3 and s.failures == 1
 
     def test_quantile_fields(self):
         s = summarize_trials(np.array([1.0, 2.0, 3.0, 4.0]))
@@ -220,8 +219,7 @@ class TestCoverageRecord:
 
     def test_real_run_consistency(self):
         g = grid(5, 2)
-        w = CobraWalk(g, seed=9)
-        res = w.run_until_cover(100_000)
+        res = simulate(g, "cobra", seed=9, max_steps=100_000)
         curve = coverage_curve(res.first_activation)
         assert curve.counts[-1] == g.n
         assert curve.time_to_fraction(1.0) == res.cover_time

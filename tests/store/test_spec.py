@@ -159,14 +159,23 @@ class TestRunKey:
             bad.resolve_target(g)
 
     def test_unknown_builder(self):
-        # deleted builders (old stores may still name them) fail the same way
-        for name in ("not_a_builder", "erdos_renyi", "margulis", "random_tree"):
+        # deleted builders (old stores may still name them) and
+        # repro.graphs helpers that build no graph fail the same way
+        for name in ("not_a_builder", "erdos_renyi", "margulis", "random_tree",
+                     "diameter"):
             key = RunKey(
                 process="cobra", metric="cover", graph_builder=name,
                 graph_params=(),
             )
             with pytest.raises(ValueError, match=f"unknown graph builder {name!r}"):
                 key.build_graph()
+
+    def test_every_listed_builder_resolves(self):
+        import repro.graphs as graphs
+        from repro.store.spec import resolve_graph_builder
+
+        for name in graphs.GRAPH_BUILDERS:
+            assert resolve_graph_builder(name) is getattr(graphs, name)
 
     def test_farthest_target_rule(self):
         # on a cycle the BFS-farthest vertex from 0 is the antipode

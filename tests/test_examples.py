@@ -1,8 +1,10 @@
 """Smoke tests for the example scripts.
 
 Each example is importable (no side effects at import) and exposes a
-``main()``; the cheapest one runs end-to-end under a subprocess so the
-documented entry point stays alive.
+``main()``; the cheap ones run end-to-end under a subprocess so the
+documented entry points stay alive.  The two that step a cobra walk
+by hand pin one seeded table row each, so a change to the serial
+stepping classes that moves a value shows here.
 """
 
 import importlib.util
@@ -42,3 +44,26 @@ def test_quickstart_runs():
     assert out.returncode == 0, out.stderr
     assert "2-cobra walk covered all vertices" in out.stdout
     assert "slower" in out.stdout
+
+
+def _run(script: str) -> list[str]:
+    """Run an example; its stdout lines with trailing spaces stripped."""
+    out = subprocess.run(
+        [sys.executable, str(EXAMPLES / script)],
+        capture_output=True,
+        text=True,
+        timeout=240,
+    )
+    assert out.returncode == 0, out.stderr
+    return [line.rstrip() for line in out.stdout.splitlines()]
+
+
+def test_rumor_spreading_runs():
+    lines = _run("rumor_spreading.py")
+    assert "2-cobra forwarding  18.3           18               1.923e+04" in lines
+
+
+def test_epidemic_sis_runs():
+    lines = _run("epidemic_sis.py")
+    # the proximity network's k = 2 row
+    assert "2                   94              49           71           77.2%" in lines

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import fit_power_law, summarize
-from repro.core import (
-    CobraWalk,
-    thm8_conductance_cover,
-    walt_cover_time,
-)
+from repro.core import thm8_conductance_cover
 from repro.graphs import (
     chung_lu_powerlaw,
     grid,
@@ -17,7 +13,7 @@ from repro.graphs import (
     random_geometric,
     random_regular,
 )
-from repro.sim import coverage_curve, run_batch, run_trials
+from repro.sim import coverage_curve, run_batch, run_trials, simulate
 from repro.spectral import conductance_estimate, theorem8_epoch_length
 
 
@@ -61,8 +57,7 @@ class TestEveryFamilySupportsCobra:
     )
     def test_cover_completes(self, make):
         g = make()
-        walk = CobraWalk(g, seed=11)
-        res = walk.run_until_cover(max_steps=500 * g.n)
+        res = simulate(g, "cobra", seed=11, max_steps=500 * g.n)
         assert res.covered
         curve = coverage_curve(res.first_activation)
         assert curve.counts[-1] == g.n
@@ -79,7 +74,7 @@ class TestWaltAgainstCobraAcrossFamilies:
             cobra = run_batch(g, "cobra", trials=10, seed=seed, strategy="serial").mean
             walt = float(
                 np.nanmean(
-                    [walt_cover_time(g, seed=s).cover_time for s in range(seed, seed + 10)]
+                    [simulate(g, "walt", seed=s).cover_time for s in range(seed, seed + 10)]
                 )
             )
             assert walt >= cobra * 0.9

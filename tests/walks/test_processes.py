@@ -104,14 +104,14 @@ class TestCoalescing:
 
     def test_two_walkers_on_odd_cycle_meet(self):
         g = cycle_graph(9)
-        proc = CoalescingWalks(g, np.array([0, 4]), seed=11)
-        res = proc.run_until_coalesced(100_000)
-        assert res.coalesced
+        res = simulate(g, "coalescing", start=np.array([0, 4]), seed=11,
+                       max_steps=100_000)
+        assert res.extras["coalesced"]
 
     def test_single_walker_trivially_coalesced(self, small_cycle):
-        proc = CoalescingWalks(small_cycle, np.array([3]), seed=12)
-        res = proc.run_until_coalesced(10)
-        assert res.coalesced and res.steps == 0
+        res = simulate(small_cycle, "coalescing", start=np.array([3]), seed=12,
+                       max_steps=10)
+        assert res.extras["coalesced"] and res.steps == 0
 
     def test_validation(self, small_cycle):
         with pytest.raises(ValueError):

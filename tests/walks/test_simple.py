@@ -49,9 +49,8 @@ class TestRandomWalk:
     def test_validation(self, small_cycle):
         with pytest.raises(ValueError):
             RandomWalk(small_cycle, start=100)
-        w = RandomWalk(small_cycle, seed=0)
         with pytest.raises(ValueError):
-            w.run_until_hit(50, 10)
+            simulate(small_cycle, "simple", metric="hit", target=50, max_steps=10)
 
 
 class TestBatchedTrials:

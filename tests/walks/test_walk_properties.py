@@ -32,9 +32,9 @@ def test_random_walk_trajectory_valid(g, seed):
         assert g.has_edge(prev, cur)
         visited.add(cur)
         prev = cur
-    # first_visit bookkeeping matches the trajectory
+    # first_activation bookkeeping matches the trajectory
     assert w.num_covered == len(visited)
-    fv = w.first_visit
+    fv = w.first_activation
     assert set(np.flatnonzero(fv >= 0).tolist()) == visited
 
 
