@@ -151,7 +151,7 @@ class BiasedWalk(CoverageLedger):
             nbrs = self.graph.neighbors(v)
             v = int(nbrs[int(self.rng.random() * d)])
         self.position = v
-        self.mark(self.t, v)
+        self.visit(self.t, v)
         return v
 
 
@@ -231,8 +231,6 @@ def sigma_hat_lemma18_bound(graph: Graph, target: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-
-
 class MetropolisChain:
     """Lemma 16's construction.
 

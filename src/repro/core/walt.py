@@ -119,7 +119,7 @@ class WaltProcess(CoverageLedger):
         if self.lazy and self.rng.random() < 0.5:
             return self.positions
         self.positions = walt_step_positions(self.graph, self.positions, self.rng)
-        self.mark(self.t, self.positions)
+        self.mark(self.t, np.unique(self.positions))
         return self.positions
 
 

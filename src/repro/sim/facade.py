@@ -379,6 +379,11 @@ def simulate(
     if max_steps is None:
         max_steps = spec.default_budget(graph, params)
     proc = spec.factory(graph, start=start, seed=seed, target=target, **params)
+    if metric in ("cover", "spread", "hit") and not isinstance(proc, CoverageLedger):
+        raise TypeError(
+            f"{type(proc).__name__} does not track coverage: a process "
+            f"declaring {metric!r} must subclass repro.sim.CoverageLedger"
+        )
     stop = _STOP[metric]
     while not stop(proc, target) and proc.t < max_steps:
         proc.step()

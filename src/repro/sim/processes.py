@@ -68,7 +68,8 @@ class SteppingProcess(Protocol):
     serial rows of ``tests/golden/streams.json`` are checked against.
     A class that can cover or hit also is a :class:`CoverageLedger`:
     ``step()`` advances ``t`` and then hands the vertices it reached to
-    :meth:`CoverageLedger.mark`.  The classes have no run loop of their
+    :meth:`CoverageLedger.mark` (or one vertex to
+    :meth:`CoverageLedger.visit`).  The classes have no run loop of their
     own: :func:`repro.sim.facade.simulate` is the one place a serial
     process is stepped to a stop.
     """
@@ -100,28 +101,31 @@ class CoverageLedger:
 
     def __init__(self, n: int, start: int | np.ndarray) -> None:
         self.first_activation = np.full(n, -1, dtype=np.int64)
-        self.num_covered = 0
-        self.mark(0, start)
+        self.first_activation[start] = 0
+        self.num_covered = int(np.count_nonzero(self.first_activation == 0))
 
     @property
     def all_covered(self) -> bool:
         """Whether every vertex has been reached."""
         return self.num_covered == self.first_activation.size
 
-    def mark(self, t: int, vertices: int | np.ndarray) -> None:
+    def visit(self, t: int, v: int) -> None:
+        """Record step *t* as the first activation of vertex *v* if it
+        was never reached before."""
+        if self.first_activation[v] < 0:
+            self.first_activation[v] = t
+            self.num_covered += 1
+
+    def mark(self, t: int, vertices: np.ndarray) -> None:
         """Record step *t* as the first activation of every vertex in
-        *vertices* (one vertex, or an array that may repeat vertices)
-        that was never reached before."""
+        *vertices* that was never reached before.  *vertices* holds
+        distinct ids: a class whose step can repeat a vertex
+        deduplicates before it marks."""
         fa = self.first_activation
-        if isinstance(vertices, (int, np.integer)):
-            if fa[vertices] < 0:
-                fa[vertices] = t
-                self.num_covered += 1
-            return
         fresh = vertices[fa[vertices] < 0]
         if fresh.size:
             fa[fresh] = t
-            self.num_covered += int(np.unique(fresh).size)
+            self.num_covered += fresh.size
 
 
 #: the metric vocabulary understood by the facade

@@ -50,25 +50,28 @@ class GossipSpread(CoverageLedger):
         self.pull = bool(pull)
         self.rng = resolve_rng(seed)
         self.t = 0
+        self.informed = np.zeros(graph.n, dtype=bool)
+        self.informed[start] = True
         super().__init__(graph.n, start)
 
     def step(self) -> np.ndarray:
         """One gossip round; returns the informed mask."""
         self.t += 1
-        informed = self.first_activation >= 0
+        informed = self.informed
         fresh_mask = np.zeros(self.graph.n, dtype=bool)
         if self.push:
-            senders = np.flatnonzero(informed)
+            senders = informed.nonzero()[0]
             targets = sample_uniform_neighbors(self.graph, senders, self.rng)
             fresh_mask[targets] = True
         if self.pull:
-            askers = np.flatnonzero(~informed)
+            askers = (~informed).nonzero()[0]
             if askers.size:
                 sources = sample_uniform_neighbors(self.graph, askers, self.rng)
                 fresh_mask[askers[informed[sources]]] = True
         fresh_mask &= ~informed
-        self.mark(self.t, np.flatnonzero(fresh_mask))
-        return informed | fresh_mask
+        informed |= fresh_mask
+        self.mark(self.t, fresh_mask.nonzero()[0])
+        return informed
 
 
 def _budget(n: int) -> int:

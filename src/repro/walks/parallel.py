@@ -51,7 +51,9 @@ class ParallelWalks(CoverageLedger):
         """Move every walker to a uniform neighbor; returns positions."""
         self.t += 1
         self.positions = sample_uniform_neighbors(self.graph, self.positions, self.rng)
-        self.mark(self.t, self.positions)
+        fresh = self.positions[self.first_activation[self.positions] < 0]
+        if fresh.size:
+            self.mark(self.t, np.unique(fresh))
         return self.positions
 
 

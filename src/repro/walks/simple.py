@@ -62,7 +62,7 @@ class RandomWalk(CoverageLedger):
             return self.position
         nbrs = self.graph.neighbors(self.position)
         self.position = int(nbrs[int(self.rng.random() * nbrs.size)])
-        self.mark(self.t, self.position)
+        self.visit(self.t, self.position)
         return self.position
 
 

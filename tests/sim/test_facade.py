@@ -596,6 +596,32 @@ class TestSimulateSemantics:
                        start=np.arange(30))
         assert res.covered and res.cover_time == 0
 
+    def test_cover_process_without_ledger_is_refused(self, g):
+        """A cover/hit process that keeps its own ``all_covered`` but no
+        :class:`CoverageLedger` is refused, not reported uncovered."""
+
+        class OwnBookkeeping:
+            all_covered = True
+
+            def __init__(self, graph, **_):
+                self.t = 0
+
+            def step(self):
+                self.t += 1
+
+        spec = ProcessSpec(
+            name="own-bookkeeping",
+            factory=OwnBookkeeping,
+            capabilities=frozenset({"cover", "hit"}),
+            default_metric="cover",
+            default_budget=lambda graph, params: 10,
+        )
+        for metric in ("cover", "hit"):
+            with pytest.raises(TypeError, match="CoverageLedger"):
+                simulate(g, spec, metric=metric, target=1)
+        with pytest.raises(TypeError, match="CoverageLedger"):
+            run_batch(g, spec, trials=2, seed=0, strategy="serial")
+
     def test_coalescing_rejects_scalar_start(self):
         c = cycle_graph(9)
         with pytest.raises(ValueError, match="walker positions"):
