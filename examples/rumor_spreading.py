@@ -30,6 +30,7 @@ from repro.analysis import Table, summarize
 from repro.core import CobraWalk
 from repro.graphs import random_regular
 from repro.sim import spawn_seeds
+from repro.walks import GossipSpread
 
 
 def cobra_rounds_and_messages(graph, seed) -> tuple[int, int]:
@@ -44,22 +45,15 @@ def cobra_rounds_and_messages(graph, seed) -> tuple[int, int]:
 
 
 def push_rounds_and_messages(graph, seed) -> tuple[int, int]:
-    # re-simulate push, counting one forward per informed vertex per round
-    from repro.graphs import sample_uniform_neighbors
-    from repro.sim import resolve_rng
-
-    rng = resolve_rng(seed)
-    informed = np.zeros(graph.n, dtype=bool)
-    informed[0] = True
+    gossip = GossipSpread(graph, start=0, push=True, seed=seed)
     messages = 0
-    for t in range(1, 10 * graph.n * 20):
-        senders = np.flatnonzero(informed)
-        messages += senders.size
-        targets = sample_uniform_neighbors(graph, senders, rng)
-        informed[targets] = True
-        if informed.all():
-            return t, messages
-    raise RuntimeError("push did not finish")
+    while not gossip.all_covered and gossip.t < 10 * graph.n * 20:
+        # every informed vertex forwards one copy this round
+        messages += gossip.num_covered
+        gossip.step()
+    if not gossip.all_covered:
+        raise RuntimeError("push did not finish")
+    return gossip.t, messages
 
 
 def main() -> None:

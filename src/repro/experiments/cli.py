@@ -6,7 +6,7 @@ Usage::
     cobra-experiments list
     cobra-experiments processes
     cobra-experiments run T3_grid [--scale quick|full] [--seed N]
-    cobra-experiments run all --scale full --processes 4
+    cobra-experiments run all --scale full
     cobra-experiments run T3_grid --json > t3.json
     cobra-experiments sweep list
     cobra-experiments sweep run T3_grid --store results/ [--max-cells N] [--workers 4]
@@ -26,10 +26,10 @@ Usage::
 Each run prints the experiment's tables and findings; ``run all``
 iterates the whole registry (this is how EXPERIMENTS.md numbers were
 produced).  ``--json`` emits a machine-readable findings dump instead
-of tables; ``--processes N`` (N > 1) moves every Monte-Carlo batch
-onto the per-trial process pool via the
-:func:`repro.sim.facade.run_batch` default, so its values are the
-``strategy="serial"`` ones, not the vectorized engines' streams.
+of tables.  Every Monte-Carlo batch goes through
+:func:`repro.sim.facade.run_batch`, so a run's values depend only on
+its seed; to spread work over CPUs, drive a registered sweep with
+``sweep run --workers N``.
 
 The ``sweep`` subcommands drive the registered sweep declarations
 (:mod:`repro.store.sweeps`) against a **durable content-addressed
@@ -111,15 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json",
         action="store_true",
         help="emit one JSON document of findings/notes instead of tables",
-    )
-    runp.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="N > 1 runs every Monte-Carlo batch trial by trial on an "
-        "N-process pool, giving strategy='serial' values instead of the "
-        "default vectorized streams",
     )
     sweepp = sub.add_parser(
         "sweep", help="declarative sweep campaigns over a durable result store"
@@ -284,14 +275,6 @@ def main(argv: list[str] | None = None) -> int:
             caps = ",".join(sorted(spec.capabilities))
             print(f"{spec.name:12s} [{caps}] {spec.description}")
         return 0
-
-    if args.processes is not None:
-        from ..sim import set_default_processes
-
-        if args.processes < 1:
-            print("error: --processes must be >= 1", file=sys.stderr)
-            return 2
-        set_default_processes(args.processes)
 
     ids = [e.id for e in all_experiments()] if args.id == "all" else [args.id]
     dump: dict[str, dict] = {}

@@ -1,5 +1,6 @@
 """Simulation harness: RNG streams, the process registry, the
-``simulate``/``run_batch`` facade, and Monte-Carlo trials."""
+``simulate``/``run_batch`` facade, the batched engines, and the
+Monte-Carlo trial summary."""
 
 from .._lazy import lazy_exports
 
@@ -17,8 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "RunResult",
         "simulate",
         "run_batch",
-        "set_default_processes",
-        "get_default_processes",
     )),
     (".batch", (
         "batched_biased_cover_trials",
@@ -36,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "batched_walt_hit_trials",
         "batched_walt_positions_at",
     )),
-    (".montecarlo", ("TrialSummary", "run_trials", "summarize_trials")),
+    (".montecarlo", ("TrialSummary", "summarize_trials")),
     (".record", ("CoverageCurve", "coverage_curve", "time_to_cover_fraction")),
     (".rng", (
         "SeedLike",

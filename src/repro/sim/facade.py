@@ -13,14 +13,13 @@
 single :class:`RunResult`.  It is the one loop that steps a serial
 process to a stop: the process classes only define ``step()``, and the
 serial rows of ``tests/golden/streams.json`` pin what it returns.
-``run_batch`` fans out over the vectorized batched engine when the
-process has one for the metric (cover/spread: every cover-capable
-registered process; hit: cobra, simple, lazy, walt, push, pull,
-push_pull), a multiprocessing pool when ``processes > 1``, or a
-serial seed-spawned loop otherwise, always returning one
-:class:`~repro.sim.montecarlo.TrialSummary`.  The pool and the serial
-loop give trial ``i`` the ``i``-th spawned seed, so their values are
-identical (see ``docs/architecture.md``).
+``run_batch`` runs the vectorized batched engine when the process has
+one for the metric (cover/spread: every cover-capable registered
+process; hit: cobra, simple, lazy, walt, push, pull, push_pull), or
+else a serial loop that gives trial ``i`` the ``i``-th spawned seed,
+always returning one :class:`~repro.sim.montecarlo.TrialSummary`.
+Parallelism lives one level up, across cells (``Campaign(workers=N)``;
+see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -36,48 +35,16 @@ import numpy as np
 from ..graphs.base import Graph
 from ..graphs.implicit import NeighborOracle
 from ..obs.trace import current_tracer
-from .montecarlo import TrialSummary, run_trials, summarize_trials
+from .montecarlo import TrialSummary, summarize_trials
 from .processes import CoverageLedger, ProcessSpec, get_process
-from .rng import SeedLike
+from .rng import SeedLike, spawn_seeds
 
 __all__ = [
     "RunResult",
     "simulate",
     "run_batch",
     "select_execution_path",
-    "set_default_processes",
-    "get_default_processes",
 ]
-
-#: process-pool fan-out applied when ``run_batch(processes=None)``;
-#: set from the CLI's ``--processes`` flag.
-_DEFAULT_PROCESSES: int | None = None
-
-
-def set_default_processes(processes: int | None) -> None:
-    """Set the default Monte-Carlo fan-out for :func:`run_batch`.
-
-    Parameters
-    ----------
-    processes : int or None
-        ``None`` or 1 = serial/vectorized; > 1 = pool of that size.
-    """
-    global _DEFAULT_PROCESSES
-    if processes is not None and processes < 1:
-        raise ValueError("processes must be >= 1 (or None)")
-    _DEFAULT_PROCESSES = processes
-
-
-def get_default_processes() -> int | None:
-    """Current default fan-out (see :func:`set_default_processes`).
-
-    Returns
-    -------
-    int or None
-        The installed pool width, or ``None`` for serial/vectorized.
-    """
-    return _DEFAULT_PROCESSES
-
 
 @dataclass
 class RunResult:
@@ -240,7 +207,6 @@ def select_execution_path(
     metric: str,
     *,
     strategy: str = "auto",
-    processes: int | None = None,
 ) -> str:
     """The execution path :func:`run_batch` takes for these arguments.
 
@@ -256,13 +222,11 @@ def select_execution_path(
         The resolved metric.
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
-    processes : int or None
-        Effective pool width (the caller resolves the CLI default).
 
     Returns
     -------
     str
-        ``"vectorized"``, ``"pool"``, or ``"serial"``.
+        ``"vectorized"`` or ``"serial"``.
     """
     if metric in ("cover", "spread"):
         engine = spec.batch_cover
@@ -276,14 +240,8 @@ def select_execution_path(
                 f"process {spec.name!r} has no vectorized engine for metric {metric!r}"
             )
         return "vectorized"
-    if (
-        strategy == "auto"
-        and engine is not None
-        and (processes is None or processes <= 1)
-    ):
+    if strategy == "auto" and engine is not None:
         return "vectorized"
-    if processes is not None and processes > 1:
-        return "pool"
     return "serial"
 
 
@@ -402,42 +360,6 @@ def simulate(
     )
 
 
-def _batch_trial(
-    seed,
-    graph: Graph,
-    process: str | ProcessSpec,
-    metric: str,
-    start,
-    target,
-    max_steps,
-    params: dict | None = None,
-) -> float:
-    """Picklable per-trial worker for serial/pool fan-out.
-
-    Parameters
-    ----------
-    seed : SeedLike, optional
-        The trial's own spawned :class:`numpy.random.SeedSequence`.
-    graph, process, metric, start, target, max_steps, params:
-        Static :func:`simulate` arguments shared by every trial.
-
-    Returns
-    -------
-    float
-        The trial's scalar metric value (``nan`` = budget exhausted).
-    """
-    return simulate(
-        graph,
-        process,
-        metric=metric,
-        start=start,
-        target=target,
-        seed=seed,
-        max_steps=max_steps,
-        **(params or {}),
-    ).value
-
-
 def run_batch(
     graph: Graph | NeighborOracle,
     process: str | ProcessSpec = "cobra",
@@ -448,7 +370,6 @@ def run_batch(
     target: int | None = None,
     seed: SeedLike = None,
     max_steps: int | None = None,
-    processes: int | None = None,
     strategy: str = "auto",
     **params: Any,
 ) -> TrialSummary:
@@ -460,13 +381,9 @@ def run_batch(
       metric — ``batch_cover`` for coverage/spread, ``batch_hit`` for
       hitting — all trials advance in one ``(trials, n)`` frontier, no
       per-trial Python loops;
-    * a :mod:`multiprocessing` pool when ``processes > 1`` (or a CLI
-      default was installed via :func:`set_default_processes`);
     * otherwise a serial loop over spawned per-trial seeds: trial ``i``
-      is ``simulate(..., seed=spawn_seeds(seed, trials)[i])``.
-
-    The pool gives trial ``i`` the same spawned seed as the serial loop,
-    so the two return identical values for any pool width.
+      is ``simulate(..., seed=spawn_seeds(seed, trials)[i])``, so its
+      value does not depend on how many trials run.
 
     ``strategy="vectorized"`` / ``"serial"`` force a path (vectorized
     raises for processes without a batched engine for the metric).
@@ -476,7 +393,7 @@ def run_batch(
     graph : Graph or NeighborOracle
         The graph to run on — a CSR :class:`Graph`, or an implicit
         :class:`~repro.graphs.implicit.NeighborOracle` (vectorized
-        path only: the serial and pool paths step CSR edge arrays).
+        path only: the serial path steps CSR edge arrays).
     process : str or ProcessSpec
         Registry name or a :class:`~repro.sim.processes.ProcessSpec`.
     trials : int
@@ -488,16 +405,12 @@ def run_batch(
         Start vertex (array for multi-source processes).
     target : int, optional
         Hit target, required for ``metric="hit"`` (validated before
-        any fan-out).
+        any trial runs).
     seed : SeedLike, optional
         The single root seed all per-trial (or engine) streams derive
         from.
     max_steps : int, optional
         Step budget per trial; defaults to the process's registered budget.
-    processes : int or None
-        Pool width for the per-trial multiprocessing path (``None``/1
-        = no pool; below 1 raises).  ``None`` falls back to the default
-        installed by :func:`set_default_processes`.
     strategy : str
         ``"auto"`` (default), ``"vectorized"``, or ``"serial"``.
     **params : Any
@@ -515,35 +428,17 @@ def run_batch(
         raise ValueError("need at least one trial")
     if strategy not in ("auto", "vectorized", "serial"):
         raise ValueError(f"unknown strategy {strategy!r}; use auto|vectorized|serial")
-    if processes is not None and processes < 1:
-        raise ValueError("processes must be >= 1 (or None)")
     if metric == "hit":
-        # validate here, before any fan-out: a bad target must fail fast
-        # in the caller, not deep inside pool workers
+        # validate here, before any engine runs: a bad target must fail
+        # fast in the caller
         if target is None:
             raise ValueError("metric 'hit' needs a target vertex")
         if not (0 <= target < graph.n):
             raise ValueError("target out of range")
-    if processes is None:
-        processes = _DEFAULT_PROCESSES
     if max_steps is None:
         max_steps = spec.default_budget(graph, params)
 
-    # registered specs travel by name (cheap to pickle across a pool);
-    # an unregistered spec is passed as the object itself — fine
-    # serially, and the pool path then needs the spec to be picklable
-    from .processes import _REGISTRY
-
-    proc_ref: str | ProcessSpec = (
-        spec.name if _REGISTRY.get(spec.name) is spec else spec
-    )
-
-    path = select_execution_path(
-        spec,
-        metric,
-        strategy=strategy,
-        processes=processes,
-    )
+    path = select_execution_path(spec, metric, strategy=strategy)
     tracer = current_tracer()
     if tracer.enabled:
         tracer.annotate(
@@ -551,10 +446,10 @@ def run_batch(
         )
     if path != "vectorized" and not isinstance(graph, Graph):
         raise ValueError(
-            f"the {path!r} execution path steps CSR edge arrays, which an "
+            "the serial execution path steps CSR edge arrays, which an "
             "implicit NeighborOracle does not carry; use "
-            "strategy='vectorized' (drop processes=) or materialise "
-            "the graph with repro.graphs.to_csr(...)"
+            "strategy='vectorized' or materialise the graph with "
+            "repro.graphs.to_csr(...)"
         )
     if path == "vectorized":
         engine = spec.batch_cover if metric in ("cover", "spread") else spec.batch_hit
@@ -570,11 +465,12 @@ def run_batch(
         )
         return summarize_trials(np.asarray(values, dtype=np.float64))
 
-    return run_trials(
-        _batch_trial,
-        trials,
-        seed=seed,
-        args=(graph, proc_ref, metric, start, target, max_steps),
-        kwargs={"params": dict(params)},
-        processes=processes,
+    return summarize_trials(
+        np.array([
+            simulate(
+                graph, spec, metric=metric, start=start, target=target,
+                seed=s, max_steps=max_steps, **params,
+            ).value
+            for s in spawn_seeds(seed, trials)
+        ])
     )

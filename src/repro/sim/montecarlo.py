@@ -1,25 +1,19 @@
-"""Monte-Carlo trial running, serial or multiprocess.
+"""Monte-Carlo trial summaries: :class:`TrialSummary` and
+:func:`summarize_trials`.
 
-The pattern follows the HPC guides' batch idiom: a trial function
-receives a :class:`numpy.random.SeedSequence` (cheap to pickle) plus
-static arguments, and returns a float.  Parent-side code never ships
-generators or graphs per trial — graphs go once via the function's
-closure-free arguments so fork/spawn costs stay flat.
+Every path that produces trial values — the vectorized engines and the
+serial seed-spawned loop of :func:`repro.sim.facade.run_batch`, and the
+analysis helpers — reduces them to one :class:`TrialSummary` here.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-from typing import Any
 
 import numpy as np
 
-from .rng import SeedLike, spawn_seeds
-
-__all__ = ["TrialSummary", "run_trials", "summarize_trials"]
+__all__ = ["TrialSummary", "summarize_trials"]
 
 
 @dataclass(frozen=True)
@@ -122,44 +116,3 @@ def summarize_trials(values: np.ndarray) -> TrialSummary:
         maximum=ordered.item(-1),
     )
 
-
-def _worker(payload: tuple) -> float:
-    fn, seed, args, kwargs = payload
-    return float(fn(seed, *args, **kwargs))
-
-
-def run_trials(
-    fn: Callable[..., float],
-    trials: int,
-    *,
-    seed: SeedLike = None,
-    args: Sequence[Any] = (),
-    kwargs: dict | None = None,
-    processes: int | None = None,
-) -> TrialSummary:
-    """Run ``fn(seed_sequence, *args, **kwargs)`` *trials* times.
-
-    ``processes=None`` (or 1) runs serially; an integer > 1 fans out
-    over a :mod:`multiprocessing` pool.  Either way trial ``i`` always
-    receives the same spawned seed, so serial and parallel runs return
-    identical values.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    kwargs = kwargs or {}
-    seeds = spawn_seeds(seed, trials)
-    payloads = [(fn, s, tuple(args), kwargs) for s in seeds]
-    if processes is None or processes <= 1:
-        values = np.array([_worker(p) for p in payloads])
-    else:
-        with _pool_context().Pool(processes=processes) as pool:
-            values = np.array(pool.map(_worker, payloads))
-    return summarize_trials(values)
-
-
-def _pool_context() -> mp.context.BaseContext:
-    """Pool context: ``fork`` where the platform offers it (cheapest —
-    the graph ships by page sharing), else the platform default
-    (``spawn`` on macOS/Windows, where ``get_context("fork")`` raises)."""
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    return mp.get_context(method)

@@ -216,24 +216,6 @@ class ProcessSpec:
         """
         return metric in self.capabilities
 
-    def make(self, graph: Graph, **kwargs: Any) -> SteppingProcess:
-        """Instantiate the process (thin sugar over ``factory``).
-
-        Parameters
-        ----------
-        graph:
-            The graph to run on.
-        **kwargs:
-            Forwarded to the factory (``start``, ``seed``, ``target``,
-            and the process's own knobs).
-
-        Returns
-        -------
-        SteppingProcess
-            A fresh stepping process.
-        """
-        return self.factory(graph, **kwargs)
-
 
 _REGISTRY: dict[str, ProcessSpec] = {}
 _LOADED = False

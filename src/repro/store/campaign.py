@@ -10,13 +10,12 @@ an uninterrupted run; ``tests/store/test_campaign.py`` pins both).
 
 Execution rides the facade: each cell is one
 ``run_batch(graph, process, trials=, metric=, seed=, ...)`` call, so a
-campaign gets the vectorized batched engine, the multiprocessing pool
-or the serial loop exactly as any other caller would.  Per-cell
-provenance (sweep name, engine path used, worker id, seed entropy,
-wall time and per-phase timings, graph name) is recorded next to the
-result; pass a :class:`~repro.obs.trace.Tracer` to additionally stream
-span events into the store's ``events.jsonl`` (see
-``docs/observability.md``).
+campaign gets the vectorized batched engine or the serial loop exactly
+as any other caller would.  Per-cell provenance (sweep name, engine
+path used, worker id, seed entropy, wall time and per-phase timings,
+graph name) is recorded next to the result; pass a
+:class:`~repro.obs.trace.Tracer` to additionally stream span events
+into the store's ``events.jsonl`` (see ``docs/observability.md``).
 
 ``Campaign(workers=N)`` instead spawns N local worker processes that
 drain the same sweep concurrently through the lease/claim dispatcher
@@ -26,6 +25,7 @@ single-process ``run()``, because per-cell seeds are content-derived.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Mapping
@@ -104,14 +104,20 @@ def _engine_label(process: str, metric: str) -> str:
     provenance — computed by the facade's own
     :func:`~repro.sim.facade.select_execution_path` (the one selection
     rule ``run_batch`` itself uses), so the label cannot drift from
-    what actually ran."""
-    from ..sim.facade import get_default_processes, select_execution_path
+    what actually ran.  It depends only on (process, metric), and both
+    are in the cell's key."""
+    from ..sim.facade import select_execution_path
 
-    pool = get_default_processes()
-    path = select_execution_path(get_process(process), metric, processes=pool)
-    if path == "pool":
-        return f"pool(processes={pool})"
-    return path
+    return select_execution_path(get_process(process), metric)
+
+
+def _pool_context() -> mp.context.BaseContext:
+    """Pool context: ``fork`` where the platform offers it (cheapest —
+    the parent's imports ship by page sharing), else the platform
+    default (``spawn`` on macOS/Windows, where ``get_context("fork")``
+    raises)."""
+    method = "fork" if "fork" in mp.get_all_start_methods() else None
+    return mp.get_context(method)
 
 
 #: the cell phases, in execution order — every run_cell emits exactly
@@ -399,7 +405,6 @@ class Campaign:
         their reports.  See ``docs/sweeps.md`` ("Multi-worker
         dispatch").
         """
-        from ..sim.montecarlo import _pool_context
         from .dispatch import pool_worker, worker_payloads
 
         assert self.workers is not None and self.store.root is not None

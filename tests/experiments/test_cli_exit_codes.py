@@ -75,11 +75,6 @@ class TestUsageErrorsExit2:
         assert main(["run", "NOPE"]) == 2
         assert "unknown experiment" in _one_error_line(capsys)
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_run_processes_below_one(self, n, capsys):
-        assert main(["run", "T3_grid", "--processes", n]) == 2
-        assert "--processes must be >= 1" in _one_error_line(capsys)
-
     def test_argparse_usage_is_exit_2(self):
         # argparse's own rejection path already honours the contract
         with pytest.raises(SystemExit) as exc:

@@ -88,17 +88,6 @@ class TestCli:
         assert entry["scale"] == "quick" and entry["seed"] == 1
         assert isinstance(entry["findings"], dict) and entry["findings"]
 
-    def test_run_processes_flag(self, capsys):
-        from repro.sim import get_default_processes, set_default_processes
-
-        try:
-            assert main(["run", "TREES_kary", "--processes", "2"]) == 0
-            assert get_default_processes() == 2
-        finally:
-            set_default_processes(None)
-        out = capsys.readouterr().out
-        assert "TREES_kary" in out
-
     def test_processes_command(self, capsys):
         assert main(["processes"]) == 0
         out = capsys.readouterr().out

@@ -85,7 +85,6 @@ def _run_batch_row(graph, process: str, metric: str, strategy: str) -> np.ndarra
         target=graph.n - 1,
         seed=SEED,
         max_steps=MAX_STEPS.get(metric, DEFAULT_MAX_STEPS),
-        processes=1,
         strategy=strategy,
     ).values
 

@@ -31,12 +31,10 @@ from repro.sim import (
     SteppingProcess,
     all_processes,
     batched_cobra_cover_trials,
-    get_default_processes,
     get_process,
     process_names,
     register_process,
     run_batch,
-    set_default_processes,
     simulate,
 )
 from repro.sim.facade import select_execution_path
@@ -294,30 +292,10 @@ class TestSeedForSeedParity:
             assert res.extras["hit_time"] == hit
 
 
-#: run_batch's message for a pool width below 1 (set_default_processes's too)
-_BAD_PROCESSES = r"processes must be >= 1 \(or None\)"
-
-
-def _pool_case(name):
-    """Graph and kwargs for a fast pool-vs-serial run of *name*: every
-    process but the line-only minima walk runs on ``complete_graph(8)``,
-    which is non-bipartite, so coalescing walkers actually meet."""
-    if name == "branching_minima":
-        return path_graph(17), {"generations": 4}
-    graph = complete_graph(8)
-    kw = {}
-    if name == "biased":
-        kw["target"] = graph.n - 1
-    if name == "coalescing":
-        kw["walkers"] = 4
-    return graph, kw
-
-
 class TestSelectExecutionPath:
     def test_default_args_unchanged(self):
         spec = get_process("cobra")
         assert select_execution_path(spec, "cover") == "vectorized"
-        assert select_execution_path(spec, "cover", processes=4) == "pool"
         assert select_execution_path(spec, "cover", strategy="serial") == "serial"
 
 
@@ -331,7 +309,7 @@ def _bad_start_cases():
             for strategy in ("vectorized", "serial"):
                 if strategy == "vectorized":
                     try:
-                        select_execution_path(spec, metric, strategy=strategy, processes=1)
+                        select_execution_path(spec, metric, strategy=strategy)
                     except ValueError:
                         continue
                 yield pytest.param(name, metric, strategy, id=f"{name}/{metric}/{strategy}")
@@ -388,7 +366,7 @@ class TestRunBatch:
             # to raise.
             run_batch(
                 graph, name, metric=metric, start=start, target=graph.n - 1,
-                trials=3, seed=0, max_steps=64, strategy=strategy, processes=1,
+                trials=3, seed=0, max_steps=64, strategy=strategy,
             )
 
     def test_serial_matches_per_trial_class_runs(self, g):
@@ -399,46 +377,14 @@ class TestRunBatch:
         ]
         assert np.array_equal(s.values, np.array(ref, dtype=np.float64))
 
-    def test_pool_matches_serial(self, g):
-        ser = run_batch(g, "walt", trials=4, seed=5, strategy="serial")
-        par = run_batch(g, "walt", trials=4, seed=5, strategy="serial", processes=2)
-        assert np.array_equal(ser.values, par.values)
-
-    @pytest.mark.parametrize(
-        "name, trials, processes, extra",
-        [pytest.param(name, 9, 2, {}, id=name) for name in process_names()]
-        + [
-            pytest.param("cobra", 3, 8, {}, id="processes-above-trials"),
-            pytest.param("cobra", 6, 3, {"metric": "hit"}, id="cobra-hit"),
-        ],
-    )
-    def test_pool_matches_serial_every_input(self, name, trials, processes, extra):
-        """Trial ``i`` gets the ``i``-th spawned seed on the pool too, so
-        any pool width reproduces the serial loop element for element."""
-        graph, kw = _pool_case(name)
-        kw.update(extra)
-        if kw.get("metric") == "hit":
-            kw["target"] = graph.n - 1
-        par = run_batch(graph, name, trials=trials, seed=42, processes=processes, **kw)
-        ser = run_batch(graph, name, trials=trials, seed=42, strategy="serial", **kw)
-        assert np.array_equal(par.values, ser.values, equal_nan=True)
-        assert par.trials == ser.trials == trials
-        assert par.failures == ser.failures
-
-    @pytest.mark.parametrize(
-        "kw, match",
-        [
-            pytest.param(
-                {"metric": "hit", "target": 8, "processes": 2}, "target",
-                id="bad-target",
-            ),
-            pytest.param({"processes": 0}, _BAD_PROCESSES, id="processes-0"),
-            pytest.param({"processes": -3}, _BAD_PROCESSES, id="processes-neg"),
-        ],
-    )
-    def test_bad_arguments_rejected_before_pool_fanout(self, kw, match):
-        with pytest.raises(ValueError, match=match):
-            run_batch(complete_graph(8), "cobra", trials=4, **kw)
+    def test_serial_trial_values_do_not_depend_on_trial_count(self):
+        """Trial ``i`` always runs on the ``i``-th spawned seed, so a
+        longer serial batch extends a shorter one instead of reshuffling
+        it."""
+        c = cycle_graph(9)
+        short = run_batch(c, "cobra", trials=3, seed=4, strategy="serial")
+        long = run_batch(c, "cobra", trials=6, seed=4, strategy="serial")
+        assert np.array_equal(short.values, long.values[:3])
 
     def test_vectorized_matches_serial_distributionally(self):
         gg = grid(8, 2)
@@ -492,16 +438,6 @@ class TestRunBatch:
         s = run_batch(g, anon, trials=3, seed=8, strategy="serial")
         ref = run_batch(g, "cobra", trials=3, seed=8, strategy="serial")
         assert np.array_equal(s.values, ref.values)
-
-    def test_default_processes_roundtrip(self):
-        assert get_default_processes() is None
-        set_default_processes(2)
-        try:
-            assert get_default_processes() == 2
-        finally:
-            set_default_processes(None)
-        with pytest.raises(ValueError):
-            set_default_processes(0)
 
 
 class TestBatchedEngine:
@@ -557,6 +493,36 @@ class TestBatchedEngine:
         assert abs(np.mean(vec) - np.mean(ser)) < 0.3 * np.mean(ser) + 2.0
 
 
+#: ``sorted(simulate(...).extras)`` per registered process/metric
+EXTRAS_KEYS = {
+    "biased/cover": [],
+    "biased/hit": ["hit_time"],
+    "branching/cover": ["hit_cap", "population"],
+    "branching/hit": ["hit_cap", "hit_time", "population"],
+    "branching_minima/min": ["max_position", "min_position", "population"],
+    "coalescing/coalesce": [
+        "coalesced", "coalescence_time", "num_walkers", "walkers_left",
+    ],
+    "coalescing/cover": ["num_walkers"],
+    "cobra/cover": [],
+    "cobra/hit": ["hit_time"],
+    "lazy/cover": [],
+    "lazy/hit": ["hit_time"],
+    "parallel/cover": ["num_walkers"],
+    "parallel/hit": ["hit_time", "num_walkers"],
+    "pull/hit": ["hit_time"],
+    "pull/spread": [],
+    "push/hit": ["hit_time"],
+    "push/spread": [],
+    "push_pull/hit": ["hit_time"],
+    "push_pull/spread": [],
+    "simple/cover": [],
+    "simple/hit": ["hit_time"],
+    "walt/cover": ["num_pebbles"],
+    "walt/hit": ["hit_time", "num_pebbles"],
+}
+
+
 class TestSimulateSemantics:
     def test_unknown_metric(self, g):
         with pytest.raises(ValueError, match="does not support"):
@@ -589,6 +555,22 @@ class TestSimulateSemantics:
         res = simulate(g, "branching", seed=2)
         assert res.extras["population"] >= 1
         assert "hit_cap" in res.extras
+
+    @pytest.mark.parametrize(
+        "name, metric",
+        [
+            pytest.param(spec.name, metric, id=f"{spec.name}/{metric}")
+            for spec in all_processes()
+            for metric in sorted(spec.capabilities - {"multi_source"})
+        ],
+    )
+    def test_extras_keys(self, name, metric):
+        """``_collect_extras`` probes attribute names, so a class that
+        renames a count would silently drop it from ``extras``."""
+        graph = path_graph(17) if name == "branching_minima" else complete_graph(8)
+        params = {"generations": 4} if name == "branching_minima" else {}
+        res = simulate(graph, name, metric=metric, target=graph.n - 1, seed=3, **params)
+        assert sorted(res.extras) == EXTRAS_KEYS[f"{name}/{metric}"]
 
     def test_multi_source_cobra(self):
         c = cycle_graph(30)

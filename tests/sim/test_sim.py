@@ -12,7 +12,7 @@ from repro.sim import (
     coverage_curve,
     resolve_rng,
     resolve_seed_sequence,
-    run_trials,
+    run_batch,
     simulate,
     spawn_rngs,
     spawn_seeds,
@@ -55,21 +55,12 @@ class TestRng:
             spawn_seeds(0, -1)
 
 
-def _trial_mean_of_uniform(seed, scale):
-    rng = np.random.default_rng(seed)
-    return scale * rng.random()
-
-
 class TestMonteCarlo:
     def test_serial_deterministic(self):
-        a = run_trials(_trial_mean_of_uniform, 10, seed=1, args=(2.0,))
-        b = run_trials(_trial_mean_of_uniform, 10, seed=1, args=(2.0,))
+        g = grid(6, 2)
+        a = run_batch(g, "cobra", trials=10, seed=1, strategy="serial")
+        b = run_batch(g, "cobra", trials=10, seed=1, strategy="serial")
         assert np.array_equal(a.values, b.values)
-
-    def test_parallel_matches_serial(self):
-        ser = run_trials(_trial_mean_of_uniform, 12, seed=2, args=(1.0,))
-        par = run_trials(_trial_mean_of_uniform, 12, seed=2, args=(1.0,), processes=3)
-        assert np.allclose(ser.values, par.values)
 
     def test_summary_fields(self):
         s = summarize_trials(np.array([1.0, 2.0, 3.0, np.nan]))
@@ -96,28 +87,7 @@ class TestMonteCarlo:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_trials(_trial_mean_of_uniform, 0, args=(1.0,))
-
-    def test_pool_context_without_fork(self, monkeypatch):
-        # platforms without fork (Windows/macOS-spawn) must fall back to
-        # the default context instead of raising
-        import multiprocessing as mp
-
-        from repro.sim import montecarlo
-
-        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
-        # must not raise (the old code passed "fork" unconditionally);
-        # the platform default context is whatever mp considers default
-        ctx = montecarlo._pool_context()
-        assert hasattr(ctx, "Pool")
-
-    def test_pool_context_prefers_fork(self):
-        import multiprocessing as mp
-
-        from repro.sim import montecarlo
-
-        if "fork" in mp.get_all_start_methods():
-            assert montecarlo._pool_context().get_start_method() == "fork"
+            run_batch(grid(4, 2), "cobra", trials=0, strategy="serial")
 
 
 class TestUnifiedSummary:

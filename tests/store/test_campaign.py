@@ -298,3 +298,22 @@ class TestStoresWithBackendProvenance:
         report = Campaign(make_spec(), ResultStore(old_store)).run()
         assert sorted(report.cached) == sorted(self.HASHES)
         assert report.ran == [] and run_counter == []
+
+
+class TestPoolContext:
+    """The start method ``Campaign(workers=N)`` spawns its workers with."""
+
+    def test_without_fork(self, monkeypatch):
+        # platforms without fork (Windows/macOS-spawn) must fall back to
+        # the default context instead of raising
+        import multiprocessing as mp
+
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+        ctx = campaign_mod._pool_context()
+        assert hasattr(ctx, "Pool")
+
+    def test_prefers_fork(self):
+        import multiprocessing as mp
+
+        if "fork" in mp.get_all_start_methods():
+            assert campaign_mod._pool_context().get_start_method() == "fork"

@@ -61,6 +61,7 @@ def _run(script: str) -> list[str]:
 def test_rumor_spreading_runs():
     lines = _run("rumor_spreading.py")
     assert "2-cobra forwarding  18.3           18               1.923e+04" in lines
+    assert "push gossip         22.1           22               1.892e+04" in lines
 
 
 def test_epidemic_sis_runs():

@@ -13,7 +13,7 @@ from repro.graphs import (
     random_geometric,
     random_regular,
 )
-from repro.sim import coverage_curve, run_batch, run_trials, simulate
+from repro.sim import coverage_curve, run_batch, simulate
 from repro.spectral import conductance_estimate, theorem8_epoch_length
 
 
@@ -78,22 +78,6 @@ class TestWaltAgainstCobraAcrossFamilies:
                 )
             )
             assert walt >= cobra * 0.9
-
-
-def _cover_trial(seed, n):
-    """Module-level for multiprocessing pickling."""
-    from repro.graphs import grid as make_grid
-    from repro.sim import simulate
-
-    return simulate(make_grid(n, 2), "cobra", seed=seed).value
-
-
-class TestMonteCarloHarnessWithRealProcess:
-    def test_parallel_trials_reproduce_serial(self):
-        ser = run_trials(_cover_trial, 6, seed=31, args=(10,))
-        par = run_trials(_cover_trial, 6, seed=31, args=(10,), processes=2)
-        assert np.array_equal(ser.values, par.values)
-        assert ser.failures == 0
 
 
 class TestScalingPipeline:
