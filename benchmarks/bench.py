@@ -4,8 +4,8 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench.py [--against BENCH_engines.json]
 
-It times one case per registered ProcessSpec × metric with a batched
-engine (``batch_cover`` / ``batch_hit``), all on ``grid(16, 2)``, plus
+It times one case per registered ProcessSpec × metric its batched
+engine (``ProcessSpec.batch``) runs, all on ``grid(16, 2)``, plus
 the fixed cells the earlier per-engine benches tracked: cobra cover on
 ``grid(32, 2)``, four engines on ``hypercube_oracle(17)`` and cobra
 cover on the four arithmetic oracles.  For every case it records:
@@ -62,9 +62,6 @@ ORACLES = ("torus_oracle(99, 2)", "hypercube_oracle(13)",
            "circulant_oracle(10001, (1, 2, 5))", "kronecker_oracle(K3, 8)")
 #: the only non-default process knobs in the case table
 PARAMS = {"parallel": {"walkers": 4}, "coalescing": {"walkers": 64}}
-#: the biased walk's controller keeps it near its target, so it never
-#: covers the grid; its cover case runs to a fixed budget instead
-BUDGETS = {"biased": 1000}
 
 
 def _graph(label: str):
@@ -112,8 +109,6 @@ def registry_cases() -> list[Case]:
             except ValueError:
                 continue
             params = {"target": last, **PARAMS.get(spec.name, {})}
-            if spec.name in BUDGETS:
-                params["max_steps"] = BUDGETS[spec.name]
             cases.append(Case(spec.name, metric, GRID, 32, params))
     return cases
 

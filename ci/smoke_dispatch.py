@@ -23,7 +23,12 @@ launched concurrently against one store.  Afterward:
 * ``sweep report`` renders a straggler table attributing every cell,
   and its double-computed and torn-event counts equal ``fsck``'s
   duplicates and torn event lines (one shard scan, one line reader);
-* ``sweep compact`` prunes the claim ledger and the store stays clean.
+* ``sweep compact`` prunes the claim ledger and the store stays clean;
+* an in-library ``Campaign(spec, store, workers=2).run()`` over a
+  second, fresh store directory drains the same sweep on a local pool:
+  every cell runs exactly once across the pool (one ``claim`` and one
+  ``done`` ledger line each, no duplicate shard records), and every
+  stored value equals the single-worker reference.
 
 Runnable locally and testable (``tests/test_ci_smokes.py``).  Exits
 non-zero on any violation.
@@ -194,9 +199,28 @@ def main(store_dir: str) -> int:
     _wait(_sweep_cli("compact", "--store", store_dir), "compact")
     report = fsck(ResultStore(store_dir))
     assert report.clean and report.cells == len(cells), report.summary()
+
+    # the same sweep through Campaign(workers=2)'s local pool, on a
+    # fresh store: each cell runs once across the pool, value-identical
+    pool_dir = Path(store_dir).with_name(Path(store_dir).name + "-pool")
+    pool_report = Campaign(spec, ResultStore(pool_dir), workers=2).run()
+    assert sorted(pool_report.ran) == sorted(c.hash for c in cells), pool_report
+    assert not pool_report.cached and not pool_report.pending, pool_report
+    pool_records = ClaimLedger(pool_dir).records()
+    for cell in cells:
+        ops = sorted(r["op"] for r in pool_records if r["hash"] == cell.hash)
+        assert ops == ["claim", "done"], f"pool cell {cell.hash[:12]} ledger ops {ops}"
+    pool_store = ResultStore(pool_dir)
+    pool_health = fsck(pool_store)
+    assert pool_health.clean and not pool_health.duplicates, pool_health.summary()
+    for cell in cells:
+        a = pool_store.get(cell)["result"]["values"]
+        b = reference.get(cell)["result"]["values"]
+        assert a == b, f"cell {cell.hash[:12]} diverged on the Campaign pool"
     print(
         "dispatch smoke: 2-worker drain value-identical, "
-        f"{expected} events untorn, fsck clean"
+        f"{expected} events untorn, fsck clean; "
+        "Campaign(workers=2) pool ran each cell once, value-identical"
     )
     return 0
 

@@ -54,10 +54,10 @@ def matthews_check(
     """Estimate ``h_max`` and mean cover time, and assemble the
     Theorem 1 comparison.
 
-    Both sides run on the vectorized batched engines: hitting trials
-    through :func:`max_hitting_time_estimate` (cobra ``batch_hit``),
-    cover trials through :func:`repro.sim.facade.run_batch` (cobra
-    ``batch_cover``)."""
+    Both sides run on cobra's vectorized batched engine: hitting trials
+    through :func:`max_hitting_time_estimate` (its hit rule), cover
+    trials through :func:`repro.sim.facade.run_batch` (its cover
+    rule)."""
     from ..sim.facade import run_batch
 
     s_hit, s_cover = spawn_seeds(seed, 2)

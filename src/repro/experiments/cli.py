@@ -21,7 +21,6 @@ Usage::
     cobra-experiments sweep top T3_grid --store results/ [--interval 2] [--once]
     cobra-experiments sweep fsck --store results/
     cobra-experiments sweep compact --store results/
-    cobra-experiments lint [PATH ...] [--format json] [--contracts]
 
 Each run prints the experiment's tables and findings; ``run all``
 iterates the whole registry (this is how EXPERIMENTS.md numbers were
@@ -56,11 +55,6 @@ live companion: drain progress, live leases, the freshest events and
 the slowest cells, refreshed until the sweep completes (``--once``
 for a single snapshot).  ``sweep run --profile`` additionally records
 each cell's peak RSS in provenance.  See ``docs/observability.md``.
-
-``lint`` runs the determinism & contract linter (:mod:`repro.lint`)
-— the same pass as ``python -m repro.lint`` — over the given paths
-(default: ``src benchmarks examples ci`` where present).  See
-``docs/static-analysis.md``.
 
 Every ``--store`` accepts a directory **or** a ``sweep serve`` URL
 (``http://host:port``): the URL resolves to an
@@ -240,25 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                 "--force", action="store_true",
                 help="compact even with live leases in the ledger",
             )
-    lintp = sub.add_parser(
-        "lint", help="run the determinism & contract linter (repro.lint)"
-    )
-    lintp.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files/directories to lint (default: src benchmarks examples ci)",
-    )
-    lintp.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    lintp.add_argument(
-        "--contracts", action="store_true",
-        help="also run the import-time contract audit",
-    )
     args = parser.parse_args(argv)
-
-    if args.command == "lint":
-        return _lint_main(args)
 
     if args.command == "sweep":
         return _sweep_main(args)
@@ -306,21 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(dump, sys.stdout, indent=2, sort_keys=True)
         print()
     return 0
-
-
-def _lint_main(args: argparse.Namespace) -> int:
-    """Run :mod:`repro.lint` with the experiments CLI's defaults."""
-    from pathlib import Path
-
-    from ..lint.cli import main as lint_main
-
-    paths = args.paths or [
-        p for p in ("src", "benchmarks", "examples", "ci") if Path(p).is_dir()
-    ]
-    argv = [*paths, "--format", args.format]
-    if args.contracts:
-        argv.append("--contracts")
-    return lint_main(argv)
 
 
 class UsageError(Exception):

@@ -4,9 +4,9 @@ On a portfolio of structurally different graphs, estimate ``h_max``
 (sampled worst pair hitting time) and the mean cover time; the ratio
 ``cover/h_max`` must stay below ``H_n`` (the Matthews multiplier).
 
-Both estimates run on the vectorized batched engines (cobra
-``batch_hit`` for the pair sweep, ``batch_cover`` for the cover
-trials); budget-exhausted hitting trials are clamped to the budget
+Both estimates run on cobra's vectorized batched engine (its hit rule
+for the pair sweep, its cover rule for the cover trials);
+budget-exhausted hitting trials are clamped to the budget
 rather than dropped, so ``h_max`` is never silently underestimated
 where hitting is hardest.
 """

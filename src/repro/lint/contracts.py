@@ -11,8 +11,11 @@ contracts static text cannot:
   trip over);
 * **RPL201** — every ``ProcessSpec`` batch engine and factory accepts
   the keyword protocol ``run_batch`` drives it with (``trials``,
-  ``start``, ``seed``, ``max_steps``, plus ``target`` for hit
-  engines; ``start``/``seed``/``target`` for factories);
+  ``start``, ``seed``, ``max_steps``, plus ``target`` for an engine
+  that runs ``hit``; ``start``/``seed``/``target`` for factories);
+* **RPL121** (a warning) — every ``ProcessSpec`` that declares ``hit``
+  runs it vectorized; the live spec says so through
+  ``ProcessSpec.batch_metrics``, which no AST pass can see;
 * **RPL202** — every docs anchor ``tests/test_docs.py`` expects
   resolves in the committed docs pages (:data:`DOC_ANCHORS` is the
   single source of truth the test suite imports);
@@ -21,7 +24,7 @@ contracts static text cannot:
   ``NeighborOracle`` protocol and round-trips through the store's
   graph axes (``RunKey.build_graph`` reconstructs the same oracle).
 
-All four are cheap (no simulation runs) and emit the same
+All five are cheap (no simulation runs) and emit the same
 :class:`~repro.lint.rules.Finding` records as the AST pass, so the CLI
 merges them with ``--contracts``.
 """
@@ -33,12 +36,13 @@ from pathlib import Path
 from collections.abc import Callable, Iterable
 from typing import Any
 
-from .rules import ERROR, Finding
+from .rules import ERROR, WARNING, Finding
 
 __all__ = [
     "DOC_ANCHORS",
     "audit_sweeps",
     "audit_process_engines",
+    "audit_hit_engines",
     "audit_docs",
     "audit_implicit_oracles",
     "run_contract_audit",
@@ -57,8 +61,8 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
         "Engine selection",
         "seed-spawning",
         "placement-independent",
-        "batch_cover",
-        "batch_hit",
+        "ProcessSpec.batch",
+        "batch_metrics",
         "The sweep store",
         "content-addressed",
         "The lint layer",
@@ -180,8 +184,8 @@ DOC_ANCHORS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _finding(rule: str, where: str, message: str) -> Finding:
-    return Finding(rule=rule, severity=ERROR, path=where, line=0, col=0, message=message)
+def _finding(rule: str, where: str, message: str, severity: str = ERROR) -> Finding:
+    return Finding(rule=rule, severity=severity, path=where, line=0, col=0, message=message)
 
 
 def audit_sweeps() -> list[Finding]:
@@ -237,10 +241,9 @@ def audit_sweeps() -> list[Finding]:
     return findings
 
 
-#: keyword parameters run_batch passes to every batch_cover engine
-_BATCH_COVER_PROTOCOL = frozenset({"trials", "start", "seed", "max_steps"})
-#: batch_hit engines additionally race to a target
-_BATCH_HIT_PROTOCOL = _BATCH_COVER_PROTOCOL | {"target"}
+#: keyword parameters run_batch passes to every batch engine (plus
+#: ``target`` when the engine runs ``hit``)
+_BATCH_PROTOCOL = frozenset({"trials", "start", "seed", "max_steps"})
 #: keywords the facade passes to every factory (ProcessSpec docstring)
 _FACTORY_PROTOCOL = frozenset({"start", "seed", "target"})
 
@@ -278,10 +281,10 @@ def audit_process_engines(specs: Iterable[Any] | None = None) -> list[Finding]:
     findings: list[Finding] = []
     for spec in specs:
         where = f"process:{spec.name}"
+        hit = {"target"} if "hit" in spec.batch_metrics else set()
         for label, func, protocol in (
             ("factory", spec.factory, _FACTORY_PROTOCOL),
-            ("batch_cover", spec.batch_cover, _BATCH_COVER_PROTOCOL),
-            ("batch_hit", spec.batch_hit, _BATCH_HIT_PROTOCOL),
+            ("batch", spec.batch, _BATCH_PROTOCOL | hit),
         ):
             if func is None:
                 continue
@@ -297,6 +300,38 @@ def audit_process_engines(specs: Iterable[Any] | None = None) -> list[Finding]:
                     )
                 )
     return findings
+
+
+def audit_hit_engines(specs: Iterable[Any] | None = None) -> list[Finding]:
+    """RPL121: processes that declare ``hit`` but run it serially.
+
+    Parameters
+    ----------
+    specs : iterable of ProcessSpec, optional
+        Specs to audit; defaults to the live registry.
+
+    Returns
+    -------
+    list of Finding
+        One warning per spec whose ``batch`` engine does not run
+        ``hit`` (none, or one without ``target``).
+    """
+    if specs is None:
+        from ..sim.processes import all_processes
+
+        specs = all_processes()
+    return [
+        _finding(
+            "RPL121",
+            f"process:{spec.name}",
+            "ProcessSpec declares the 'hit' capability without a batch "
+            "engine that takes target; hit sweeps fall back to the "
+            "serial path",
+            severity=WARNING,
+        )
+        for spec in specs
+        if spec.supports("hit") and "hit" not in spec.batch_metrics
+    ]
 
 
 def audit_docs(root: str | Path | None = None) -> list[Finding]:
@@ -447,7 +482,7 @@ def audit_implicit_oracles() -> list[Finding]:
 
 
 def run_contract_audit(root: str | Path | None = None) -> list[Finding]:
-    """Run all four audits (the CLI's ``--contracts`` entry point).
+    """Run all five audits (the CLI's ``--contracts`` entry point).
 
     Parameters
     ----------
@@ -457,11 +492,12 @@ def run_contract_audit(root: str | Path | None = None) -> list[Finding]:
     Returns
     -------
     list of Finding
-        Concatenated RPL200/RPL201/RPL202/RPL203 findings.
+        Concatenated RPL200/RPL201/RPL121/RPL202/RPL203 findings.
     """
     return (
         audit_sweeps()
         + audit_process_engines()
+        + audit_hit_engines()
         + audit_docs(root)
         + audit_implicit_oracles()
     )

@@ -21,8 +21,8 @@ RPL102    error     ``default_rng``/``Generator`` built only in ``sim/rng.py``
 RPL103    error     no wall-clock/OS entropy outside the provenance allowlist
 RPL110    error     store files append only through the locking helpers
 RPL111    error     every ``flock`` acquire pairs with a guaranteed release
-RPL120    error     ``cover`` capability requires a ``batch_cover`` engine
-RPL121    warning   ``hit`` capability without ``batch_hit`` (the known gap)
+RPL120    error     ``cover`` capability requires a ``batch`` engine
+RPL121    warning   ``hit`` capability without a hit engine (contract audit)
 RPL130    error     public functions in gated API modules are annotated
 RPL150    error     sim/store timing goes through the injected Tracer clock
 RPL160    error     no module-level ``import scipy`` outside ``repro/spectral/``
@@ -615,21 +615,11 @@ def _iter_process_specs(ctx: FileContext) -> Iterator[tuple[ast.Call, set[str], 
 
 def _check_rpl120(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
     for node, caps, kwargs in _iter_process_specs(ctx):
-        if "cover" in caps and "batch_cover" not in kwargs:
+        if "cover" in caps and "batch" not in kwargs:
             yield node, (
                 "ProcessSpec declares the 'cover' capability without a "
-                "batch_cover engine; every cover-capable process must ship "
+                "batch engine; every cover-capable process must ship "
                 "its vectorized engine (run_batch depends on it)"
-            )
-
-
-def _check_rpl121(ctx: FileContext) -> Iterator[tuple[ast.AST, str]]:
-    for node, caps, kwargs in _iter_process_specs(ctx):
-        if "hit" in caps and "batch_hit" not in kwargs:
-            yield node, (
-                "ProcessSpec declares the 'hit' capability without a "
-                "batch_hit engine; hit sweeps fall back to the serial path "
-                "(the known batch_hit gap)"
             )
 
 
@@ -958,17 +948,17 @@ register_rule(
     Rule(
         id="RPL120",
         severity=ERROR,
-        title="cover capability without batch_cover engine",
+        title="cover capability without batch engine",
         invariant=(
             "Every ProcessSpec literal that declares the 'cover' "
-            "capability declares a batch_cover engine. The sweep store "
+            "capability declares a batch engine. The sweep store "
             "assumes cover sweeps vectorize; a spec without the engine "
             "silently falls back to the serial per-trial loop and "
             "regresses sweeps by an order of magnitude."
         ),
         fix=(
             "Ship a batched engine (see repro/sim/batch.py for the "
-            "flat-frontier templates) and pass it as batch_cover=..., or "
+            "flat-frontier templates) and pass it as batch=..., or "
             "drop the capability."
         ),
         checker=_check_rpl120,
@@ -979,19 +969,19 @@ register_rule(
     Rule(
         id="RPL121",
         severity=WARNING,
-        title="hit capability without batch_hit engine (known gap)",
+        title="hit capability without a hit engine (contract audit)",
         invariant=(
-            "ProcessSpecs declaring 'hit' should ship a batch_hit engine. "
-            "biased, branching and parallel still run metric='hit' "
-            "serially; this warning keeps the gap visible in every lint "
+            "ProcessSpecs declaring 'hit' should ship a batch engine "
+            "that takes target, so metric='hit' runs vectorized. "
+            "biased, branching and parallel still run it serially; "
+            "this warning keeps the gap visible in every --contracts "
             "run without failing the build."
         ),
         fix=(
-            "Give the process a mover for the batched lock-step driver "
-            "and pair it with the shared hit rule (see "
-            "batched_cobra_hit_trials), or accept the warning."
+            "Give the process a mover for the batched lock-step driver, "
+            "pair it with the shared hit rule when target is not None "
+            "(see batched_cobra_trials), or accept the warning."
         ),
-        checker=_check_rpl121,
     )
 )
 
@@ -1023,8 +1013,8 @@ register_rule(
         title="batch engine/factory breaks the driver protocol (contract audit)",
         invariant=(
             "Every ProcessSpec factory accepts keywords start/seed/target, "
-            "every batch_cover engine accepts trials/start/seed/max_steps, "
-            "and every batch_hit engine additionally accepts target — the "
+            "every batch engine accepts trials/start/seed/max_steps, "
+            "and one that runs metric='hit' also accepts target — the "
             "exact keywords simulate()/run_batch() pass at dispatch. A "
             "mismatched signature is a TypeError at sweep time, long after "
             "registration looked fine."

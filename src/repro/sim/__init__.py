@@ -20,20 +20,15 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
         "run_batch",
     )),
     (".batch", (
-        "batched_biased_cover_trials",
         "batched_branching_cover_trials",
         "batched_coalescing_cover_trials",
         "batched_cobra_active_sizes",
-        "batched_cobra_cover_trials",
-        "batched_cobra_hit_trials",
-        "batched_gossip_hit_trials",
-        "batched_gossip_spread_trials",
-        "batched_lazy_cover_trials",
-        "batched_lazy_hit_trials",
+        "batched_cobra_trials",
+        "batched_gossip_trials",
+        "batched_lazy_trials",
         "batched_parallel_walks_cover_trials",
-        "batched_walt_cover_trials",
-        "batched_walt_hit_trials",
         "batched_walt_positions_at",
+        "batched_walt_trials",
     )),
     (".montecarlo", ("TrialSummary", "summarize_trials")),
     (".record", ("CoverageCurve", "coverage_curve", "time_to_cover_fraction")),

@@ -8,8 +8,8 @@ index ``r*n + v`` — so each global step does one batched neighbor
 draw and one boolean-scatter pass for every trial at once (the same
 idiom as the serial :func:`repro.core.cobra.cobra_step` kernel,
 amortized across trials).
-(:func:`repro.walks.simple.rw_cover_trials` plays the same role for
-the simple walk.)
+(:func:`repro.walks.simple.rw_trials` plays the same role for the
+simple walk.)
 
 Every engine samples through the :class:`repro.graphs.implicit.
 NeighborOracle` contract rather than reaching into CSR arrays: a CSR
@@ -38,22 +38,20 @@ The movers, each with the engines built on it:
 
 * :class:`_CobraMover` — the k-cobra frontier: the sorted flat ids
   reached by the step's ``k`` pebbles per active vertex, deduplicated
-  through one boolean scatter.  Cover :func:`batched_cobra_cover_trials`,
-  hit :func:`batched_cobra_hit_trials`, horizon
+  through one boolean scatter.  Cover and hit
+  :func:`batched_cobra_trials`, horizon
   :func:`batched_cobra_active_sizes` (per-step ``|S_t|``);
 * :class:`_GossipMover` — push / pull / push-pull rumor spreading that
   draws only for boundary vertices (informed ones with an uninformed
   neighbor push, uninformed ones with an informed neighbor pull; no
   other draw can change the state), tracked incrementally from each
-  round's freshly informed set.  Cover
-  :func:`batched_gossip_spread_trials`, hit
-  :func:`batched_gossip_hit_trials`;
+  round's freshly informed set.  Spread and hit
+  :func:`batched_gossip_trials`;
 * :class:`_WaltMover` — Walt's per-vertex pebble groups, found
   sort-free by duplicate-scatter on the flat ``trial*n + vertex`` key
   (groups never span trials) in place of the serial kernel's per-trial
-  lexsort, with the lazy coin drawn per trial per step.  Cover
-  :func:`batched_walt_cover_trials`, hit
-  :func:`batched_walt_hit_trials`, horizon
+  lexsort, with the lazy coin drawn per trial per step.  Cover and hit
+  :func:`batched_walt_trials`, horizon
   :func:`batched_walt_positions_at` (pebble positions);
 * :class:`_CoalescingMover` — shrinking walker sets: one neighbor draw
   moves every surviving walker and one sorted unique on the flat key
@@ -63,20 +61,20 @@ The movers, each with the engines built on it:
 * :class:`_BranchingMover` — per-``(trial, vertex)`` particle counts
   whose children split multinomially by binomial peeling over neighbor
   slots, under a per-trial population cap that mirrors the serial
-  renormalisation.  Cover :func:`batched_branching_cover_trials`;
-* :class:`_BiasedMover` — the ε-/inverse-degree-biased walk: one
-  position per trial, a precomputed controller table, two uniform
-  draws per trial-step.  It keeps stepping finished trials, because
-  its stream draws for every trial, and reports only the running ones
-  to the driver.  Cover :func:`batched_biased_cover_trials`.
+  renormalisation.  Cover :func:`batched_branching_cover_trials`.
+
+An engine that takes ``target`` runs the cover (or spread) rule when
+it is ``None`` and the hit rule when it is a vertex; the registry
+wires that one function in as the process's ``ProcessSpec.batch``.
 
 The simple-walk family runs on its own block driver,
 :func:`repro.walks.simple.walk_blocks`: :func:`batched_parallel_walks_
 cover_trials` advances ``trials × walkers`` walkers there, and
-:func:`batched_lazy_cover_trials` / :func:`batched_lazy_hit_trials`
-run the lazy walk as a time-change — the move chain rides the
-simple-walk engines and the holds are reconstructed by one
-negative-binomial draw per trial (:func:`_add_holds`).
+:func:`batched_lazy_trials` runs the lazy walk as a time-change — the
+move chain rides the simple-walk engine
+(:func:`repro.walks.simple.rw_trials`) and the holds are
+reconstructed by one negative-binomial draw per trial
+(:func:`_add_holds`).
 
 Hot-path notes (measured on the benchmark machine, not guessed):
 
@@ -150,20 +148,15 @@ from .bitmask import sorted_unique, visited_mask
 from .rng import SeedLike, resolve_rng
 
 __all__ = [
-    "batched_biased_cover_trials",
     "batched_branching_cover_trials",
     "batched_coalescing_cover_trials",
     "batched_cobra_active_sizes",
-    "batched_cobra_cover_trials",
-    "batched_cobra_hit_trials",
-    "batched_gossip_hit_trials",
-    "batched_gossip_spread_trials",
-    "batched_lazy_cover_trials",
-    "batched_lazy_hit_trials",
+    "batched_cobra_trials",
+    "batched_gossip_trials",
+    "batched_lazy_trials",
     "batched_parallel_walks_cover_trials",
-    "batched_walt_cover_trials",
-    "batched_walt_hit_trials",
     "batched_walt_positions_at",
+    "batched_walt_trials",
 ]
 
 GraphLike = Graph | NeighborOracle
@@ -754,36 +747,6 @@ class _BranchingMover(_Mover):
         self.counts = self.counts.reshape(keep.size, -1)[keep].ravel()
 
 
-class _BiasedMover(_Mover):
-    """The biased walk, one position per trial: at ``v`` it follows the
-    controller's neighbor with probability ``eps`` (or ``1/d(v)``) and a
-    uniform neighbor otherwise, drawing a bias coin and a neighbor index
-    for **every** trial each step — finished ones too, which keeps the
-    stream of the engine that never compacted — and reports the
-    running rows' flat ids."""
-
-    def __init__(
-        self, oracle: NeighborOracle, trials: int, start: int, controller, eps, rng
-    ) -> None:
-        self.oracle, self.controller, self.eps, self.rng = oracle, controller, eps, rng
-        self.deg = _degree_table(oracle, np.float64)
-        self.pos = np.full(trials, start, dtype=np.int64)
-        self.rows = np.arange(trials)
-        self.base = np.arange(trials, dtype=np.int64) * oracle.n
-
-    def step(self) -> np.ndarray:
-        pos = self.pos
-        bias = (1.0 / self.deg[pos]) if self.eps is None else self.eps
-        coin = self.rng.random(pos.size)
-        nbr = self.oracle.sample_one(pos, self.rng)
-        self.pos = np.where(coin < bias, self.controller[pos], nbr)
-        self.draws += 2 * pos.size
-        return self.base[: self.rows.size] + self.pos[self.rows]
-
-    def keep(self, keep: np.ndarray) -> None:
-        self.rows = self.rows[keep]
-
-
 # --------------------------------------------------------------------------
 # Engines
 # --------------------------------------------------------------------------
@@ -801,22 +764,9 @@ def _cobra_mover(
     return _CobraMover(oracle, k, trials, start_arr, resolve_rng(seed))
 
 
-def _cobra_stop_times(
-    graph: GraphLike, target, trials: int, k: int, start, seed, max_steps
-) -> np.ndarray:
-    """The cobra cover (``target=None``) or hit engine."""
-    mover = _cobra_mover(graph, trials, k, start, seed, target)
-    n = mover.oracle.n
-    if max_steps is None:
-        from ..core.cobra import _default_budget
-
-        max_steps = _default_budget(n)
-    rule = _Cover(trials, n) if target is None else _Hit(n, target)
-    return _lockstep(mover, rule, trials, max_steps, mover.front)
-
-
-def batched_cobra_cover_trials(
+def batched_cobra_trials(
     graph: GraphLike,
+    target: int | None = None,
     *,
     trials: int,
     k: int = 2,
@@ -824,9 +774,14 @@ def batched_cobra_cover_trials(
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Cover times of *trials* independent k-cobra runs, advanced in
+    """Cover times (``target=None``) or first-activation times of
+    *target* over *trials* independent k-cobra runs, advanced in
     lock-step; finished trials are compacted out so the tail of slow
     trials doesn't pay for the fast ones.
+
+    The hit rule keeps no per-vertex visit ledger: a trial is done the
+    step its frontier contains *target*, so its hot loop is the cover
+    rule's frontier step plus one search of the new frontier.
 
     Under an active :mod:`repro.obs` tracer the engine reports the
     driver's ``engine_steps``, ``trial_steps``, ``rng_draws`` and
@@ -837,6 +792,9 @@ def batched_cobra_cover_trials(
     ----------
     graph : Graph or NeighborOracle
         Connected graph without isolated vertices (CSR or implicit).
+    target : int, optional
+        Vertex whose first activation stops a trial; ``None`` stops a
+        trial when it has covered the graph.
     trials : int
         Number of independent runs.
     k : int
@@ -853,56 +811,18 @@ def batched_cobra_cover_trials(
     Returns
     -------
     numpy.ndarray
-        ``float64[trials]`` cover times with ``np.nan`` marking budget
-        exhaustion — the same contract as the serial path of
-        :func:`repro.sim.facade.run_batch`.
+        ``float64[trials]`` cover or hitting times with ``np.nan``
+        marking budget exhaustion — the same contract as the serial
+        path of :func:`repro.sim.facade.run_batch`.
     """
-    return _cobra_stop_times(graph, None, trials, k, start, seed, max_steps)
+    mover = _cobra_mover(graph, trials, k, start, seed, target)
+    n = mover.oracle.n
+    if max_steps is None:
+        from ..core.cobra import _default_budget
 
-
-def batched_cobra_hit_trials(
-    graph: GraphLike,
-    target: int,
-    *,
-    trials: int,
-    k: int = 2,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """First-activation times of *target* over *trials* independent
-    k-cobra runs advanced in lock-step (the ``metric="hit"`` engine).
-
-    Unlike the cover engine no per-vertex visit ledger is kept: a
-    trial is done the step its frontier contains ``target``, so the
-    hot loop is the cover engine's frontier step plus one scan of the
-    new frontier.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first activation stops a trial.
-    trials : int
-        Number of independent runs.
-    k : int
-        Cobra branching factor.
-    start : int or numpy.ndarray
-        Start vertex or array of start vertices (multi-source).
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Step budget per trial; defaults to the cobra helper's budget.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting times with ``np.nan`` marking
-        budget exhaustion — the same contract as the serial path of
-        :func:`repro.sim.facade.run_batch`.
-    """
-    return _cobra_stop_times(graph, target, trials, k, start, seed, max_steps)
+        max_steps = _default_budget(n)
+    rule = _Cover(trials, n) if target is None else _Hit(n, target)
+    return _lockstep(mover, rule, trials, max_steps, mover.front)
 
 
 def batched_cobra_active_sizes(
@@ -917,7 +837,7 @@ def batched_cobra_active_sizes(
     """Active-set-size trajectories ``|S_t|`` of *trials* independent
     k-cobra runs over a fixed horizon (no stopping rule).
 
-    The fixed-horizon companion of :func:`batched_cobra_cover_trials`
+    The fixed-horizon companion of :func:`batched_cobra_trials`
     for experiments that consume the frontier dynamics themselves
     (``ACTIVE_growth``'s §1.1 growth/saturation measurements) rather
     than a stopping time: all trials advance in one flat frontier and
@@ -954,37 +874,9 @@ def batched_cobra_active_sizes(
     return sizes
 
 
-def _gossip_trials(
+def batched_gossip_trials(
     graph: GraphLike,
-    target,
-    trials: int,
-    start,
-    seed,
-    max_steps,
-    push: bool,
-    pull: bool,
-) -> np.ndarray:
-    """The gossip spread (``target=None``) or hit engine."""
-    oracle = _samplable(graph, trials)
-    if not (push or pull):
-        raise ValueError("enable at least one of push/pull")
-    n = oracle.n
-    start = _scalar_start(oracle, start)
-    if target is not None:
-        _check_vertex(oracle, target, "target")
-    if max_steps is None:
-        from ..walks.gossip import _budget
-
-        max_steps = _budget(n)
-    mover = _GossipMover(oracle, trials, start, resolve_rng(seed), push, pull)
-    # the cover rule's visited mask repeats the mover's informed set; the
-    # copy costs one mask pass over each round's fresh ids
-    rule = _Cover(trials, n) if target is None else _Hit(n, target)
-    return _lockstep(mover, rule, trials, max_steps, mover.start)
-
-
-def batched_gossip_spread_trials(
-    graph: GraphLike,
+    target: int | None = None,
     *,
     trials: int,
     start: int | np.ndarray = 0,
@@ -993,8 +885,10 @@ def batched_gossip_spread_trials(
     push: bool = True,
     pull: bool = False,
 ) -> np.ndarray:
-    """Spread times of *trials* independent gossip runs (push and/or
-    pull), advanced in lock-step; finished trials are compacted out.
+    """Spread times (``target=None``) or the rounds at which *target*
+    learns the rumor, over *trials* independent gossip runs (push
+    and/or pull) advanced in lock-step; finished trials are compacted
+    out.
 
     Per round and per alive trial: every informed vertex pushes the
     rumor to one uniform neighbor (``push``) and/or every uninformed
@@ -1012,12 +906,16 @@ def batched_gossip_spread_trials(
     maintained incrementally from each round's freshly informed
     vertices (one oracle neighborhood expansion plus one sparse unique
     — never an ``O(alive · n)`` pass), the batched analogue of a
-    wavefront sweep.
+    wavefront sweep.  The hit rule keeps no informed count: its only
+    test is target membership in each round's freshly informed set.
 
     Parameters
     ----------
     graph : Graph or NeighborOracle
         Connected graph without isolated vertices (CSR or implicit).
+    target : int, optional
+        Vertex whose first informing stops a trial; ``None`` stops a
+        trial when the rumor has saturated the graph.
     trials : int
         Number of independent runs.
     start : int or numpy.ndarray
@@ -1036,62 +934,24 @@ def batched_gossip_spread_trials(
     -------
     numpy.ndarray
         ``float64[trials]`` round counts with ``np.nan`` marking
-        budget exhaustion.
-    """
-    return _gossip_trials(graph, None, trials, start, seed, max_steps, push, pull)
-
-
-def batched_gossip_hit_trials(
-    graph: GraphLike,
-    target: int,
-    *,
-    trials: int,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-    push: bool = True,
-    pull: bool = False,
-) -> np.ndarray:
-    """First rounds at which *target* learns the rumor, over *trials*
-    independent gossip runs advanced in lock-step (the
-    ``metric="hit"`` engine for push/pull/push_pull).
-
-    Identical round semantics to
-    :func:`batched_gossip_spread_trials` — same boundary-tracked
-    push/pull draws, same compaction — but a trial finishes the round
-    *target* first becomes informed instead of the round the rumor
-    saturates, matching ``GossipSpread.first_activation[target]`` of the
-    serial process distributionally.  No per-trial informed *count* is
-    kept: the only completion test is target membership in each
-    round's freshly informed set.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first informing stops a trial.
-    trials : int
-        Number of independent runs.
-    start : int or numpy.ndarray
-        The initially informed vertex (or a one-element array of it).
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Round budget per trial; defaults to the gossip helpers'
-        ``O(n log n)``-with-slack budget.
-    push : bool
-        Informed vertices push to one uniform neighbor per round.
-    pull : bool
-        Uninformed vertices poll one uniform neighbor per round.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting rounds with ``np.nan`` marking
         budget exhaustion (``0.0`` when *target* is the start vertex).
     """
-    return _gossip_trials(graph, target, trials, start, seed, max_steps, push, pull)
+    oracle = _samplable(graph, trials)
+    if not (push or pull):
+        raise ValueError("enable at least one of push/pull")
+    n = oracle.n
+    start = _scalar_start(oracle, start)
+    if target is not None:
+        _check_vertex(oracle, target, "target")
+    if max_steps is None:
+        from ..walks.gossip import _budget
+
+        max_steps = _budget(n)
+    mover = _GossipMover(oracle, trials, start, resolve_rng(seed), push, pull)
+    # the cover rule's visited mask repeats the mover's informed set; the
+    # copy costs one mask pass over each round's fresh ids
+    rule = _Cover(trials, n) if target is None else _Hit(n, target)
+    return _lockstep(mover, rule, trials, max_steps, mover.start)
 
 
 def batched_parallel_walks_cover_trials(
@@ -1110,7 +970,7 @@ def batched_parallel_walks_cover_trials(
 
     The state is tiny (one position per walker), so finished trials
     keep stepping rather than being compacted — the same trade
-    ``rw_cover_trials`` makes.
+    ``rw_trials`` makes.
 
     Parameters
     ----------
@@ -1183,29 +1043,9 @@ def _walt_run(
     return _lockstep(mover, rule, trials, steps, mover.flat_ids(np.arange(trials))), mover
 
 
-def _walt_stop_times(
-    graph: GraphLike, target, trials: int, delta: float, lazy: bool, start, seed, max_steps
-) -> np.ndarray:
-    """The Walt cover (``target=None``) or hit engine."""
-    oracle = _samplable(graph, trials)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    n = oracle.n
-    if target is None:
-        rule: _Rule = _Cover(trials, n, sorted_ids=False)
-    else:
-        _check_vertex(oracle, target, "target")
-        rule = _Hit(n, target, sorted_ids=False)
-    if max_steps is None:
-        from ..core.walt import _budget
-
-        max_steps = _budget(n)
-    p = max(1, int(delta * n))
-    return _walt_run(oracle, trials, p, lazy, start, seed, rule, max_steps)[0]
-
-
-def batched_walt_cover_trials(
+def batched_walt_trials(
     graph: GraphLike,
+    target: int | None = None,
     *,
     trials: int,
     delta: float = 0.5,
@@ -1214,21 +1054,27 @@ def batched_walt_cover_trials(
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Cover times of *trials* independent Walt runs (``δn`` ordered
-    pebbles each), advanced in lock-step; finished trials are compacted
-    out.
+    """Cover times (``target=None``) or first-arrival times of any
+    pebble at *target* over *trials* independent Walt runs (``δn``
+    ordered pebbles each), advanced in lock-step; finished trials are
+    compacted out.
 
     Pebble placement matches :func:`repro.core.walt.walt_start_positions`:
     integer/array *start* puts all pebbles there (identical across
     trials); ``start=None`` spreads them uniformly at random,
     independently per trial.  The lazy coin is drawn per trial per step,
     so each trial holds independently — distributionally the same as
-    the serial process's one global coin.
+    the serial process's one global coin.  The hit rule keeps no visit
+    ledger: a trial is done the round one of its pebbles lands on
+    *target*.
 
     Parameters
     ----------
     graph : Graph or NeighborOracle
         Connected graph without isolated vertices (CSR or implicit).
+    target : int, optional
+        Vertex whose first pebble arrival stops a trial; ``None`` stops
+        a trial when its pebbles have covered the graph.
     trials : int
         Number of independent runs.
     delta : float
@@ -1246,60 +1092,24 @@ def batched_walt_cover_trials(
     Returns
     -------
     numpy.ndarray
-        ``float64[trials]`` cover times with ``np.nan`` marking budget
-        exhaustion.
+        ``float64[trials]`` cover or hitting times with ``np.nan``
+        marking budget exhaustion.
     """
-    return _walt_stop_times(graph, None, trials, delta, lazy, start, seed, max_steps)
+    oracle = _samplable(graph, trials)
+    if not 0 < delta <= 1:
+        raise ValueError("delta must be in (0, 1]")
+    n = oracle.n
+    if target is None:
+        rule: _Rule = _Cover(trials, n, sorted_ids=False)
+    else:
+        _check_vertex(oracle, target, "target")
+        rule = _Hit(n, target, sorted_ids=False)
+    if max_steps is None:
+        from ..core.walt import _budget
 
-
-def batched_walt_hit_trials(
-    graph: GraphLike,
-    target: int,
-    *,
-    trials: int,
-    delta: float = 0.5,
-    lazy: bool = True,
-    start: int | np.ndarray | None = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """First-arrival times of any pebble at *target* over *trials*
-    independent Walt runs (the Walt ``metric="hit"`` engine).
-
-    The cobra hit-engine template ported to Walt: no per-vertex visit
-    ledger is kept — a trial is done the round one of its pebbles
-    lands on ``target``, so the hot loop is exactly the cover engine's
-    grouped move plus one equality scan of the moved pebbles.
-    Placement and the per-trial lazy coin match
-    :func:`batched_walt_cover_trials`.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first pebble arrival stops a trial.
-    trials : int
-        Number of independent runs.
-    delta : float
-        Pebble density: ``max(1, int(delta·n))`` pebbles per trial.
-    lazy : bool
-        Apply the per-round 1/2 holding coin (paper default).
-    start : int or numpy.ndarray or None
-        Placement vertex/array (``None`` = uniform per trial).
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Round budget per trial; defaults to Walt's budget
-        (``_budget`` in :mod:`repro.core.walt`).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting times with ``np.nan`` marking
-        budget exhaustion.
-    """
-    return _walt_stop_times(graph, target, trials, delta, lazy, start, seed, max_steps)
+        max_steps = _budget(n)
+    p = max(1, int(delta * n))
+    return _walt_run(oracle, trials, p, lazy, start, seed, rule, max_steps)[0]
 
 
 def batched_walt_positions_at(
@@ -1316,7 +1126,7 @@ def batched_walt_positions_at(
     """Pebble positions of *trials* independent Walt runs after exactly
     *steps* (possibly lazy) rounds.
 
-    The fixed-horizon companion of :func:`batched_walt_cover_trials`
+    The fixed-horizon companion of :func:`batched_walt_trials`
     for the Theorem 8 epoch machinery (``T8_epochs``): the experiment
     needs the pebble *configuration* at the end of an epoch, not a
     cover time.  All trials advance through the same sort-free grouped
@@ -1337,7 +1147,7 @@ def batched_walt_positions_at(
     lazy : bool
         Apply the per-round 1/2 holding coin (paper default).
     start : int or numpy.ndarray or None
-        Placement, as in :func:`batched_walt_cover_trials`: a
+        Placement, as in :func:`batched_walt_trials`: a
         vertex/array puts the pebbles there in every trial; ``None``
         spreads them uniformly at random, independently per trial.
     seed : SeedLike, optional
@@ -1397,55 +1207,40 @@ def _add_holds(moves: np.ndarray, max_steps: int, rng: np.random.Generator) -> n
     return out
 
 
-def _lazy_trials(graph: GraphLike, target, trials: int, start, seed, max_steps) -> np.ndarray:
-    """The lazy cover (``target=None``) or hit engine: the move chain on
-    the simple-walk engine, then the holds."""
-    oracle = _samplable(graph, trials)
-    from ..walks.simple import _cover_budget, rw_cover_trials, rw_hitting_trials
-
-    if max_steps is None:
-        max_steps = _cover_budget(oracle.n)
-    rng = resolve_rng(seed)
-    # total steps >= moves, so `max_steps` moves bounds every trial
-    # that could still stop within the step budget; the move-chain
-    # engines check start and target
-    kw = dict(start=start, trials=trials, seed=rng, max_steps=max_steps)
-    if target is None:
-        moves = rw_cover_trials(graph, **kw)
-    else:
-        moves = rw_hitting_trials(graph, target, **kw)
-    return _add_holds(moves, max_steps, rng)
-
-
-def batched_lazy_cover_trials(
+def batched_lazy_trials(
     graph: GraphLike,
+    target: int | None = None,
     *,
     trials: int,
     start: int | np.ndarray = 0,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Cover times of *trials* independent lazy-random-walk runs.
+    """Cover times (``target=None``) or hitting times of *target* over
+    *trials* independent lazy-random-walk runs.
 
     The hold-probability variant of the simple-walk engine
-    (:func:`repro.walks.simple.rw_cover_trials`), built on the
-    jump-chain decomposition rather than a simulated coin per step: a
-    lazy walk is the simple walk run in slow motion, each move
-    preceded by ``Geometric(1/2)`` holds, so the engine runs the
-    *move* chain on the batched simple-walk engine (half the steps,
-    none of the per-step coin traffic) and then adds the total holding
-    time — the sum of ``N`` independent geometrics, i.e. one
-    ``NegativeBinomial(N, 1/2)`` draw per trial — to the per-trial
-    move count ``N``.  The resulting cover-time law is exactly that of
-    :class:`repro.walks.simple.RandomWalk` with ``lazy=True``
-    (coverage can only change at a move, and each step is an
-    independent fair coin), including budget censoring: a trial is
-    ``nan`` iff its reconstructed step total exceeds *max_steps*.
+    (:func:`repro.walks.simple.rw_trials`), built on the jump-chain
+    decomposition rather than a simulated coin per step: a lazy walk
+    is the simple walk run in slow motion, each move preceded by
+    ``Geometric(1/2)`` holds, so the engine runs the *move* chain on
+    the batched simple-walk engine (half the steps, none of the
+    per-step coin traffic) under the same stop rule, and then adds the
+    total holding time — the sum of ``N`` independent geometrics, i.e.
+    one ``NegativeBinomial(N, 1/2)`` draw per finished trial — to the
+    per-trial move count ``N``.  Coverage and first activation can
+    only change at a move and each step is an independent fair coin,
+    so the law is exactly that of :class:`repro.walks.simple.RandomWalk`
+    with ``lazy=True``, including budget censoring: a trial is ``nan``
+    iff its reconstructed step total exceeds *max_steps*.
 
     Parameters
     ----------
     graph : Graph or NeighborOracle
         Connected graph without isolated vertices (CSR or implicit).
+    target : int, optional
+        Vertex whose first visit stops a trial; ``None`` stops a trial
+        when it has covered the graph.
     trials : int
         Number of independent runs.
     start : int or numpy.ndarray
@@ -1460,57 +1255,20 @@ def batched_lazy_cover_trials(
     Returns
     -------
     numpy.ndarray
-        ``float64[trials]`` cover times, ``np.nan`` marking budget
-        exhaustion.
+        ``float64[trials]`` cover or hitting times, ``np.nan`` marking
+        budget exhaustion.
     """
-    return _lazy_trials(graph, None, trials, start, seed, max_steps)
+    oracle = _samplable(graph, trials)
+    from ..walks.simple import _cover_budget, rw_trials
 
-
-def batched_lazy_hit_trials(
-    graph: GraphLike,
-    target: int,
-    *,
-    trials: int,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Hitting times of *target* over *trials* independent
-    lazy-random-walk runs (the lazy ``metric="hit"`` engine).
-
-    The same jump-chain time-change as
-    :func:`batched_lazy_cover_trials`: first activation of the target
-    can only happen at a move, so the *move* chain races to the target
-    on the batched simple-walk hit engine
-    (:func:`repro.walks.simple.rw_hitting_trials`) and the holds are
-    reconstructed afterwards as one ``NegativeBinomial(moves, 1/2)``
-    draw per finished trial.  Exactly the law of the serial lazy walk,
-    including budget censoring: a trial is ``nan`` iff its
-    reconstructed step total exceeds *max_steps*.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first visit stops a trial.
-    trials : int
-        Number of independent runs.
-    start : int or numpy.ndarray
-        Common start vertex of every trial (or a one-element array of it).
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Step budget per trial (holds included, as in the serial walk);
-        defaults to the lazy walk's serial budget.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting times, ``np.nan`` marking budget
-        exhaustion.
-    """
-    return _lazy_trials(graph, target, trials, start, seed, max_steps)
+    if max_steps is None:
+        max_steps = _cover_budget(oracle.n)
+    rng = resolve_rng(seed)
+    # total steps >= moves, so `max_steps` moves bounds every trial
+    # that could still stop within the step budget; the move-chain
+    # engine checks start and target
+    moves = rw_trials(graph, target, start=start, trials=trials, seed=rng, max_steps=max_steps)
+    return _add_holds(moves, max_steps, rng)
 
 
 def batched_branching_cover_trials(
@@ -1670,89 +1428,3 @@ def batched_coalescing_cover_trials(
     mover = _CoalescingMover(oracle, wpos, rng)
     mover.draws = draws
     return _lockstep(mover, _Cover(trials, n), trials, max_steps, wpos)
-
-
-def batched_biased_cover_trials(
-    graph: GraphLike,
-    target: int | None = None,
-    *,
-    trials: int,
-    start: int | np.ndarray = 0,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-    eps: float | None = None,
-    controller: np.ndarray | None = None,
-) -> np.ndarray:
-    """Cover times of *trials* independent biased-walk runs.
-
-    One row of state per trial, exactly the
-    :func:`repro.walks.simple.rw_cover_trials` idiom but with the
-    biased transition — at vertex ``v`` the walk follows the
-    controller's neighbor with probability ``eps`` (or the
-    inverse-degree bias ``1/d(v)`` when ``eps is None``) and a uniform
-    neighbor otherwise.  The controller table is precomputed once (the
-    toward-*target* BFS table by default), so each global step is two
-    uniform draws per trial — one bias coin, one neighbor index — plus
-    the coverage scatter.  Distributionally identical to serial
-    :class:`repro.core.biased.BiasedWalk` runs (the serial walk skips
-    the neighbor draw on controller steps; the batched engine always
-    draws both, a different stream consumption of the same law).
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-        The default BFS controller needs CSR edges, so implicit
-        oracles must pass *controller* explicitly.
-    target : int
-        The vertex the controller steers toward (the biased walk is
-        defined relative to a target even when sweeping coverage);
-        ``None`` raises ``ValueError``.
-    trials : int
-        Number of independent runs.
-    start : int or numpy.ndarray
-        Common start vertex of every trial (or a one-element array of it).
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Step budget per trial; defaults to the biased walk's serial
-        budget.
-    eps : float, optional
-        Constant controller probability; ``None`` selects the paper's
-        inverse-degree bias ``1/d(v)``.
-    controller : numpy.ndarray, optional
-        ``int64[n]`` controller table (vertex → chosen neighbor);
-        defaults to the toward-target BFS table.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` cover times, ``np.nan`` marking budget
-        exhaustion.
-    """
-    if target is None:
-        raise ValueError("the biased walk needs a target (its controller steers toward it)")
-    oracle = _samplable(graph, trials)
-    n = oracle.n
-    _check_vertex(oracle, target, "target")
-    start = _scalar_start(oracle, start)
-    if eps is not None and not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
-    if max_steps is None:
-        from ..core.biased import _budget
-
-        max_steps = _budget(n)
-    if controller is None:
-        if not isinstance(graph, Graph):
-            raise ValueError(
-                "the default controller is a BFS table over CSR edges; pass "
-                "controller= explicitly when running on an implicit oracle"
-            )
-        from ..core.biased import toward_target_controller
-
-        controller = toward_target_controller(graph, target)
-    controller = np.asarray(controller, dtype=np.int64)
-    if controller.shape != (n,):
-        raise ValueError("controller table must have one entry per vertex")
-    mover = _BiasedMover(oracle, trials, start, controller, eps, resolve_rng(seed))
-    return _lockstep(mover, _Cover(trials, n), trials, max_steps, mover.base + mover.pos)

@@ -10,12 +10,13 @@ Each factory only builds a process class; the classes define
 is the one serial loop that steps them to a stop, and the serial rows
 of ``tests/golden/streams.json`` pin what it returns seed for seed.
 
-The ``batch_cover`` / ``batch_hit`` hooks are the public engines of
-:mod:`repro.sim.batch` and :mod:`repro.walks.simple` themselves (the
-gossip ones with ``push``/``pull`` bound by :func:`functools.partial`):
-each engine takes ``start`` the way ``run_batch`` passes it and checks
-it itself, the single-start ones with ``_scalar_start``, the helper
-their factories here call too.  Each ``default_budget`` calls the
+Each ``batch`` hook is a public engine of :mod:`repro.sim.batch` or
+:mod:`repro.walks.simple` itself (the gossip one with ``push``/``pull``
+bound by :func:`functools.partial`); an engine that takes ``target``
+runs both the cover/spread and the hit rule.  Each engine takes
+``start`` the way ``run_batch`` passes it and checks it itself, the
+single-start ones with ``_scalar_start``, the helper their factories
+here call too.  Each ``default_budget`` calls the
 private budget function of the process's own module, the one its
 engine and its serial helpers fall back to when given no
 ``max_steps``.
@@ -38,18 +39,13 @@ from ..walks import parallel as _parallel_mod
 from ..walks import simple as _simple_mod
 from .batch import (
     _scalar_start,
-    batched_biased_cover_trials,
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
-    batched_cobra_cover_trials,
-    batched_cobra_hit_trials,
-    batched_gossip_hit_trials,
-    batched_gossip_spread_trials,
-    batched_lazy_cover_trials,
-    batched_lazy_hit_trials,
+    batched_cobra_trials,
+    batched_gossip_trials,
+    batched_lazy_trials,
     batched_parallel_walks_cover_trials,
-    batched_walt_cover_trials,
-    batched_walt_hit_trials,
+    batched_walt_trials,
 )
 from .processes import ProcessSpec, register_process
 from .rng import resolve_rng
@@ -151,8 +147,7 @@ register_process(
         default_metric="cover",
         default_params={"k": 2},
         default_budget=lambda g, p: _cobra_mod._default_budget(g.n),
-        batch_cover=batched_cobra_cover_trials,
-        batch_hit=batched_cobra_hit_trials,
+        batch=batched_cobra_trials,
         description="k-cobra walk (§2): branch to k uniform neighbors, coalesce on meeting",
     )
 )
@@ -164,8 +159,7 @@ register_process(
         capabilities=frozenset({"cover", "hit"}),
         default_metric="cover",
         default_budget=lambda g, p: _simple_mod._cover_budget(g.n),
-        batch_cover=_simple_mod.rw_cover_trials,
-        batch_hit=_simple_mod.rw_hitting_trials,
+        batch=_simple_mod.rw_trials,
         description="simple random walk (Feige's classical cover-time baseline)",
     )
 )
@@ -177,8 +171,7 @@ register_process(
         capabilities=frozenset({"cover", "hit"}),
         default_metric="cover",
         default_budget=lambda g, p: _simple_mod._cover_budget(g.n),
-        batch_cover=batched_lazy_cover_trials,
-        batch_hit=batched_lazy_hit_trials,
+        batch=batched_lazy_trials,
         description="lazy random walk (holds with probability 1/2)",
     )
 )
@@ -191,8 +184,7 @@ register_process(
         default_metric="cover",
         default_params={"delta": 0.5, "lazy": True},
         default_budget=lambda g, p: _walt_mod._budget(g.n),
-        batch_cover=batched_walt_cover_trials,
-        batch_hit=batched_walt_hit_trials,
+        batch=batched_walt_trials,
         description="Walt (§4): δn ordered pebbles, the cobra walk's analysis proxy",
     )
 )
@@ -207,7 +199,7 @@ register_process(
         default_budget=lambda g, p: _parallel_mod._default_budget(
             g.n, int(p.get("walkers", 2))
         ),
-        batch_cover=batched_parallel_walks_cover_trials,
+        batch=batched_parallel_walks_cover_trials,
         description="k independent parallel random walks (Alon et al.)",
     )
 )
@@ -220,7 +212,7 @@ register_process(
         default_metric="cover",
         default_params={"k": 2, "population_cap": 1_000_000},
         default_budget=lambda g, p: _branching_mod._budget(g.n),
-        batch_cover=batched_branching_cover_trials,
+        batch=batched_branching_cover_trials,
         description="pure branching walk (no coalescence): population explodes",
     )
 )
@@ -233,7 +225,7 @@ register_process(
         default_metric="coalesce",
         default_params={"walkers": None},
         default_budget=lambda g, p: _coalescing_mod._budget(g.n),
-        batch_cover=batched_coalescing_cover_trials,
+        batch=batched_coalescing_cover_trials,
         description="coalescing random walks (voter-model dual): walkers merge on meeting",
     )
 )
@@ -250,8 +242,7 @@ for name, push, pull, description in (
             capabilities=frozenset({"spread", "hit"}),
             default_metric="spread",
             default_budget=lambda g, p: _gossip_mod._budget(g.n),
-            batch_cover=partial(batched_gossip_spread_trials, push=push, pull=pull),
-            batch_hit=partial(batched_gossip_hit_trials, push=push, pull=pull),
+            batch=partial(batched_gossip_trials, push=push, pull=pull),
             description=description,
         )
     )
@@ -260,11 +251,10 @@ register_process(
     ProcessSpec(
         name="biased",
         factory=_make_biased,
-        capabilities=frozenset({"hit", "cover"}),
+        capabilities=frozenset({"hit"}),
         default_metric="hit",
         default_params={"eps": None},
         default_budget=lambda g, p: _biased_mod._budget(g.n),
-        batch_cover=batched_biased_cover_trials,
         description="ε-/inverse-degree-biased walk (§5.1, Azar et al.)",
     )
 )

@@ -13,18 +13,18 @@
 single :class:`RunResult`.  It is the one loop that steps a serial
 process to a stop: the process classes only define ``step()``, and the
 serial rows of ``tests/golden/streams.json`` pin what it returns.
-``run_batch`` runs the vectorized batched engine when the process has
-one for the metric (cover/spread: every cover-capable registered
-process; hit: cobra, simple, lazy, walt, push, pull, push_pull), or
-else a serial loop that gives trial ``i`` the ``i``-th spawned seed,
-always returning one :class:`~repro.sim.montecarlo.TrialSummary`.
+``run_batch`` runs the process's vectorized batched engine when it
+runs the metric (cover/spread: every process that declares one; hit:
+cobra, simple, lazy, walt, push, pull, push_pull — the engines that
+take ``target``), or else a serial loop that gives trial ``i`` the
+``i``-th spawned seed, always returning one
+:class:`~repro.sim.montecarlo.TrialSummary`.
 Parallelism lives one level up, across cells (``Campaign(workers=N)``;
 see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -228,30 +228,18 @@ def select_execution_path(
     str
         ``"vectorized"`` or ``"serial"``.
     """
-    if metric in ("cover", "spread"):
-        engine = spec.batch_cover
-    elif metric == "hit":
-        engine = spec.batch_hit
-    else:
-        engine = None
+    # "cover" on a spread process runs its spread rule
+    rule = "spread" if metric == "cover" and spec.supports("spread") else metric
+    batched = rule in spec.batch_metrics
     if strategy == "vectorized":
-        if engine is None:
+        if not batched:
             raise ValueError(
                 f"process {spec.name!r} has no vectorized engine for metric {metric!r}"
             )
         return "vectorized"
-    if strategy == "auto" and engine is not None:
+    if strategy == "auto" and batched:
         return "vectorized"
     return "serial"
-
-
-def _accepts_target(engine) -> bool:
-    """Whether a batched engine's signature declares a ``target``
-    keyword (drives forwarding for non-hit metrics)."""
-    try:
-        return "target" in inspect.signature(engine).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtin callables
-        return False
 
 
 def _refuse_bound_params(spec: ProcessSpec, params: dict[str, Any]) -> None:
@@ -263,7 +251,7 @@ def _refuse_bound_params(spec: ProcessSpec, params: dict[str, Any]) -> None:
     """
     bound = {
         name
-        for fn in (spec.factory, spec.batch_cover, spec.batch_hit)
+        for fn in (spec.factory, spec.batch)
         if isinstance(fn, partial)
         for name in fn.keywords
     }
@@ -377,10 +365,11 @@ def run_batch(
 
     Strategy selection (``strategy="auto"``):
 
-    * the process's vectorized batched engine, when it has one for the
-      metric — ``batch_cover`` for coverage/spread, ``batch_hit`` for
-      hitting — all trials advance in one ``(trials, n)`` frontier, no
-      per-trial Python loops;
+    * the process's vectorized batched engine ``spec.batch``, when it
+      runs the metric (:attr:`~repro.sim.processes.ProcessSpec.batch_metrics`)
+      — all trials advance in one ``(trials, n)`` frontier, no
+      per-trial Python loops, and ``target`` is passed only for
+      ``metric="hit"``;
     * otherwise a serial loop over spawned per-trial seeds: trial ``i``
       is ``simulate(..., seed=spawn_seeds(seed, trials)[i])``, so its
       value does not depend on how many trials run.
@@ -452,16 +441,10 @@ def run_batch(
             "repro.graphs.to_csr(...)"
         )
     if path == "vectorized":
-        engine = spec.batch_cover if metric in ("cover", "spread") else spec.batch_hit
-        kwargs = dict(params)
         if metric == "hit":
-            kwargs["target"] = target
-        elif target is not None and _accepts_target(engine):
-            # cover engines of target-parameterised processes (the
-            # biased walk's controller steers toward its target)
-            kwargs["target"] = target
-        values = engine(
-            graph, trials=trials, start=start, seed=seed, max_steps=max_steps, **kwargs
+            params["target"] = target
+        values = spec.batch(
+            graph, trials=trials, start=start, seed=seed, max_steps=max_steps, **params
         )
         return summarize_trials(np.asarray(values, dtype=np.float64))
 

@@ -37,6 +37,7 @@ Capabilities
 
 from __future__ import annotations
 
+import inspect
 import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -137,13 +138,9 @@ ProcessFactory = Callable[..., SteppingProcess]
 #: budget signature: ``default_budget(graph, params) -> int``
 BudgetFn = Callable[[Graph, Mapping[str, Any]], int]
 
-#: batched-cover signature:
-#: ``batch_cover(graph, *, trials, start, seed, max_steps, **params) -> float64[trials]``
-BatchCoverFn = Callable[..., Any]
-
-#: batched-hit signature:
-#: ``batch_hit(graph, *, trials, start, target, seed, max_steps, **params) -> float64[trials]``
-BatchHitFn = Callable[..., Any]
+#: batched-engine signature:
+#: ``batch(graph, target=None, *, trials, start, seed, max_steps, **params) -> float64[trials]``
+BatchFn = Callable[..., Any]
 
 
 @dataclass(frozen=True)
@@ -169,16 +166,18 @@ class ProcessSpec:
         The step budget ``simulate``/``run_batch`` use when the caller
         gives none.  Built-ins call their module's private budget
         function, the one their engine falls back to without ``max_steps``.
-    batch_cover : BatchCoverFn or None
-        Optional vectorized engine advancing all cover/spread trials in
-        one ``(trials, n)`` frontier; ``run_batch`` uses it when
-        available.
-    batch_hit : BatchHitFn or None
-        Optional vectorized engine for ``metric="hit"`` sweeps: all
-        trials race to first activation of the target in one flat
-        frontier; ``run_batch`` uses it when available.
+    batch : BatchFn or None
+        Optional vectorized engine advancing all trials in one flat
+        frontier; ``run_batch`` uses it for every metric in
+        :attr:`batch_metrics`.  ``target=None`` runs the cover/spread
+        rule, and a vertex runs the hit rule; an engine without a
+        ``target`` parameter only covers.
     description : str
         One-line positioning of the process in the paper.
+    batch_metrics : frozenset of str
+        The metrics ``batch`` runs, worked out from it at construction
+        (not an argument): the declared ``cover``/``spread``
+        capabilities, plus ``hit`` when ``batch`` takes ``target``.
     """
 
     name: str
@@ -187,9 +186,9 @@ class ProcessSpec:
     default_metric: str
     default_budget: BudgetFn
     default_params: Mapping[str, Any] = field(default_factory=dict)
-    batch_cover: BatchCoverFn | None = None
-    batch_hit: BatchHitFn | None = None
+    batch: BatchFn | None = None
     description: str = ""
+    batch_metrics: frozenset[str] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "default_params", MappingProxyType(dict(self.default_params)))
@@ -200,6 +199,12 @@ class ProcessSpec:
             raise ValueError(
                 f"default metric {self.default_metric!r} not in capabilities of {self.name!r}"
             )
+        metrics: set[str] = set()
+        if self.batch is not None:
+            metrics = {"cover", "spread"}
+            if "target" in inspect.signature(self.batch).parameters:
+                metrics.add("hit")
+        object.__setattr__(self, "batch_metrics", frozenset(metrics & self.capabilities))
 
     def supports(self, metric: str) -> bool:
         """Whether *metric* is declared for this process.

@@ -9,8 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, (
     (".parallel", ("ParallelWalks",)),
     (".simple", (
         "RandomWalk",
-        "rw_cover_trials",
         "rw_exact_hitting_times",
-        "rw_hitting_trials",
+        "rw_trials",
     )),
 ))

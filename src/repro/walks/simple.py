@@ -28,8 +28,7 @@ from ..sim.rng import SeedLike, resolve_rng
 
 __all__ = [
     "RandomWalk",
-    "rw_cover_trials",
-    "rw_hitting_trials",
+    "rw_trials",
     "rw_exact_hitting_times",
 ]
 
@@ -66,29 +65,35 @@ class RandomWalk(CoverageLedger):
         return self.position
 
 
-def rw_cover_trials(
+def rw_trials(
     graph: Graph | NeighborOracle,
+    target: int | None = None,
     *,
     start: int | np.ndarray = 0,
     trials: int = 10,
     seed: SeedLike = None,
     max_steps: int | None = None,
 ) -> np.ndarray:
-    """Vectorized independent cover trials on the block-walk driver
-    (the ``"simple"`` process's cover engine).
+    """Vectorized independent cover (``target=None``) or hitting-time
+    trials on the block-walk driver (the ``"simple"`` process's
+    engine).
 
     One row of state per trial: every step draws one uniform per trial
     and moves every walker, and :func:`walk_blocks` runs those steps in
-    blocks, settling coverage once per block.  A trial that finishes
-    keeps its walker stepping, as the per-step loop did (masking it out
-    costs more than it saves at these trial counts); the RNG stream and
-    the values are those of that loop, bit for bit.  Visited state is
-    bit-packed at scale (``n/8`` bytes per trial).
+    blocks, settling each block once — coverage for the cover rule, one
+    comparison against *target* for the hit rule.  A trial that
+    finishes keeps its walker stepping, as the per-step loop did
+    (masking it out costs more than it saves at these trial counts);
+    the RNG stream and the values are those of that loop, bit for bit.
+    Visited state is bit-packed at scale (``n/8`` bytes per trial).
 
     Parameters
     ----------
     graph : Graph or NeighborOracle
         Connected graph without isolated vertices (CSR or implicit).
+    target : int, optional
+        Vertex whose first visit stops a trial; ``None`` stops a trial
+        when it has covered the graph.
     start : int or numpy.ndarray
         Common start vertex of every trial (or a one-element array of it).
     trials : int
@@ -102,72 +107,30 @@ def rw_cover_trials(
     Returns
     -------
     numpy.ndarray
-        ``float64[trials]`` cover times, ``np.nan`` marking budget
-        exhaustion.
+        ``float64[trials]`` cover or hitting times, ``np.nan`` marking
+        budget exhaustion (``0.0`` when *target* is the start vertex).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     oracle = as_oracle(graph)
     n = oracle.n
     start = _scalar_start(oracle, start)
+    if target is not None:
+        _check_vertex(oracle, target, "target")
     if max_steps is None:
         max_steps = _cover_budget(n)
     rng = resolve_rng(seed)
-    row_base = np.arange(trials, dtype=np.int64) * n
-    covered = visited_mask(trials, n)
-    covered.set_unique_rows(row_base + start)
     out = np.full(trials, np.nan)
-    settle = CoverSettle(covered, row_base, np.ones(trials, dtype=np.int64), out)
-    walk_blocks(oracle, np.full(trials, start, dtype=np.int64), rng, max_steps, settle)
-    return out
-
-
-def rw_hitting_trials(
-    graph: Graph | NeighborOracle,
-    target: int,
-    *,
-    start: int | np.ndarray = 0,
-    trials: int = 10,
-    seed: SeedLike = None,
-    max_steps: int | None = None,
-) -> np.ndarray:
-    """Vectorized independent hitting-time trials on the block-walk
-    driver (the ``"simple"`` process's hit engine): each block is
-    compared against *target* once.
-
-    Parameters
-    ----------
-    graph : Graph or NeighborOracle
-        Connected graph without isolated vertices (CSR or implicit).
-    target : int
-        Vertex whose first visit stops a trial.
-    start : int or numpy.ndarray
-        Common start vertex of every trial (or a one-element array of it).
-    trials : int
-        Number of independent runs.
-    seed : SeedLike, optional
-        Seed/stream for the single interleaved RNG.
-    max_steps : int, optional
-        Step budget per trial; defaults to the cover engine's budget.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``float64[trials]`` hitting times, ``np.nan`` marking budget
-        exhaustion (``0.0`` when *target* is the start vertex).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    oracle = as_oracle(graph)
-    start = _scalar_start(oracle, start)
-    _check_vertex(oracle, target, "target")
-    if max_steps is None:
-        max_steps = _cover_budget(oracle.n)
-    rng = resolve_rng(seed)
-    if start == target:
+    settle: Settle
+    if target is None:
+        row_base = np.arange(trials, dtype=np.int64) * n
+        covered = visited_mask(trials, n)
+        covered.set_unique_rows(row_base + start)
+        settle = CoverSettle(covered, row_base, np.ones(trials, dtype=np.int64), out)
+    elif start == target:
         return np.zeros(trials)
-    out = np.full(trials, np.nan)
-    settle = _HitSettle(target, out)
+    else:
+        settle = _HitSettle(target, out)
     walk_blocks(oracle, np.full(trials, start, dtype=np.int64), rng, max_steps, settle)
     return out
 

@@ -140,27 +140,3 @@ class TestSweepCli:
         assert main(["sweep", "run", "nope", "--store", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown sweep") and "nope" in err
-
-
-class TestLintVerb:
-    """`cobra-experiments lint` delegates to repro.lint with CI defaults."""
-
-    def test_clean_path_exits_zero(self, capsys, tmp_path):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        assert main(["lint", str(target)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-    def test_violation_exits_one(self, capsys, tmp_path):
-        target = tmp_path / "dirty.py"
-        target.write_text("import numpy as np\nnp.random.seed(0)\n")
-        assert main(["lint", str(target)]) == 1
-        assert "RPL100" in capsys.readouterr().out
-
-    def test_json_format_is_forwarded(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        assert main(["lint", str(target), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["errors"] == 0

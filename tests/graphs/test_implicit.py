@@ -35,17 +35,13 @@ from repro.graphs import (
     torus,
 )
 from repro.sim import (
-    batched_biased_cover_trials,
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
-    batched_cobra_cover_trials,
-    batched_cobra_hit_trials,
-    batched_gossip_spread_trials,
-    batched_lazy_cover_trials,
-    batched_lazy_hit_trials,
+    batched_cobra_trials,
+    batched_gossip_trials,
+    batched_lazy_trials,
     batched_parallel_walks_cover_trials,
-    batched_walt_cover_trials,
-    batched_walt_hit_trials,
+    batched_walt_trials,
 )
 from repro.sim.rng import resolve_rng
 
@@ -159,37 +155,27 @@ class TestSamplingParity:
 
 # Each case runs one batch engine identically on the oracle and on its
 # materialised CSR twin; trial arrays must match exactly (NaN == NaN).
-def _biased(g, csr, target):
-    from repro.core.biased import toward_target_controller
-
-    ctrl = toward_target_controller(csr, target)
-    return batched_biased_cover_trials(
-        g, target, trials=3, seed=17, max_steps=3000, controller=ctrl
-    )
-
-
 ENGINE_CASES = [
-    ("cobra_cover", lambda g, csr, t: batched_cobra_cover_trials(
+    ("cobra_cover", lambda g, csr, t: batched_cobra_trials(
         g, trials=3, seed=11, max_steps=3000)),
-    ("cobra_hit", lambda g, csr, t: batched_cobra_hit_trials(
+    ("cobra_hit", lambda g, csr, t: batched_cobra_trials(
         g, t, trials=3, seed=11, max_steps=3000)),
-    ("walt_cover", lambda g, csr, t: batched_walt_cover_trials(
+    ("walt_cover", lambda g, csr, t: batched_walt_trials(
         g, trials=3, seed=11, max_steps=3000)),
-    ("walt_hit", lambda g, csr, t: batched_walt_hit_trials(
+    ("walt_hit", lambda g, csr, t: batched_walt_trials(
         g, t, trials=3, seed=11, max_steps=3000)),
-    ("gossip", lambda g, csr, t: batched_gossip_spread_trials(
+    ("gossip", lambda g, csr, t: batched_gossip_trials(
         g, trials=3, seed=11, max_steps=3000)),
     ("parallel", lambda g, csr, t: batched_parallel_walks_cover_trials(
         g, trials=3, walkers=3, seed=11, max_steps=3000)),
-    ("lazy_cover", lambda g, csr, t: batched_lazy_cover_trials(
+    ("lazy_cover", lambda g, csr, t: batched_lazy_trials(
         g, trials=3, seed=11, max_steps=3000)),
-    ("lazy_hit", lambda g, csr, t: batched_lazy_hit_trials(
+    ("lazy_hit", lambda g, csr, t: batched_lazy_trials(
         g, t, trials=3, seed=11, max_steps=3000)),
     ("branching", lambda g, csr, t: batched_branching_cover_trials(
         g, trials=3, seed=11, max_steps=3000)),
     ("coalescing", lambda g, csr, t: batched_coalescing_cover_trials(
         g, trials=3, seed=11, max_steps=3000)),
-    ("biased", _biased),
 ]
 
 

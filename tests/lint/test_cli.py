@@ -41,17 +41,13 @@ class TestExitCodes:
         assert "RPL100" in text
         assert "dirty.py:2:" in text
 
-    def test_warnings_alone_exit_zero(self, tmp_path):
-        target = tmp_path / "src" / "repro" / "sim" / "procs.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(
-            "from repro.sim.processes import ProcessSpec\n"
-            'spec = ProcessSpec(name="x", factory=object,'
-            ' capabilities=frozenset({"hit"}))\n'
-        )
-        status, text = run_cli(str(target))
+    def test_warnings_alone_exit_zero(self, monkeypatch):
+        # the contract audit's only findings on the live registry are
+        # RPL121 warnings (docs anchors resolve from the repo root)
+        monkeypatch.chdir(REPO)
+        status, text = run_cli("--contracts")
         assert status == 0
-        assert "RPL121" in text and "1 warning(s)" in text
+        assert "RPL121" in text and "0 error(s), 3 warning(s)" in text
 
     def test_no_paths_no_contracts_is_a_usage_error(self):
         status, _ = run_cli()

@@ -1,4 +1,4 @@
-"""The import-time contract audit (RPL200/201/202/203).
+"""The import-time contract audit (RPL200/201/121/202/203).
 
 Positive direction: the live registries and the committed docs must
 audit clean — this is the same check CI runs via ``--contracts``.
@@ -11,6 +11,7 @@ from pathlib import Path
 from repro.lint.contracts import (
     DOC_ANCHORS,
     audit_docs,
+    audit_hit_engines,
     audit_implicit_oracles,
     audit_process_engines,
     audit_sweeps,
@@ -35,7 +36,9 @@ class TestLiveRegistriesAuditClean:
         assert audit_implicit_oracles() == []
 
     def test_full_audit_is_clean(self):
-        assert run_contract_audit(REPO) == []
+        # RPL121 is a warning that keeps the serial hit gap visible
+        assert run_contract_audit(REPO) == audit_hit_engines()
+        assert {f.severity for f in audit_hit_engines()} == {"warning"}
 
 
 class TestEngineAuditNegative:
@@ -49,7 +52,7 @@ class TestEngineAuditNegative:
             capabilities=frozenset({"cover"}),
             default_metric="cover",
             default_budget=10,
-            batch_cover=lambda *, trials, start, seed, max_steps: None,
+            batch=lambda *, trials, start, seed, max_steps: None,
         )
         findings = audit_process_engines([spec])
         assert len(findings) == 1
@@ -65,11 +68,24 @@ class TestEngineAuditNegative:
             capabilities=frozenset({"cover"}),
             default_metric="cover",
             default_budget=10,
-            batch_cover=lambda trials: None,  # cannot bind start/seed/max_steps
+            batch=lambda trials: None,  # cannot bind start/seed/max_steps
         )
         findings = audit_process_engines([spec])
         assert [f.rule for f in findings] == ["RPL201"]
-        assert "batch_cover" in findings[0].message
+        assert "batch" in findings[0].message
+
+    def test_hit_engine_missing_protocol_keywords_is_flagged(self):
+        spec = ProcessSpec(
+            name="broken",
+            factory=lambda *, start, seed, target=None: None,
+            capabilities=frozenset({"cover", "hit"}),
+            default_metric="cover",
+            default_budget=10,
+            batch=lambda g, target=None, *, trials: None,
+        )
+        assert spec.batch_metrics == {"cover", "hit"}
+        (finding,) = audit_process_engines([spec])
+        assert "['max_steps', 'seed', 'start']" in finding.message
 
     def test_var_keyword_engines_pass(self):
         spec = ProcessSpec(
@@ -78,8 +94,7 @@ class TestEngineAuditNegative:
             capabilities=frozenset({"cover", "hit"}),
             default_metric="cover",
             default_budget=10,
-            batch_cover=lambda **kwargs: None,
-            batch_hit=lambda **kwargs: None,
+            batch=lambda **kwargs: None,
         )
         assert audit_process_engines([spec]) == []
 

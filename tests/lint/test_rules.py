@@ -7,7 +7,6 @@ the rules scope themselves by path substring, so a fixture opts into a
 scope by naming itself e.g. ``src/repro/store/foo.py``.
 """
 
-import ast
 import textwrap
 from pathlib import Path
 
@@ -15,6 +14,8 @@ import pytest
 
 import repro.sim.builtin_processes as builtin_processes
 from repro.lint import ERROR, WARNING, all_rules, get_rule, lint_source
+from repro.lint.contracts import audit_hit_engines
+from repro.sim.processes import ProcessSpec
 
 # paths inside / outside the scopes the rules key on
 ENGINE = "src/repro/sim/batch.py"
@@ -285,7 +286,7 @@ SPEC_PREFIX = "from repro.sim.processes import ProcessSpec\n"
 
 
 class TestRPL120CoverEngine:
-    def test_cover_without_batch_cover_is_an_error(self):
+    def test_cover_without_batch_is_an_error(self):
         src = SPEC_PREFIX + (
             'spec = ProcessSpec(name="x", factory=object,'
             ' capabilities=frozenset({"cover"}))\n'
@@ -293,47 +294,53 @@ class TestRPL120CoverEngine:
         (finding,) = findings_for(src, ENGINE, "RPL120")
         assert finding.severity == ERROR
 
-    def test_cover_with_batch_cover_is_allowed(self):
+    def test_cover_with_batch_is_allowed(self):
         src = SPEC_PREFIX + (
             'spec = ProcessSpec(name="x", factory=object,'
-            ' capabilities=frozenset({"cover"}), batch_cover=object)\n'
+            ' capabilities=frozenset({"cover"}), batch=object)\n'
         )
         assert not findings_for(src, ENGINE, "RPL120")
 
 
-class TestRPL121HitEngineGap:
-    def test_hit_without_batch_hit_is_a_warning(self):
-        src = SPEC_PREFIX + (
-            'spec = ProcessSpec(name="x", factory=object,'
-            ' capabilities=frozenset({"hit"}))\n'
-        )
-        (finding,) = findings_for(src, ENGINE, "RPL121")
-        assert finding.severity == WARNING
+def _hit_spec(batch):
+    return ProcessSpec(
+        name="x",
+        factory=object,
+        capabilities=frozenset({"cover", "hit"}),
+        default_metric="cover",
+        default_budget=lambda g, p: 10,
+        batch=batch,
+    )
 
-    def test_hit_with_batch_hit_is_allowed(self):
-        src = SPEC_PREFIX + (
-            'spec = ProcessSpec(name="x", factory=object,'
-            ' capabilities=frozenset({"hit"}), batch_hit=object)\n'
-        )
-        assert not findings_for(src, ENGINE, "RPL121")
+
+class TestRPL121HitEngineGap:
+    """RPL121 is a contract-audit rule: whether a spec runs ``hit``
+    vectorized is read from the live spec's ``batch_metrics``."""
+
+    def test_hit_without_a_hit_engine_is_a_warning(self):
+        for batch in (None, lambda g, *, trials, start, seed, max_steps: None):
+            (finding,) = audit_hit_engines([_hit_spec(batch)])
+            assert finding.rule == "RPL121" and finding.severity == WARNING
+            assert finding.path == "process:x"
+
+    def test_hit_engine_is_allowed(self):
+        def engine(g, target=None, *, trials, start, seed, max_steps):
+            return None
+
+        assert not audit_hit_engines([_hit_spec(engine)])
 
     def test_registry_gap_is_biased_branching_parallel(self):
         """The built-in specs RPL121 flags are exactly the processes
-        whose hit sweeps still run serially."""
-        source = Path(builtin_processes.__file__).read_text()
-        names = {
-            node.lineno: kw.value.value
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            for kw in node.keywords
-            if kw.arg == "name" and isinstance(kw.value, ast.Constant)
-        }
-        flagged = {
-            names[f.line]
-            for f in lint_source(source, "src/repro/sim/builtin_processes.py")
-            if f.rule == "RPL121"
-        }
+        whose hit sweeps still run serially, and the AST pass over
+        their registrations reports none of them."""
+        flagged = {f.path.removeprefix("process:") for f in audit_hit_engines()}
         assert flagged == {"biased", "branching", "parallel"}
+        source = Path(builtin_processes.__file__).read_text()
+        assert not [
+            f
+            for f in lint_source(source, "src/repro/sim/builtin_processes.py")
+            if f.rule in ("RPL120", "RPL121")
+        ]
 
 
 class TestRPL130Annotations:

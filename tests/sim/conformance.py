@@ -50,8 +50,4 @@ SERIAL_PARITY_CASES: list[tuple[str, dict[str, Any], str | None, int | None]] = 
     ("branching", {}, None, None),
     ("branching", {"k": 3, "population_cap": 64}, None, None),
     ("coalescing", {"walkers": 8}, "cover", None),
-    # weak constant bias: the inverse-degree default pins the walk to
-    # the target and pushes serial cover past 80k steps/trial — too
-    # slow for a 48-trial parity check
-    ("biased", {"eps": 0.05}, "cover", 63),
 ]

@@ -13,6 +13,8 @@ Three pillars:
   NaNs, degenerate starts, population caps, validation errors.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -35,19 +37,15 @@ from repro.graphs import (
 from repro.obs.trace import Tracer, activate
 from repro.sim import (
     all_processes,
-    batched_biased_cover_trials,
     batched_branching_cover_trials,
     batched_coalescing_cover_trials,
     batched_cobra_active_sizes,
-    batched_cobra_cover_trials,
-    batched_cobra_hit_trials,
-    batched_gossip_hit_trials,
-    batched_gossip_spread_trials,
-    batched_lazy_cover_trials,
-    batched_lazy_hit_trials,
+    batched_cobra_trials,
+    batched_gossip_trials,
+    batched_lazy_trials,
     batched_parallel_walks_cover_trials,
-    batched_walt_cover_trials,
     batched_walt_positions_at,
+    batched_walt_trials,
     get_process,
     run_batch,
 )
@@ -97,11 +95,10 @@ class TestAutoSelection:
             ("lazy", {}),
             ("branching", {}),
             ("coalescing", {"metric": "cover", "walkers": 6}),
-            ("biased", {"metric": "cover", "target": 63, "eps": 0.1}),
         ],
     )
     def test_auto_cover_is_vectorized(self, g, name, kwargs):
-        assert get_process(name).batch_cover is not None
+        assert get_process(name).batch is not None
         auto = run_batch(g, name, trials=6, seed=3, **kwargs)
         vec = run_batch(g, name, trials=6, seed=3, strategy="vectorized", **kwargs)
         assert np.array_equal(auto.values, vec.values)
@@ -119,7 +116,7 @@ class TestAutoSelection:
         ["cobra", "simple", "lazy", "walt", "push", "pull", "push_pull"],
     )
     def test_auto_hit_is_vectorized(self, g, name):
-        assert get_process(name).batch_hit is not None
+        assert "hit" in get_process(name).batch_metrics
         auto = run_batch(g, name, trials=6, metric="hit", target=g.n - 1, seed=4)
         vec = run_batch(
             g, name, trials=6, metric="hit", target=g.n - 1, seed=4,
@@ -129,22 +126,16 @@ class TestAutoSelection:
 
     def test_engine_coverage_floor(self):
         """The "every process is batched" milestone: every registered
-        cover/spread-capable process — the biased walk included — has a
-        cover engine, plus hit engines for cobra/simple/lazy/walt and
-        all three gossip variants."""
-        covered = [
-            s.name
-            for s in map(
-                get_process,
-                ["cobra", "simple", "lazy", "walt", "parallel", "branching",
-                 "coalescing", "push", "pull", "push_pull", "biased"],
-            )
-            if s.batch_cover is not None
-        ]
-        assert len(covered) == 11
+        cover/spread-capable process runs that metric on its engine,
+        and the engines of cobra/simple/lazy/walt and all three gossip
+        variants run hit too."""
+        for spec in all_processes():
+            assert spec.capabilities & {"cover", "spread"} <= spec.batch_metrics
+        covered = [s.name for s in all_processes() if s.batch is not None]
+        assert len(covered) == 10
         for name in ("cobra", "simple", "lazy", "walt",
                      "push", "pull", "push_pull"):
-            assert get_process(name).batch_hit is not None
+            assert "hit" in get_process(name).batch_metrics
 
 
 class TestHitTargetValidation:
@@ -167,31 +158,31 @@ class TestGossipEngine:
     def test_pull_on_star_is_fast(self):
         # every leaf polls the hub: pull informs all leaves in one round
         s = star_graph(30)
-        t = batched_gossip_spread_trials(s, trials=8, seed=1, push=False, pull=True)
+        t = batched_gossip_trials(s, trials=8, seed=1, push=False, pull=True)
         assert (t <= 2).all()
 
     def test_budget_exhaustion_nan(self):
-        t = batched_gossip_spread_trials(cycle_graph(64), trials=4, seed=0, max_steps=2)
+        t = batched_gossip_trials(cycle_graph(64), trials=4, seed=0, max_steps=2)
         assert np.isnan(t).all()
 
     def test_two_vertex_graph_trivial(self):
         from repro.graphs import path_graph
 
-        t = batched_gossip_spread_trials(path_graph(2), trials=3, seed=0)
+        t = batched_gossip_trials(path_graph(2), trials=3, seed=0)
         assert np.isfinite(t).all()
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="push/pull"):
-            batched_gossip_spread_trials(g, trials=2, push=False, pull=False)
+            batched_gossip_trials(g, trials=2, push=False, pull=False)
         with pytest.raises(ValueError, match="start"):
-            batched_gossip_spread_trials(g, trials=2, start=g.n)
+            batched_gossip_trials(g, trials=2, start=g.n)
         with pytest.raises(ValueError, match="trial"):
-            batched_gossip_spread_trials(g, trials=0)
+            batched_gossip_trials(g, trials=0)
 
 
 class TestGossipHitEngine:
     def test_hit_at_start_is_zero(self, g):
-        t = batched_gossip_hit_trials(g, 0, trials=4, seed=1)
+        t = batched_gossip_trials(g, 0, trials=4, seed=1)
         assert (t == 0.0).all()
 
     def test_hit_at_least_distance(self):
@@ -199,7 +190,7 @@ class TestGossipHitEngine:
         # by at most one vertex per side per round, so reaching the
         # antipode takes at least its graph distance
         c = cycle_graph(31)
-        t = batched_gossip_hit_trials(c, 15, trials=8, seed=7, pull=False)
+        t = batched_gossip_trials(c, 15, trials=8, seed=7, pull=False)
         assert np.isfinite(t).all()
         assert (t >= 15).all()
 
@@ -207,24 +198,24 @@ class TestGossipHitEngine:
         # every leaf polls the hub each round: any leaf target is
         # informed within two rounds under pull
         s = star_graph(30)
-        t = batched_gossip_hit_trials(
+        t = batched_gossip_trials(
             s, s.n - 1, trials=8, seed=2, push=False, pull=True
         )
         assert (t <= 2).all()
 
     def test_budget_exhaustion_nan(self):
-        t = batched_gossip_hit_trials(
+        t = batched_gossip_trials(
             cycle_graph(64), 32, trials=4, seed=0, max_steps=2
         )
         assert np.isnan(t).all()
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="push/pull"):
-            batched_gossip_hit_trials(g, 1, trials=2, push=False, pull=False)
+            batched_gossip_trials(g, 1, trials=2, push=False, pull=False)
         with pytest.raises(ValueError, match="target"):
-            batched_gossip_hit_trials(g, g.n, trials=2)
+            batched_gossip_trials(g, g.n, trials=2)
         with pytest.raises(ValueError, match="start"):
-            batched_gossip_hit_trials(g, 1, trials=2, start=g.n)
+            batched_gossip_trials(g, 1, trials=2, start=g.n)
 
 
 class TestParallelEngine:
@@ -260,7 +251,7 @@ class TestParallelEngine:
 class TestWaltEngine:
     def test_delta_one_any_start_covers_quickly(self):
         c = cycle_graph(16)
-        t = batched_walt_cover_trials(c, trials=8, delta=1.0, seed=7, max_steps=10**4)
+        t = batched_walt_trials(c, trials=8, delta=1.0, seed=7, max_steps=10**4)
         assert np.isfinite(t).all()
 
     def test_full_random_placement_can_cover_at_zero(self):
@@ -268,63 +259,63 @@ class TestWaltEngine:
         # often; just check the t=0 path doesn't crash and times are valid
         from repro.graphs import path_graph
 
-        t = batched_walt_cover_trials(path_graph(2), trials=32, delta=1.0,
-                                      start=None, seed=8)
+        t = batched_walt_trials(path_graph(2), trials=32, delta=1.0,
+                                start=None, seed=8)
         assert np.isfinite(t).all() and (t >= 0).all()
         assert (t == 0).any()  # 32 trials of 2 uniform pebbles: whp one covers
 
     def test_multi_source_start_array(self):
         c = cycle_graph(40)
-        spread = batched_walt_cover_trials(
+        spread = batched_walt_trials(
             c, trials=12, start=np.array([0, 20]), seed=9, max_steps=10**5
         )
-        together = batched_walt_cover_trials(c, trials=12, start=0, seed=9,
-                                             max_steps=10**5)
+        together = batched_walt_trials(c, trials=12, start=0, seed=9,
+                                       max_steps=10**5)
         assert np.nanmean(spread) < np.nanmean(together)
 
     def test_budget_exhaustion_nan(self):
-        t = batched_walt_cover_trials(cycle_graph(64), trials=4, seed=0, max_steps=2)
+        t = batched_walt_trials(cycle_graph(64), trials=4, seed=0, max_steps=2)
         assert np.isnan(t).all()
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="delta"):
-            batched_walt_cover_trials(g, trials=2, delta=0.0)
+            batched_walt_trials(g, trials=2, delta=0.0)
         with pytest.raises(ValueError, match="start"):
-            batched_walt_cover_trials(g, trials=2, start=g.n)
+            batched_walt_trials(g, trials=2, start=g.n)
 
 
 class TestCobraHitEngine:
     def test_hit_at_start_is_zero(self, g):
-        t = batched_cobra_hit_trials(g, 0, trials=4, seed=1)
+        t = batched_cobra_trials(g, 0, trials=4, seed=1)
         assert np.array_equal(t, np.zeros(4))
 
     def test_hit_at_least_distance(self):
         c = cycle_graph(30)
-        t = batched_cobra_hit_trials(c, 15, trials=16, seed=2)
+        t = batched_cobra_trials(c, 15, trials=16, seed=2)
         assert (t[~np.isnan(t)] >= 15).all()
 
     def test_multi_source(self):
         c = cycle_graph(40)
-        near = batched_cobra_hit_trials(
+        near = batched_cobra_trials(
             c, 20, trials=16, start=np.array([0, 18]), seed=3
         )
-        far = batched_cobra_hit_trials(c, 20, trials=16, start=0, seed=3)
+        far = batched_cobra_trials(c, 20, trials=16, start=0, seed=3)
         assert np.nanmean(near) < np.nanmean(far)
 
     def test_budget_exhaustion_nan(self):
         c = cycle_graph(100)
-        t = batched_cobra_hit_trials(c, 50, trials=4, seed=0, max_steps=3)
+        t = batched_cobra_trials(c, 50, trials=4, seed=0, max_steps=3)
         assert np.isnan(t).all()
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="target"):
-            batched_cobra_hit_trials(g, g.n, trials=2)
+            batched_cobra_trials(g, g.n, trials=2)
         with pytest.raises(ValueError, match="k must be"):
-            batched_cobra_hit_trials(g, 0, trials=2, k=0)
+            batched_cobra_trials(g, 0, trials=2, k=0)
 
     def test_k_three_path(self):
         c = cycle_graph(24)
-        t = batched_cobra_hit_trials(c, 12, trials=8, k=3, seed=4)
+        t = batched_cobra_trials(c, 12, trials=8, k=3, seed=4)
         assert np.isfinite(t).all()
 
 
@@ -367,8 +358,8 @@ class TestCobraNeighborTable:
 
         def run():
             return (
-                batched_cobra_cover_trials(graph, trials=4, k=k, seed=5, max_steps=2000),
-                batched_cobra_hit_trials(graph, last, trials=4, k=k, seed=6, max_steps=2000),
+                batched_cobra_trials(graph, trials=4, k=k, seed=5, max_steps=2000),
+                batched_cobra_trials(graph, last, trials=4, k=k, seed=6, max_steps=2000),
                 batched_cobra_active_sizes(graph, trials=4, steps=40, k=k, seed=7),
             )
 
@@ -382,30 +373,30 @@ class TestCobraNeighborTable:
 
 class TestLazyEngine:
     def test_slower_than_simple(self, g):
-        lazy = batched_lazy_cover_trials(g, trials=32, seed=5)
+        lazy = batched_lazy_trials(g, trials=32, seed=5)
         simple = run_batch(g, "simple", trials=32, seed=5).values
         # half the lazy steps are holds: cover should be ~2x, surely >1.3x
         assert np.nanmean(lazy) > 1.3 * np.nanmean(simple)
 
     def test_budget_censoring_nan(self):
-        t = batched_lazy_cover_trials(cycle_graph(64), trials=8, seed=0, max_steps=70)
+        t = batched_lazy_trials(cycle_graph(64), trials=8, seed=0, max_steps=70)
         assert np.isnan(t).all()  # even the move chain cannot cover in 70
 
     def test_holds_count_against_budget(self):
         # generous move budget but tight step budget: reconstructed
         # totals above max_steps must censor to nan
         c = cycle_graph(16)
-        unlimited = batched_lazy_cover_trials(c, trials=64, seed=9)
-        capped = batched_lazy_cover_trials(
+        unlimited = batched_lazy_trials(c, trials=64, seed=9)
+        capped = batched_lazy_trials(
             c, trials=64, seed=9, max_steps=int(np.nanmedian(unlimited))
         )
         assert np.isnan(capped).sum() > 0
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="start"):
-            batched_lazy_cover_trials(g, trials=2, start=g.n)
+            batched_lazy_trials(g, trials=2, start=g.n)
         with pytest.raises(ValueError, match="trial"):
-            batched_lazy_cover_trials(g, trials=0)
+            batched_lazy_trials(g, trials=0)
 
 
 class TestBranchingEngine:
@@ -481,56 +472,13 @@ class TestCoalescingEngine:
             batched_coalescing_cover_trials(g, trials=2, start=np.array([0, g.n]))
 
 
-class TestBiasedEngine:
-    def test_weakly_biased_cover_is_finite(self):
-        c = cycle_graph(16)
-        t = batched_biased_cover_trials(c, 8, trials=8, seed=1, eps=0.05)
-        assert np.isfinite(t).all() and (t >= 15).all()
-
-    def test_inverse_degree_default(self):
-        # eps=None selects the 1/d(v) bias; on a cycle that is a strong
-        # pull toward the target, and coverage still completes
-        c = cycle_graph(12)
-        t = batched_biased_cover_trials(c, 6, trials=8, seed=2, max_steps=10**5)
-        assert np.isfinite(t).all()
-
-    def test_pure_controller_never_covers(self):
-        # eps=1: deterministic descent to the target, then pinned there
-        c = cycle_graph(16)
-        t = batched_biased_cover_trials(c, 8, trials=4, seed=3, eps=1.0,
-                                        max_steps=200)
-        assert np.isnan(t).all()
-
-    def test_budget_exhaustion_nan(self):
-        t = batched_biased_cover_trials(
-            cycle_graph(64), 32, trials=4, seed=0, eps=0.05, max_steps=3
-        )
-        assert np.isnan(t).all()
-
-    def test_validation(self, g):
-        with pytest.raises(ValueError, match="target"):
-            batched_biased_cover_trials(g, g.n, trials=2)
-        with pytest.raises(ValueError, match="start"):
-            batched_biased_cover_trials(g, 0, trials=2, start=g.n)
-        with pytest.raises(ValueError, match="eps"):
-            batched_biased_cover_trials(g, 0, trials=2, eps=1.5)
-        with pytest.raises(ValueError, match="controller"):
-            batched_biased_cover_trials(g, 0, trials=2, controller=np.arange(3))
-
-    def test_run_batch_requires_target(self, g):
-        # the facade forwards target to the cover engine; without one
-        # the engine fails exactly like the serial factory
-        with pytest.raises(ValueError, match="target"):
-            run_batch(g, "biased", trials=2, metric="cover", eps=0.1)
-
-
 class TestLazyHitEngine:
     def test_hit_at_start_is_zero(self, g):
-        t = batched_lazy_hit_trials(g, 0, trials=4, seed=1)
+        t = batched_lazy_trials(g, 0, trials=4, seed=1)
         assert np.array_equal(t, np.zeros(4))
 
     def test_slower_than_simple(self, g):
-        lazy = batched_lazy_hit_trials(g, 63, trials=64, seed=5)
+        lazy = batched_lazy_trials(g, 63, trials=64, seed=5)
         simple = run_batch(g, "simple", trials=64, metric="hit", target=63,
                            seed=5).values
         # half the lazy steps are holds: hitting should be ~2x
@@ -538,29 +486,29 @@ class TestLazyHitEngine:
 
     def test_hit_at_least_distance(self):
         c = cycle_graph(30)
-        t = batched_lazy_hit_trials(c, 15, trials=16, seed=2)
+        t = batched_lazy_trials(c, 15, trials=16, seed=2)
         assert (t[~np.isnan(t)] >= 15).all()
 
     def test_holds_count_against_budget(self):
         c = cycle_graph(16)
-        unlimited = batched_lazy_hit_trials(c, 8, trials=64, seed=9)
-        capped = batched_lazy_hit_trials(
+        unlimited = batched_lazy_trials(c, 8, trials=64, seed=9)
+        capped = batched_lazy_trials(
             c, 8, trials=64, seed=9, max_steps=int(np.nanmedian(unlimited))
         )
         assert np.isnan(capped).sum() > 0
 
     def test_budget_exhaustion_nan(self):
-        t = batched_lazy_hit_trials(cycle_graph(64), 32, trials=4, seed=0,
-                                    max_steps=5)
+        t = batched_lazy_trials(cycle_graph(64), 32, trials=4, seed=0,
+                                max_steps=5)
         assert np.isnan(t).all()
 
     def test_validation(self, g):
         with pytest.raises(ValueError, match="target"):
-            batched_lazy_hit_trials(g, g.n, trials=2)
+            batched_lazy_trials(g, g.n, trials=2)
         with pytest.raises(ValueError, match="start"):
-            batched_lazy_hit_trials(g, 0, trials=2, start=-1)
+            batched_lazy_trials(g, 0, trials=2, start=-1)
         with pytest.raises(ValueError, match="trial"):
-            batched_lazy_hit_trials(g, 0, trials=0)
+            batched_lazy_trials(g, 0, trials=0)
 
 
 class TestFixedHorizonEngines:
@@ -601,25 +549,30 @@ class TestFixedHorizonEngines:
             batched_walt_positions_at(g, trials=2, steps=1, pebbles=0)
 
 
-#: the extra arguments each public engine needs beyond (graph, trials=)
-ENGINE_ARGS = {
-    "batched_biased_cover_trials": ((0,), {}),
-    "batched_cobra_active_sizes": ((), {"steps": 1}),
-    "batched_cobra_hit_trials": ((0,), {}),
-    "batched_gossip_hit_trials": ((0,), {}),
-    "batched_lazy_hit_trials": ((0,), {}),
-    "batched_walt_hit_trials": ((0,), {}),
-    "batched_walt_positions_at": ((), {"steps": 1}),
+#: the extra keywords the fixed-horizon engines need beyond (graph, trials=)
+HORIZON_ARGS = {
+    "batched_cobra_active_sizes": {"steps": 1},
+    "batched_walt_positions_at": {"steps": 1},
 }
 
 
-@pytest.mark.parametrize("name", batch_mod.__all__)
-def test_one_vertex_graph_is_rejected(name):
+def _one_vertex_cases():
+    """Every public engine, and each one that takes ``target`` under
+    both its cover rule (``None``) and its hit rule (vertex 0)."""
+    for name in batch_mod.__all__:
+        if "target" in inspect.signature(getattr(batch_mod, name)).parameters:
+            for target in (None, 0):
+                yield pytest.param(name, {"target": target}, id=f"{name}-target={target}")
+        else:
+            yield pytest.param(name, HORIZON_ARGS.get(name, {}), id=name)
+
+
+@pytest.mark.parametrize("name, kwargs", list(_one_vertex_cases()))
+def test_one_vertex_graph_is_rejected(name, kwargs):
     """A one-vertex graph has no edge (``Graph`` rejects self-loops), so
     its only vertex is isolated and every engine refuses it up front."""
-    args, kwargs = ENGINE_ARGS.get(name, ((), {}))
     with pytest.raises(ValueError):
-        getattr(batch_mod, name)(complete_graph(1), *args, trials=2, **kwargs)
+        getattr(batch_mod, name)(complete_graph(1), trials=2, **kwargs)
 
 
 COUNTER_TRIALS = 6
@@ -649,9 +602,7 @@ def _counter_cases():
     cases = [
         pytest.param(_registry_run(spec.name, metric), None, id=f"{spec.name}-{metric}")
         for spec in all_processes()
-        for metric in sorted(spec.capabilities)
-        if (spec.batch_hit if metric == "hit" else spec.batch_cover)
-        and metric in ("cover", "spread", "hit")
+        for metric in sorted(spec.batch_metrics)
     ]
     for engine in (batched_cobra_active_sizes, batched_walt_positions_at):
         cases.append(

@@ -30,7 +30,7 @@ from repro.sim import (
     RunResult,
     SteppingProcess,
     all_processes,
-    batched_cobra_cover_trials,
+    batched_cobra_trials,
     get_process,
     process_names,
     register_process,
@@ -317,13 +317,13 @@ def _bad_start_cases():
 
 def _bound_keyword_cases():
     """``(process, keyword)`` for every keyword a registered spec binds
-    with ``functools.partial`` in its factory or batched engines."""
+    with ``functools.partial`` in its factory or batched engine."""
     from functools import partial
 
     for name in process_names():
         spec = get_process(name)
         bound = set()
-        for fn in (spec.factory, spec.batch_cover, spec.batch_hit):
+        for fn in (spec.factory, spec.batch):
             if isinstance(fn, partial):
                 bound.update(fn.keywords)
         for keyword in sorted(bound):
@@ -443,37 +443,37 @@ class TestRunBatch:
 class TestBatchedEngine:
     def test_multi_source(self):
         c = cycle_graph(40)
-        times = batched_cobra_cover_trials(
+        times = batched_cobra_trials(
             c, trials=8, start=np.array([0, 20]), seed=2, max_steps=10**5
         )
-        single = batched_cobra_cover_trials(c, trials=8, start=0, seed=2, max_steps=10**5)
+        single = batched_cobra_trials(c, trials=8, start=0, seed=2, max_steps=10**5)
         assert np.nanmean(times) < np.nanmean(single)
 
     def test_k_one_matches_simple_walk_scale(self):
         c = cycle_graph(16)
-        k1 = batched_cobra_cover_trials(c, trials=16, k=1, seed=4, max_steps=10**6)
+        k1 = batched_cobra_trials(c, trials=16, k=1, seed=4, max_steps=10**6)
         assert np.isfinite(k1).all()
 
     def test_full_start_covers_at_zero(self):
         c = cycle_graph(12)
-        t = batched_cobra_cover_trials(
+        t = batched_cobra_trials(
             c, trials=3, start=np.arange(12), seed=0, max_steps=10
         )
         assert np.array_equal(t, np.zeros(3))
 
     def test_budget_exhaustion_nan(self):
         c = cycle_graph(200)
-        t = batched_cobra_cover_trials(c, trials=4, seed=0, max_steps=3)
+        t = batched_cobra_trials(c, trials=4, seed=0, max_steps=3)
         assert np.isnan(t).all()
 
     def test_validation(self):
         c = cycle_graph(10)
         with pytest.raises(ValueError):
-            batched_cobra_cover_trials(c, trials=0)
+            batched_cobra_trials(c, trials=0)
         with pytest.raises(ValueError):
-            batched_cobra_cover_trials(c, trials=2, k=0)
+            batched_cobra_trials(c, trials=2, k=0)
         with pytest.raises(ValueError):
-            batched_cobra_cover_trials(c, trials=2, start=99)
+            batched_cobra_trials(c, trials=2, start=99)
 
     @pytest.mark.parametrize(
         "make",
@@ -487,7 +487,7 @@ class TestBatchedEngine:
     )
     def test_distribution_matches_serial(self, make):
         gg = make()
-        vec = batched_cobra_cover_trials(gg, trials=48, seed=11, max_steps=10**6)
+        vec = batched_cobra_trials(gg, trials=48, seed=11, max_steps=10**6)
         ser = run_batch(gg, "cobra", trials=48, seed=11, strategy="serial").values
         assert np.isnan(vec).sum() == 0 and np.isnan(ser).sum() == 0
         assert abs(np.mean(vec) - np.mean(ser)) < 0.3 * np.mean(ser) + 2.0
@@ -495,7 +495,6 @@ class TestBatchedEngine:
 
 #: ``sorted(simulate(...).extras)`` per registered process/metric
 EXTRAS_KEYS = {
-    "biased/cover": [],
     "biased/hit": ["hit_time"],
     "branching/cover": ["hit_cap", "population"],
     "branching/hit": ["hit_cap", "hit_time", "population"],

@@ -84,6 +84,16 @@ class TestDispatchSmoke:
         )
         assert 'store_report.events["torn"] == health.events_corrupt' in source
 
+    def test_smoke_pins_the_campaign_pool(self):
+        """``Campaign(workers=N)`` must be driven too: a two-worker
+        local pool over a fresh store runs each cell once, with the
+        single-worker reference's values."""
+        source = (REPO / "ci" / "smoke_dispatch.py").read_text(encoding="utf-8")
+        assert "Campaign(spec, ResultStore(pool_dir), workers=2).run()" in source
+        assert "sorted(pool_report.ran) == sorted(c.hash for c in cells)" in source
+        assert 'ops == ["claim", "done"], f"pool cell' in source
+        assert 'diverged on the Campaign pool"' in source
+
 
 class TestServiceSmoke:
     def test_serve_declare_loop_drain_passes(self):

@@ -60,12 +60,10 @@ class TestProcessesPage:
         ) or "—"
         assert f"- **parameters:** {params}" in body
 
-        engines = ["serial"]
-        if spec.batch_cover is not None:
-            engines.append("batch_cover")
-        if spec.batch_hit is not None:
-            engines.append("batch_hit")
-        assert f"- **engines:** {', '.join(engines)}" in body
+        engines = "serial"
+        if spec.batch_metrics:
+            engines += f", batch ({', '.join(sorted(spec.batch_metrics))})"
+        assert f"- **engines:** {engines}" in body
 
     @pytest.mark.parametrize("spec", all_processes(), ids=lambda s: s.name)
     def test_section_has_paper_reference(self, processes_md, spec):

@@ -3,9 +3,9 @@
 The CI pipeline runs ``ruff check --select D1,D417`` (pydocstyle
 missing-docstring rules plus undocumented-parameters, numpy
 convention via ruff.toml) over ``sim/facade.py``, ``sim/batch.py``,
-``sim/processes.py`` and ``walks/simple.py`` (whose ``rw_*`` engines
-are the simple walk's registered batch engines); this in-repo twin keeps the core of that
-contract enforceable offline (ruff is not vendored): every public
+``sim/processes.py`` and ``walks/simple.py`` (whose ``rw_trials`` is
+the simple walk's registered batch engine); this in-repo twin keeps the
+core of that contract enforceable offline (ruff is not vendored): every public
 symbol carries a real docstring, and every public function's
 docstring names each of its parameters.
 """

@@ -1,6 +1,6 @@
 """Bit-identity pin for the block-walk driver.
 
-``rw_cover_trials``, ``rw_hitting_trials`` and
+``rw_trials`` (cover and hit) and
 ``batched_parallel_walks_cover_trials`` step in blocks of uniforms
 (:func:`repro.walks.simple.walk_blocks`).  The reference engines below
 are the per-step loops those engines ran before, kept verbatim; every
@@ -27,19 +27,14 @@ from repro.graphs.base import Graph
 from repro.graphs.implicit import as_oracle
 from repro.obs.trace import Tracer, activate
 from repro.sim import bitmask
-from repro.sim.batch import (
-    batched_lazy_cover_trials,
-    batched_lazy_hit_trials,
-    batched_parallel_walks_cover_trials,
-)
+from repro.sim.batch import batched_lazy_trials, batched_parallel_walks_cover_trials
 from repro.sim.bitmask import BitMask, DenseMask, visited_mask
 from repro.sim.rng import resolve_rng
 from repro.walks.simple import (
     BLOCK_POSITIONS,
     FIRST_BLOCK_STEPS,
     _cover_budget,
-    rw_cover_trials,
-    rw_hitting_trials,
+    rw_trials,
 )
 
 
@@ -95,6 +90,13 @@ def ref_hitting_trials(graph, target, *, start=0, trials=10, seed=None, max_step
             if not alive.any():
                 break
     return out
+
+
+def ref_trials(graph, target=None, **kwargs):
+    """The two reference loops behind ``rw_trials``'s one signature."""
+    if target is None:
+        return ref_cover_trials(graph, **kwargs)
+    return ref_hitting_trials(graph, target, **kwargs)
 
 
 def ref_parallel_cover_trials(graph, *, trials, walkers=2, start=0, seed=None,
@@ -184,7 +186,7 @@ class TestCover:
     def test_full_budget(self, name, trials):
         # the isolated vertex is never covered: run a short budget out
         budget = 2_500 if name == "triangle+isolated" else None
-        out = assert_same(rw_cover_trials, ref_cover_trials, GRAPHS[name](),
+        out = assert_same(rw_trials, ref_cover_trials, GRAPHS[name](),
                           trials=trials, start=1, max_steps=budget)
         assert np.isnan(out).all() == (budget is not None)
 
@@ -192,7 +194,7 @@ class TestCover:
         # a 9-cycle is covered in tens of steps: the runs end inside one
         # of the first blocks and are rewound (or, rarely, on an edge)
         last = [
-            np.max(assert_same(rw_cover_trials, ref_cover_trials, cycle_graph(9),
+            np.max(assert_same(rw_trials, ref_cover_trials, cycle_graph(9),
                                trials=4, seed=seed))
             for seed in range(8)
         ]
@@ -205,32 +207,32 @@ class TestCover:
         # 64 trials: blocks of 32, 64, ..., 512 steps; path(60) cover
         # takes thousands of steps
         assert block_ends(64, 1504) == [32, 96, 224, 480, 992, 1504]
-        assert_same(rw_cover_trials, ref_cover_trials, path_graph(60),
+        assert_same(rw_trials, ref_cover_trials, path_graph(60),
                     trials=64, max_steps=budget)
 
     def test_zero_budget_draws_nothing(self):
-        assert_same(rw_cover_trials, ref_cover_trials, cycle_graph(9),
+        assert_same(rw_trials, ref_cover_trials, cycle_graph(9),
                     trials=3, max_steps=0)
 
     def test_dense_and_bit_masks(self, monkeypatch):
         g = grid(10, 2)
         assert isinstance(visited_mask(16, g.n), DenseMask)
-        dense = assert_same(rw_cover_trials, ref_cover_trials, g, trials=16)
+        dense = assert_same(rw_trials, ref_cover_trials, g, trials=16)
         monkeypatch.setattr(bitmask, "DENSE_LIMIT", 0)
         assert isinstance(visited_mask(16, g.n), BitMask)
-        packed = assert_same(rw_cover_trials, ref_cover_trials, g, trials=16)
+        packed = assert_same(rw_trials, ref_cover_trials, g, trials=16)
         np.testing.assert_array_equal(dense, packed)
 
     def test_bitmask_at_scale(self):
         # 520 trials x 2048 vertices > 2^20: the packed backend for real
         oracle = hypercube_oracle(11)
         assert 520 * oracle.n > bitmask.DENSE_LIMIT
-        assert_same(rw_cover_trials, ref_cover_trials, oracle, trials=520,
+        assert_same(rw_trials, ref_cover_trials, oracle, trials=520,
                     max_steps=3_000)
 
     def test_isolated_start_raises_before_drawing(self):
         g = isolated_tail()
-        for engine in (rw_cover_trials, ref_cover_trials):
+        for engine in (rw_trials, ref_cover_trials):
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="isolated vertex"):
                 engine(g, start=3, trials=2, seed=rng)
@@ -243,26 +245,26 @@ class TestHit:
     def test_full_budget(self, name, trials):
         g = GRAPHS[name]()
         target = 2 if name == "triangle+isolated" else g.n - 1
-        assert_same(rw_hitting_trials, ref_hitting_trials, g, target,
+        assert_same(rw_trials, ref_hitting_trials, g, target,
                     trials=trials, start=0)
 
     @pytest.mark.parametrize("budget", [1, 100, 512, 1300])
     def test_budgets_around_the_block(self, budget):
-        assert_same(rw_hitting_trials, ref_hitting_trials, path_graph(80), 79,
+        assert_same(rw_trials, ref_hitting_trials, path_graph(80), 79,
                     trials=64, max_steps=budget)
 
     def test_unreachable_target_runs_the_budget(self):
-        out = assert_same(rw_hitting_trials, ref_hitting_trials, isolated_tail(),
+        out = assert_same(rw_trials, ref_hitting_trials, isolated_tail(),
                           3, trials=3, max_steps=700)
         assert np.isnan(out).all()
 
     def test_start_on_target_draws_nothing(self):
-        assert_same(rw_hitting_trials, ref_hitting_trials, cycle_graph(9), 4,
+        assert_same(rw_trials, ref_hitting_trials, cycle_graph(9), 4,
                     trials=3, start=4)
 
     def test_isolated_start_raises(self):
         with pytest.raises(ValueError, match="isolated vertex"):
-            rw_hitting_trials(isolated_tail(), 0, start=3, trials=2, seed=0)
+            rw_trials(isolated_tail(), 0, start=3, trials=2, seed=0)
 
 
 class TestParallel:
@@ -296,25 +298,25 @@ class TestLazyDownstream:
     @pytest.mark.parametrize("name", ["cycle", "lollipop", "torus_oracle"])
     def test_lazy_cover(self, monkeypatch, name, seed):
         g = GRAPHS[name]()
-        new = batched_lazy_cover_trials(g, trials=6, seed=seed)
-        monkeypatch.setattr(simple_mod, "rw_cover_trials", ref_cover_trials)
-        want = batched_lazy_cover_trials(g, trials=6, seed=seed)
+        new = batched_lazy_trials(g, trials=6, seed=seed)
+        monkeypatch.setattr(simple_mod, "rw_trials", ref_trials)
+        want = batched_lazy_trials(g, trials=6, seed=seed)
         np.testing.assert_array_equal(new, want)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("name", ["cycle", "lollipop", "hypercube_oracle"])
     def test_lazy_hit(self, monkeypatch, name, seed):
         g = GRAPHS[name]()
-        new = batched_lazy_hit_trials(g, g.n - 1, trials=6, seed=seed)
-        monkeypatch.setattr(simple_mod, "rw_hitting_trials", ref_hitting_trials)
-        want = batched_lazy_hit_trials(g, g.n - 1, trials=6, seed=seed)
+        new = batched_lazy_trials(g, g.n - 1, trials=6, seed=seed)
+        monkeypatch.setattr(simple_mod, "rw_trials", ref_trials)
+        want = batched_lazy_trials(g, g.n - 1, trials=6, seed=seed)
         np.testing.assert_array_equal(new, want)
 
     def test_lazy_cover_with_a_tight_budget(self, monkeypatch):
         g = path_graph(30)
-        new = batched_lazy_cover_trials(g, trials=64, seed=1, max_steps=1300)
-        monkeypatch.setattr(simple_mod, "rw_cover_trials", ref_cover_trials)
-        want = batched_lazy_cover_trials(g, trials=64, seed=1, max_steps=1300)
+        new = batched_lazy_trials(g, trials=64, seed=1, max_steps=1300)
+        monkeypatch.setattr(simple_mod, "rw_trials", ref_trials)
+        want = batched_lazy_trials(g, trials=64, seed=1, max_steps=1300)
         np.testing.assert_array_equal(new, want)
 
 
@@ -331,7 +333,7 @@ class TestCounters:
         return out, record
 
     def test_cover_counts_steps_and_draws(self):
-        out, record = self.run_traced(rw_cover_trials, cycle_graph(9), trials=4,
+        out, record = self.run_traced(rw_trials, cycle_graph(9), trials=4,
                                       seed=3)
         steps = int(np.nanmax(out))
         assert record["c_engine_steps"] == steps
@@ -345,12 +347,12 @@ class TestCounters:
         assert record["c_rng_draws"] == 700 * 15
 
     def test_hit_counts_steps(self):
-        out, record = self.run_traced(rw_hitting_trials, cycle_graph(11), 5,
+        out, record = self.run_traced(rw_trials, cycle_graph(11), 5,
                                       trials=3, seed=2)
         assert record["c_engine_steps"] == int(out.max())
         assert record["c_rng_draws"] == 3 * int(out.max())
 
     def test_untraced_run_is_value_identical(self):
-        out, _ = self.run_traced(rw_cover_trials, grid(6, 2), trials=7, seed=9)
+        out, _ = self.run_traced(rw_trials, grid(6, 2), trials=7, seed=9)
         np.testing.assert_array_equal(
-            out, rw_cover_trials(grid(6, 2), trials=7, seed=9))
+            out, rw_trials(grid(6, 2), trials=7, seed=9))

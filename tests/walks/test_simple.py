@@ -5,12 +5,7 @@ import pytest
 
 from repro.graphs import complete_graph, cycle_graph, lollipop, path_graph
 from repro.sim import simulate
-from repro.walks import (
-    RandomWalk,
-    rw_cover_trials,
-    rw_exact_hitting_times,
-    rw_hitting_trials,
-)
+from repro.walks import RandomWalk, rw_exact_hitting_times, rw_trials
 
 
 class TestRandomWalk:
@@ -56,7 +51,7 @@ class TestRandomWalk:
 class TestBatchedTrials:
     def test_cover_trials_match_scalar_distribution(self):
         g = cycle_graph(10)
-        batched = rw_cover_trials(g, trials=200, seed=6)
+        batched = rw_trials(g, trials=200, seed=6)
         scalar = np.array(
             [simulate(g, "simple", seed=1000 + i).value for i in range(200)],
             dtype=np.float64,
@@ -67,41 +62,41 @@ class TestBatchedTrials:
     def test_cycle_cover_is_quadratic(self):
         # E[cover] of the cycle = n(n-1)/2 exactly
         n = 16
-        mean = np.nanmean(rw_cover_trials(cycle_graph(n), trials=400, seed=7))
+        mean = np.nanmean(rw_trials(cycle_graph(n), trials=400, seed=7))
         expect = n * (n - 1) / 2
         assert abs(mean - expect) < 0.12 * expect
 
     def test_hitting_trials_antipodal_cycle(self):
         # E[hit] from 0 to k on a cycle = k(n-k)
         n = 12
-        mean = np.nanmean(rw_hitting_trials(cycle_graph(n), 6, trials=500, seed=8))
+        mean = np.nanmean(rw_trials(cycle_graph(n), 6, trials=500, seed=8))
         assert abs(mean - 36.0) < 4.5
 
     def test_budget_gives_nans(self):
-        out = rw_cover_trials(path_graph(50), trials=4, seed=9, max_steps=3)
+        out = rw_trials(path_graph(50), trials=4, seed=9, max_steps=3)
         assert np.isnan(out).all()
 
     def test_trials_validation(self, small_cycle):
         with pytest.raises(ValueError):
-            rw_cover_trials(small_cycle, trials=0)
+            rw_trials(small_cycle, trials=0)
 
     @pytest.mark.parametrize("start", [-1, 8, [0, 1]])
     def test_bad_start_rejected(self, start):
         g = cycle_graph(8)
-        for engine, args in ((rw_cover_trials, ()), (rw_hitting_trials, (4,))):
+        for target in (None, 4):
             with pytest.raises(ValueError, match="start"):
-                engine(g, *args, start=start, trials=3, seed=0)
+                rw_trials(g, target, start=start, trials=3, seed=0)
 
     @pytest.mark.parametrize("target", [-1, 8])
     def test_bad_target_rejected(self, target):
         with pytest.raises(ValueError, match="target out of range"):
-            rw_hitting_trials(cycle_graph(8), target, trials=3, seed=0)
+            rw_trials(cycle_graph(8), target, trials=3, seed=0)
 
     def test_one_element_start_array(self):
         g = cycle_graph(8)
         assert np.array_equal(
-            rw_cover_trials(g, start=np.array([3]), trials=5, seed=1),
-            rw_cover_trials(g, start=3, trials=5, seed=1),
+            rw_trials(g, start=np.array([3]), trials=5, seed=1),
+            rw_trials(g, start=3, trials=5, seed=1),
         )
 
 
@@ -128,5 +123,5 @@ class TestExactHitting:
     def test_simulation_agrees_with_exact(self):
         g = cycle_graph(8)
         h = rw_exact_hitting_times(g, 0)
-        sim = np.nanmean(rw_hitting_trials(g, 0, start=4, trials=600, seed=10))
+        sim = np.nanmean(rw_trials(g, 0, start=4, trials=600, seed=10))
         assert abs(sim - h[4]) < 0.12 * h[4]
