@@ -300,17 +300,18 @@ def _open_store(arg: str, *, allow_memory: bool = False):
     arg : str
         The CLI value: a directory path, an ``http(s)://`` URL of a
         running ``sweep serve`` (→ :class:`HTTPCASBackend`), or
-        ``":memory:"`` (→ :class:`InMemoryCASBackend`, serve only).
+        ``":memory:"`` (→ ``ResultStore()``, whose backend is an
+        :class:`InMemoryCASBackend`; serve only).
     allow_memory : bool
         Whether ``":memory:"`` is valid for this verb.
 
     Returns
     -------
     ResultStore
-        Backend-backed for every accepted form.
+        The store the argument names.
     """
     from ..store import ResultStore
-    from ..store.backend import HTTPCASBackend, InMemoryCASBackend
+    from ..store.backend import HTTPCASBackend
 
     if arg == ":memory:":
         if not allow_memory:
@@ -318,7 +319,7 @@ def _open_store(arg: str, *, allow_memory: bool = False):
                 "':memory:' stores are only valid for 'sweep serve' "
                 "(any other verb would see a private empty store)"
             )
-        return ResultStore(backend=InMemoryCASBackend())
+        return ResultStore()
     if arg.startswith(("http://", "https://")):
         return ResultStore(backend=HTTPCASBackend(arg))
     return ResultStore(arg)

@@ -62,12 +62,7 @@ class EventLog:
         # inside repro.sim/repro.store module bodies (cycle guard)
         from ..store.backend import resolve_backend
 
-        backend = resolve_backend(store)
-        if backend is None:
-            raise ValueError("EventLog needs a store path or backend")
-        self.backend = backend
-        self.root = getattr(backend, "root", None)
-        self.path = self.root / EVENTS_FILE if self.root is not None else None
+        self.backend = resolve_backend(store)
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one event through the backend's merge-safe appender.

@@ -250,8 +250,7 @@ def build_report(
     Parameters
     ----------
     store : ResultStore
-        The store to report on (disk-backed stores additionally get
-        ledger and event health; memory stores report cells only).
+        The store to report on: its cells, ledger and event health.
     specs : sequence of SweepSpec, optional
         Restrict to these sweeps' cells; default is every stored cell.
     now : float, optional
@@ -320,16 +319,15 @@ def build_report(
         )
     report.workers.sort(key=lambda r: -r["total_s"])
 
-    if store.backend is not None:
-        report.ledger = _ledger_stats(store.backend, now=now)
-        if report.ledger:
-            report.ledger["double_computed"] = _double_computed(store)
-        from .events import EventLog
+    report.ledger = _ledger_stats(store.backend, now=now)
+    if report.ledger:
+        report.ledger["double_computed"] = _double_computed(store)
+    from .events import EventLog
 
-        log = EventLog(store.backend)
-        records, torn = log._scan()
-        report.events = {"records": len(records), "torn": torn}
-        report.service = _service_rows(records)
+    log = EventLog(store.backend)
+    records, torn = log._scan()
+    report.events = {"records": len(records), "torn": torn}
+    report.service = _service_rows(records)
     return report
 
 
@@ -345,7 +343,7 @@ def render_top(
     Parameters
     ----------
     store : ResultStore
-        The (possibly still-draining) disk-backed store.
+        The (possibly still-draining) store.
     specs : sequence of SweepSpec
         The sweeps being drained (progress is counted against their
         expansions).
@@ -374,30 +372,29 @@ def render_top(
     header = f"sweep top — {done}/{total} cells stored"
     lines.insert(0, header)
 
-    if store.backend is not None:
-        ledger = ClaimLedger(store.backend)
-        live = [
-            lease for lease in ledger.leases().values() if not lease.expired(now)
-        ]
-        lines.append(f"live leases: {len(live)}")
-        for lease in sorted(live, key=lambda ls: ls.expires_unix):
-            lines.append(
-                f"  {lease.hash[:12]}  {lease.owner}"
-                + (f"  lease={lease.lease_id}" if lease.lease_id else "")
-                + f"  expires in {max(0.0, lease.expires_unix - now):.0f}s"
-            )
-        from .events import EventLog
+    ledger = ClaimLedger(store.backend)
+    live = [
+        lease for lease in ledger.leases().values() if not lease.expired(now)
+    ]
+    lines.append(f"live leases: {len(live)}")
+    for lease in sorted(live, key=lambda ls: ls.expires_unix):
+        lines.append(
+            f"  {lease.hash[:12]}  {lease.owner}"
+            + (f"  lease={lease.lease_id}" if lease.lease_id else "")
+            + f"  expires in {max(0.0, lease.expires_unix - now):.0f}s"
+        )
+    from .events import EventLog
 
-        events = EventLog(store.backend).records()
-        phases = [e for e in events if e.get("kind") == "phase"]
-        if phases:
-            lines.append(f"recent events ({len(phases)} phase records):")
-            for event in phases[-tail:]:
-                lines.append(
-                    f"  {event.get('worker', '?'):24s} "
-                    f"{str(event.get('cell', ''))[:12]:12s} "
-                    f"{event.get('name', '?'):12s} {event.get('dur_s', 0.0):.4f}s"
-                )
+    events = EventLog(store.backend).records()
+    phases = [e for e in events if e.get("kind") == "phase"]
+    if phases:
+        lines.append(f"recent events ({len(phases)} phase records):")
+        for event in phases[-tail:]:
+            lines.append(
+                f"  {event.get('worker', '?'):24s} "
+                f"{str(event.get('cell', ''))[:12]:12s} "
+                f"{event.get('name', '?'):12s} {event.get('dur_s', 0.0):.4f}s"
+            )
 
     frame = _sweep_frame(store, specs)
     slowest = frame.sort_by("wall_time_s").rows[::-1][:5]

@@ -6,7 +6,7 @@ The layer above :mod:`repro.sim`: declare a sweep once
 :class:`Frame`.  Identical simulation work is computed exactly once —
 re-running a completed sweep is pure cache hits, and an interrupted
 campaign resumes seed-for-seed.  Any number of worker processes can
-drain one disk-backed store concurrently through the lease/claim
+drain one shared store concurrently through the lease/claim
 dispatcher (:mod:`repro.store.dispatch`; ``Campaign(workers=N)`` or
 the ``sweep work`` CLI), with ``fsck``/``compact`` for store hygiene.
 See ``docs/sweeps.md``.

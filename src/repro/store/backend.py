@@ -400,13 +400,16 @@ class CASBackend:
 
 
 class InMemoryCASBackend(CASBackend):
-    """In-process conditional-put fake for tests and ``sweep serve``.
+    """In-process conditional-put store: the memory store's backend.
 
     A dict of ``key -> (bytes, etag)`` behind one mutex, with a
-    monotonic version counter for ETags.  Thread-safe: N drain threads
-    sharing one instance exercise exactly the lost-race/retry paths an
-    object store would, with zero I/O — the CI-friendly stand-in the
-    conformance suite (``tests/store/test_backend.py``) runs against.
+    monotonic version counter for ETags.  ``ResultStore()`` and
+    ``sweep serve --store :memory:`` keep their blobs here, so a memory
+    store takes the same load, commit, claim, ``fsck`` and ``compact``
+    paths as a disk store.  Thread-safe: N drain threads sharing one
+    instance exercise exactly the lost-race/retry paths an object store
+    would, with zero I/O — the CI-friendly stand-in the conformance
+    suite (``tests/store/test_backend.py``) runs against.
     """
 
     def __init__(self) -> None:
@@ -539,26 +542,29 @@ class HTTPCASBackend(CASBackend):
         return [str(k) for k in keys]
 
 
-def resolve_backend(
-    store: str | Path | StorageBackend | None,
-) -> StorageBackend | None:
+def resolve_backend(store: str | Path | StorageBackend) -> StorageBackend:
     """Normalise a store argument into a backend.
 
-    ``None`` stays ``None`` (memory-only store); a backend passes
-    through; a path becomes a :class:`LocalBackend`.
+    A backend passes through; a path becomes a :class:`LocalBackend`.
 
     Parameters
     ----------
-    store : str, Path, StorageBackend, or None
+    store : str, Path, or StorageBackend
         Whatever the caller holds.
 
     Returns
     -------
-    StorageBackend or None
+    StorageBackend
         The backend to persist through.
+
+    Raises
+    ------
+    TypeError
+        If *store* is ``None``: a ledger or registry needs a store to
+        live in.
     """
     if store is None:
-        return None
+        raise TypeError("expected a store path or a StorageBackend, got None")
     if isinstance(store, (str, Path)):
         return LocalBackend(store)
     return store

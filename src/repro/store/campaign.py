@@ -29,13 +29,16 @@ import multiprocessing as mp
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..obs.trace import NULL_TRACER, Tracer, activate, default_worker_id
 from ..sim.facade import run_batch
 from ..sim.processes import get_process
 from .spec import RunKey, SweepSpec
 from .store import Frame, ResultStore, record_row
+
+if TYPE_CHECKING:
+    from .dispatch import WorkerReport
 
 __all__ = ["Campaign", "CampaignReport", "CampaignStatus", "run_cell"]
 
@@ -118,6 +121,31 @@ def _pool_context() -> mp.context.BaseContext:
     raises)."""
     method = "fork" if "fork" in mp.get_all_start_methods() else None
     return mp.get_context(method)
+
+
+def _drain_worker(
+    spec: SweepSpec, root: str, owner: str, trace: bool, profile: bool
+) -> WorkerReport:
+    """One ``Campaign(workers=N)`` pool process: drain *spec* into *root*.
+
+    Opens a fresh store handle on the shared directory and drains with
+    ``wait=True`` so the pool returns only once every cell is stored (by
+    *some* worker).  A tracing pool builds its own
+    :func:`repro.obs.events.tracer_for_store` here, in the worker
+    process (a tracer object cannot cross the pickle boundary), so every
+    pool member appends to the same ``events.jsonl``.
+    """
+    from .dispatch import drain
+
+    tracer = None
+    if trace:
+        from ..obs.events import tracer_for_store
+
+        tracer = tracer_for_store(root, worker=owner)
+    return drain(
+        spec, ResultStore(root), owner=owner, wait=True, tracer=tracer,
+        profile=profile,
+    )
 
 
 #: the cell phases, in execution order — every run_cell emits exactly
@@ -258,14 +286,14 @@ class Campaign:
     spec : SweepSpec
         The declarative sweep.
     store : ResultStore
-        Where results live (pass a disk-backed store for durable,
-        resumable campaigns; the default is an ephemeral in-memory
-        store).
+        Where results live (pass a store with a directory for durable,
+        resumable campaigns; the default ``ResultStore()`` keeps them
+        in an ephemeral :class:`~repro.store.backend.InMemoryCASBackend`).
     workers : int, optional
         Spawn this many local worker processes that drain the sweep
         concurrently through the lease/claim dispatcher
-        (:mod:`repro.store.dispatch`).  Requires a disk-backed store
-        (the claim ledger lives beside the shards).  Values are
+        (:mod:`repro.store.dispatch`).  Requires a disk-backed store:
+        each worker process reopens the shared directory.  Values are
         identical to a single-process ``run()`` — per-cell seeds are
         content-derived, so worker placement cannot matter.
     tracer : Tracer, optional
@@ -296,8 +324,8 @@ class Campaign:
         self.profile = profile
         if workers is not None and workers > 1 and self.store.root is None:
             raise ValueError(
-                "Campaign(workers=N) needs a disk-backed store (the claim "
-                "ledger lives beside the shards); pass ResultStore(path)"
+                "Campaign(workers=N) needs a disk-backed store (each pool "
+                "process reopens the shared directory); pass ResultStore(path)"
             )
         self._cells: list[RunKey] | None = None
 
@@ -391,7 +419,14 @@ class Campaign:
                 if max_cells is not None and len(report.ran) >= max_cells:
                     report.pending.append(key.hash)
                     continue
-                record = self._run_cell(key, graph_cache)
+                record = run_cell(
+                    key,
+                    self.store,
+                    sweep=self.spec.name,
+                    graph_cache=graph_cache,
+                    tracer=self.tracer,
+                    profile=self.profile,
+                )
                 report.ran.append(key.hash)
                 if on_cell is not None:
                     on_cell(key, record, False)
@@ -405,21 +440,20 @@ class Campaign:
         their reports.  See ``docs/sweeps.md`` ("Multi-worker
         dispatch").
         """
-        from .dispatch import pool_worker, worker_payloads
+        from .dispatch import default_owner
 
         assert self.workers is not None and self.store.root is not None
         self.store.refresh()
         report = CampaignReport(sweep=self.spec.name)
         report.cached = [k.hash for k in self.cells if self.store.has(k)]
-        payloads = worker_payloads(
-            self.spec,
-            self.store.root,
-            workers=self.workers,
-            trace=self.tracer is not None and self.tracer.enabled,
-            profile=self.profile,
-        )
+        trace = self.tracer is not None and self.tracer.enabled
+        args = [
+            (self.spec, str(self.store.root), f"{default_owner()}-w{i}", trace,
+             self.profile)
+            for i in range(self.workers)
+        ]
         with _pool_context().Pool(processes=self.workers) as pool:
-            worker_reports = pool.map(pool_worker, payloads)
+            worker_reports = pool.starmap(_drain_worker, args)
         ran = {h for wr in worker_reports for h in wr.ran}
         self.store.refresh()
         for key in self.cells:
@@ -434,14 +468,3 @@ class Campaign:
             else:
                 report.pending.append(key.hash)
         return report
-
-    def _run_cell(self, key: RunKey, graph_cache: dict) -> dict[str, Any]:
-        """Compute one cell and store it with provenance."""
-        return run_cell(
-            key,
-            self.store,
-            sweep=self.spec.name,
-            graph_cache=graph_cache,
-            tracer=self.tracer,
-            profile=self.profile,
-        )

@@ -1,8 +1,8 @@
 """Multi-worker sweep dispatch: lease/claim over a shared result store.
 
 PR 4 made a sweep cell's content hash its identity; this module makes
-that hash a **work-item id**.  Any number of worker processes point at
-one disk-backed :class:`~repro.store.store.ResultStore` and call
+that hash a **work-item id**.  Any number of workers point at one
+:class:`~repro.store.store.ResultStore` and call
 :func:`drain`: each worker repeatedly *claims* one pending cell in an
 append-only JSONL ledger (``claims.jsonl``, beside the shards),
 executes it through the exact same
@@ -188,12 +188,7 @@ class ClaimLedger:
     """
 
     def __init__(self, store: str | Path | StorageBackend) -> None:
-        backend = resolve_backend(store)
-        if backend is None:
-            raise ValueError("ClaimLedger needs a store path or backend")
-        self.backend = backend
-        self.root = getattr(backend, "root", None)
-        self.path = self.root / CLAIMS_FILE if self.root is not None else None
+        self.backend = resolve_backend(store)
         # the incremental replay: ledger bytes replayed so far (ending at
         # a line boundary), the leases they leave, and every hash they
         # show released ``done`` — a cell some worker has stored
@@ -476,7 +471,8 @@ def drain(
         The campaign(s) to drain; cells are deduplicated by hash
         across specs, in expansion order.
     store : ResultStore
-        A **disk-backed** store shared by all workers.
+        The store shared by all workers; separate processes reach one
+        through a shared directory or a ``sweep serve`` URL.
     owner : str, optional
         Worker id for the ledger (default :func:`default_owner`).
     ttl : float
@@ -509,12 +505,6 @@ def drain(
     WorkerReport
         Hashes ran / cached / deferred by this worker.
     """
-    if store.backend is None:
-        raise ValueError(
-            "dispatch needs a disk-backed or backend-backed store (the "
-            "claim ledger lives beside the shards); pass ResultStore(path) "
-            "or ResultStore(backend=...)"
-        )
     spec_list = [specs] if isinstance(specs, SweepSpec) else list(specs)
     if not spec_list:
         raise ValueError("drain needs at least one SweepSpec")
@@ -622,85 +612,6 @@ def drain(
 
 
 # ----------------------------------------------------------------------
-# the Campaign(workers=N) local pool plumbing
-# ----------------------------------------------------------------------
-
-def worker_payloads(
-    spec: SweepSpec,
-    root: str | Path,
-    *,
-    workers: int,
-    ttl: float = DEFAULT_TTL,
-    trace: bool = False,
-    profile: bool = False,
-) -> list[tuple]:
-    """Picklable per-worker argument tuples for :func:`pool_worker`.
-
-    Parameters
-    ----------
-    spec : SweepSpec
-        The sweep every pool member drains.
-    root : str or Path
-        The shared store directory.
-    workers : int
-        Pool width (one payload per worker).
-    ttl : float
-        Lease TTL handed to each worker.
-    trace : bool
-        Each worker opens its own store-backed event tracer
-        (a tracer object cannot cross the pool pickle boundary).
-    profile : bool
-        Forwarded to :func:`drain` (per-cell peak-RSS provenance).
-
-    Returns
-    -------
-    list of tuple
-        One ``(spec, root, owner, ttl, trace, profile)`` each.
-    """
-    return [
-        (spec, str(root), f"{default_owner()}-w{i}", ttl, trace, profile)
-        for i in range(workers)
-    ]
-
-
-def pool_worker(payload: tuple) -> WorkerReport:
-    """Entry point of one ``Campaign(workers=N)`` pool process.
-
-    Opens a fresh store handle on the shared directory and drains with
-    ``wait=True`` so the pool's ``map`` returns only once every cell of
-    the sweep is stored (by *some* worker).  A tracing pool builds its
-    own :func:`repro.obs.events.tracer_for_store` here, in the worker
-    process, under the worker's owner id — every pool member appends
-    to the same flock-guarded ``events.jsonl``.
-
-    Parameters
-    ----------
-    payload : tuple
-        One element of :func:`worker_payloads`.
-
-    Returns
-    -------
-    WorkerReport
-        This worker's share of the drain.
-    """
-    spec, root, owner, ttl, trace, profile = payload
-    tracer = None
-    if trace:
-        from ..obs.events import tracer_for_store
-
-        tracer = tracer_for_store(root, worker=owner)
-    return drain(
-        spec,
-        ResultStore(root),
-        owner=owner,
-        ttl=ttl,
-        wait=True,
-        tracer=tracer,
-        profile=profile,
-    )
-
-
-# ----------------------------------------------------------------------
 # fsck — integrity check
 # ----------------------------------------------------------------------
 
@@ -805,7 +716,7 @@ class FsckReport:
 
 
 def fsck(store: ResultStore, *, now: float | None = None) -> FsckReport:
-    """Re-verify every record and lease of a disk-backed store.
+    """Re-verify every record and lease of a store.
 
     Reads the raw shard files (never the store's cache): each line must
     parse, its ``key`` payload must re-hash (SHA-256 of the canonical
@@ -817,7 +728,7 @@ def fsck(store: ResultStore, *, now: float | None = None) -> FsckReport:
     Parameters
     ----------
     store : ResultStore
-        A disk-backed store (memory stores have nothing to check).
+        The store to check, on any backend.
     now : float, optional
         Clock override for lease expiry (tests).
 
@@ -826,8 +737,6 @@ def fsck(store: ResultStore, *, now: float | None = None) -> FsckReport:
     FsckReport
         Findings; ``report.clean`` is the CLI's exit status.
     """
-    if store.backend is None:
-        raise ValueError("fsck needs a disk-backed or backend-backed store")
     now = time.time() if now is None else now
     report = FsckReport()
     counts: dict[str, int] = {}
@@ -974,7 +883,7 @@ def compact(
     Parameters
     ----------
     store : ResultStore
-        A disk-backed or backend-backed store.
+        The store to compact, on any backend.
     force : bool
         Compact even with live leases (you know the workers are gone).
     now : float, optional
@@ -985,8 +894,6 @@ def compact(
     CompactReport
         What was dropped, kept, and relocated.
     """
-    if store.backend is None:
-        raise ValueError("compact needs a disk-backed or backend-backed store")
     now = time.time() if now is None else now
     ledger = ClaimLedger(store.backend)
     live = {
@@ -1121,8 +1028,6 @@ def declare_sweep(
         The registry record as appended.
     """
     backend = resolve_backend(store)
-    if backend is None:
-        raise ValueError("declare_sweep needs a store path or backend")
     record = {
         "name": name,
         "scale": scale,
@@ -1152,10 +1057,7 @@ def declared_sweeps(
         torn or malformed lines are skipped (same tolerance as every
         other ledger).
     """
-    backend = resolve_backend(store)
-    if backend is None:
-        raise ValueError("declared_sweeps needs a store path or backend")
-    blob = backend.read_blob(SWEEPS_FILE)
+    blob = resolve_backend(store).read_blob(SWEEPS_FILE)
     if blob is None:
         return []
     out: list[dict[str, Any]] = []

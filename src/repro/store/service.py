@@ -75,9 +75,9 @@ class SweepService:
     Parameters
     ----------
     store : ResultStore
-        The store to serve; must be backend-backed (``sweep serve``
-        refuses memory-only stores — there would be nothing shared to
-        serve).
+        The store to serve, on any backend (``sweep serve --store
+        :memory:`` serves a fresh ``InMemoryCASBackend`` store that
+        remote workers fill through the blob routes).
     tracer : Tracer, optional
         :mod:`repro.obs` tracer; when set, every request runs inside a
         ``kind="http"`` span annotated with route and status.
@@ -86,8 +86,6 @@ class SweepService:
     def __init__(
         self, store: ResultStore, *, tracer: "Tracer | None" = None
     ) -> None:
-        if store.backend is None:
-            raise ValueError("sweep serve needs a disk-backed or backend-backed store")
         self.store = store
         self.tracer = tracer
 
@@ -345,7 +343,7 @@ def make_server(
     Parameters
     ----------
     store : ResultStore
-        The store to serve (backend-backed).
+        The store to serve.
     host : str
         Bind address (default loopback).
     port : int

@@ -30,8 +30,10 @@ lock hold, so any number of worker processes — the
 :mod:`repro.store.dispatch` layer — can commit into one store
 concurrently without interleaving bytes (the merge-safe writer).
 
-``root=None`` gives a memory-only store with the same API (what the
-migrated experiments use for their ephemeral sweeps).
+``root=None`` keeps the same blobs in an
+:class:`~repro.store.backend.InMemoryCASBackend` instead (what the
+migrated experiments use for their ephemeral sweeps): same API, same
+load and append path, no persistence.
 
 Querying goes through :meth:`ResultStore.frame`: every record flattens
 to one plain-dict row (axes + summary statistics + provenance) inside
@@ -52,7 +54,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .backend import LocalBackend, StorageBackend, resolve_backend
+from .backend import InMemoryCASBackend, LocalBackend, StorageBackend
 from .spec import STORE_SCHEMA_VERSION, RunKey, canonical_json
 
 if TYPE_CHECKING:
@@ -534,16 +536,16 @@ class ResultStore:
     Parameters
     ----------
     root : str or Path or None
-        Store directory (created on first write).  ``None`` keeps
-        everything in memory — same API, no persistence — unless a
-        *backend* is given.
+        Store directory (created on first write).  With neither
+        *root* nor *backend* the store lives in a fresh
+        :class:`~repro.store.backend.InMemoryCASBackend` — same API,
+        same claim ledger, no persistence.
     backend : StorageBackend, optional
         Explicit persistence seam (:mod:`repro.store.backend`).  A
         path *root* is shorthand for ``backend=LocalBackend(root)``;
-        an object-store backend (``InMemoryCASBackend``,
-        ``HTTPCASBackend``, …) makes the store durable with **no
-        filesystem at all** — same records, same layout, same claim
-        ledger.
+        an object-store backend (``HTTPCASBackend``, …) makes the
+        store durable with **no filesystem at all** — same records,
+        same layout, same claim ledger.
     """
 
     def __init__(
@@ -554,7 +556,9 @@ class ResultStore:
     ) -> None:
         if root is not None and backend is not None:
             raise ValueError("pass root= or backend=, not both")
-        self.backend = backend if backend is not None else resolve_backend(root)
+        if backend is None:
+            backend = InMemoryCASBackend() if root is None else LocalBackend(root)
+        self.backend = backend
         self.root = (
             self.backend.root if isinstance(self.backend, LocalBackend) else None
         )
@@ -567,33 +571,30 @@ class ResultStore:
         # a slower parse of an older shard version must not land
         # after a newer one and claim its ETag
         self._load_lock = threading.Lock()
-        self._all_loaded = self.backend is None
+        self._all_loaded = False
         self._meta_checked = False
-        if self.backend is not None:
-            blob = self.backend.read_blob("meta.json")
-            if blob is not None:
-                self._meta_checked = True
-                try:
-                    meta = json.loads(blob[0].decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    meta = {}
-                version = meta.get("schema")
-                if version not in (None, STORE_SCHEMA_VERSION):
-                    warnings.warn(
-                        f"store at {self.location} has schema {version!r}, "
-                        f"this code writes {STORE_SCHEMA_VERSION}; old "
-                        "records will simply never match new keys",
-                        stacklevel=2,
-                    )
+        blob = self.backend.read_blob("meta.json")
+        if blob is not None:
+            self._meta_checked = True
+            try:
+                meta = json.loads(blob[0].decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                meta = {}
+            version = meta.get("schema")
+            if version not in (None, STORE_SCHEMA_VERSION):
+                warnings.warn(
+                    f"store at {self.location} has schema {version!r}, "
+                    f"this code writes {STORE_SCHEMA_VERSION}; old "
+                    "records will simply never match new keys",
+                    stacklevel=2,
+                )
 
     @property
     def location(self) -> str:
         """Human-readable description of where the store lives."""
         if self.root is not None:
             return str(self.root)
-        if self.backend is not None:
-            return f"{type(self.backend).__name__}"
-        return "(memory)"
+        return type(self.backend).__name__
 
     # ------------------------------------------------------------------
     # shard plumbing
@@ -606,8 +607,6 @@ class ResultStore:
         return h
 
     def _load_shard(self, prefix: str) -> None:
-        if self.backend is None:
-            return
         with self._load_lock:
             if prefix in self._loaded_shards:
                 return
@@ -631,7 +630,6 @@ class ResultStore:
         if self._all_loaded:
             return
         self._all_loaded = True
-        assert self.backend is not None
         for key in self.shard_keys():
             self._load_shard(_shard_prefix(key))
 
@@ -677,7 +675,7 @@ class ResultStore:
         summary: TrialSummary,
         provenance: Mapping[str, Any] | None = None,
     ) -> dict[str, Any]:
-        """Record a cell's summary (appends one JSONL line on disk).
+        """Record a cell's summary (appends one JSONL line to its shard).
 
         Parameters
         ----------
@@ -700,13 +698,12 @@ class ResultStore:
             "result": _summary_payload(summary),
             "provenance": dict(provenance or {}),
         }
-        if self.backend is not None:
-            self._ensure_meta()
-            # merge-safe append: one whole record per backend append, so
-            # any number of worker processes can commit concurrently
-            self.backend.append_line(
-                _shard_key(key.hash[:2]), json.dumps(record, sort_keys=True)
-            )
+        self._ensure_meta()
+        # merge-safe append: one whole record per backend append, so
+        # any number of worker processes can commit concurrently
+        self.backend.append_line(
+            _shard_key(key.hash[:2]), json.dumps(record, sort_keys=True)
+        )
         self._cache[key.hash] = record
         return record
 
@@ -716,7 +713,6 @@ class ResultStore:
         Checked once per store object: the flag is set only once the
         blob has been read back or created.
         """
-        assert self.backend is not None
         if self._meta_checked:
             return
         if self.backend.read_blob("meta.json") is not None:
@@ -741,16 +737,13 @@ class ResultStore:
         Refreshing and looking up every pending cell on each claim
         round would cost a drain O(cells²) shard reads, so
         :func:`repro.store.dispatch.drain` refreshes only before the
-        lookups it must redo.  A no-op for memory-only stores (there
-        is nothing to re-read).
+        lookups it must redo.
         """
-        if self.backend is None:
-            return
         self._loaded_shards.clear()
         self._all_loaded = False
 
     def shard_keys(self) -> list[str]:
-        """Existing shard blob keys, sorted (``[]`` for memory stores).
+        """Existing shard blob keys, sorted.
 
         Returns
         -------
@@ -759,8 +752,6 @@ class ResultStore:
             the raw material of ``sweep fsck`` and ``sweep compact``,
             over any backend.
         """
-        if self.backend is None:
-            return []
         return [
             key
             for key in self.backend.list_prefix("shards/")
@@ -779,7 +770,6 @@ class ResultStore:
             ``sweep report`` check and count.
         """
         for key in self.shard_keys():
-            assert self.backend is not None  # memory stores list no shards
             blob = self.backend.read_blob(key)
             if blob is not None:
                 yield (_shard_prefix(key), *scan_lines(blob[0]))

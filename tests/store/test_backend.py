@@ -134,6 +134,15 @@ class TestProtocolConformance:
         assert data == b"fresh\n"
 
 
+class TestResolveBackend:
+    def test_resolves_paths_and_backends_and_refuses_none(self, tmp_path):
+        assert isinstance(backend_module.resolve_backend(tmp_path), LocalBackend)
+        memory = InMemoryCASBackend()
+        assert backend_module.resolve_backend(memory) is memory
+        with pytest.raises(TypeError, match="got None"):
+            ClaimLedger(None)
+
+
 class TestLocalKeyContainment:
     """``LocalBackend`` refuses every key whose real path leaves the root."""
 

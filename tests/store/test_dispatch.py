@@ -25,6 +25,7 @@ from repro.store import (
     fsck,
 )
 from repro.store.dispatch import CLAIMS_FILE
+from repro.store.sweeps import build_sweep
 
 
 def make_spec(**over):
@@ -60,6 +61,15 @@ def reference():
     store = ResultStore()
     Campaign(make_spec(), store).run()
     return store
+
+
+@pytest.fixture()
+def drained_memory_store():
+    """The DEMO_grid2x2 sweep drained by one worker into ``ResultStore()``."""
+    (spec,) = build_sweep("DEMO_grid2x2")
+    store = ResultStore()
+    report = drain(spec, store, owner="w1")
+    return spec, store, report
 
 
 class TestClaimLedger:
@@ -115,14 +125,14 @@ class TestClaimLedger:
     def test_torn_ledger_lines_are_skipped(self, tmp_path):
         ledger = ClaimLedger(tmp_path)
         ledger.try_claim(["h1"], owner="A")
-        with ledger.path.open("a", encoding="utf-8") as fh:
+        with (tmp_path / CLAIMS_FILE).open("a", encoding="utf-8") as fh:
             fh.write('{"op": "claim", "hash": "h2", torn')
         assert set(ledger.leases()) == {"h1"}
 
     def test_claim_after_a_torn_tail_is_seen_by_other_workers(self, tmp_path):
         a, b = ClaimLedger(tmp_path), ClaimLedger(tmp_path)
         a.try_claim(["h1"], owner="A")
-        with a.path.open("a", encoding="utf-8") as fh:
+        with (tmp_path / CLAIMS_FILE).open("a", encoding="utf-8") as fh:
             fh.write('{"op": "claim", "hash": "h9", torn')
         assert a.try_claim(["h2"], owner="A") == ["h2"]
         # the claim starts its own line instead of gluing onto the tail
@@ -132,7 +142,7 @@ class TestClaimLedger:
     def test_release_after_a_torn_tail_is_seen(self, tmp_path):
         ledger = ClaimLedger(tmp_path)
         ledger.try_claim(["h1"], owner="A")
-        with ledger.path.open("a", encoding="utf-8") as fh:
+        with (tmp_path / CLAIMS_FILE).open("a", encoding="utf-8") as fh:
             fh.write('{"op": "claim", "hash": "h9", torn')
         ledger.release("h1", owner="A")
         assert live_leases(ClaimLedger(tmp_path)) == {}
@@ -343,9 +353,14 @@ class TestDrain:
         assert ledger.leases() == {}  # abandoned, not leaked
         assert any(r["op"] == "abandon" for r in ledger.records())
 
-    def test_memory_store_is_rejected(self):
-        with pytest.raises(ValueError, match="disk-backed"):
-            drain(make_spec(), ResultStore())
+    def test_memory_store_drains_every_cell(self, drained_memory_store):
+        spec, store, report = drained_memory_store
+        cells = spec.expand()
+        assert report.complete and report.ran == [cell.hash for cell in cells]
+        reference = ResultStore()
+        Campaign(spec, reference).run()
+        for cell in cells:
+            assert store.get(cell)["result"] == reference.get(cell)["result"]
 
     def test_cell_committed_between_scan_and_claim_is_not_recomputed(
         self, tmp_path, monkeypatch
@@ -546,9 +561,11 @@ class TestFsck:
         assert [ls.owner for ls in report.live_leases] == ["active"]
         assert report.clean
 
-    def test_memory_store_is_rejected(self):
-        with pytest.raises(ValueError, match="disk-backed"):
-            fsck(ResultStore())
+    def test_memory_store_is_clean(self, drained_memory_store):
+        _, store, _ = drained_memory_store
+        report = fsck(store)
+        assert report.clean, report.summary()
+        assert report.records == 4 and report.cells == 4
 
 
 class TestCompact:
@@ -618,9 +635,13 @@ class TestCompact:
         # the live lease survives the forced compaction
         assert set(live_leases(ClaimLedger(store.root))) == {"h"}
 
-    def test_memory_store_is_rejected(self):
-        with pytest.raises(ValueError, match="disk-backed"):
-            compact(ResultStore())
+    def test_memory_store_keeps_every_record(self, drained_memory_store):
+        spec, store, _ = drained_memory_store
+        before = {cell.hash: store.get(cell) for cell in spec.expand()}
+        report = compact(store)
+        assert report.records_in == report.records_out == 4
+        assert report.claims_dropped == 8
+        assert {h: store.get(h) for h in before} == before
 
     def test_concurrent_lease_less_writer_loses_nothing(self, tmp_path):
         # a plain Campaign.run() holds no lease; its locked appends must

@@ -57,9 +57,17 @@ def served():
 
 
 class TestConstruction:
-    def test_memory_only_store_is_rejected(self):
-        with pytest.raises(ValueError, match="backend-backed"):
-            SweepService(ResultStore())
+    def test_memory_store_is_served(self):
+        spec = _spec(graph_grid={"n": [6], "d": [2]}, params_grid={"k": [1]})
+        store = ResultStore()
+        Campaign(spec, store).run()
+        service = SweepService(store)
+        status, _, body = service.handle("GET", "/health")
+        assert status == 200
+        assert json.loads(body)["store"] == "InMemoryCASBackend"
+        (cell,) = spec.expand()
+        status, _, body = service.handle("GET", f"/cell/{cell.hash}")
+        assert status == 200 and json.loads(body) == store.get(cell)
 
     def test_handler_disables_nagle(self):
         server = make_server(ResultStore(backend=InMemoryCASBackend()))
